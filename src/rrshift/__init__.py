@@ -17,14 +17,19 @@ from .dynamics import (
     Kinematics,
     ReflectedTrajectoryError,
     Trajectory,
-    external_coordinate_force,
     integrate_trajectory,
     kinematics,
 )
 from .lorentz_dirac import ld_coordinate_force, ld_four_force
 from .parallel import parallel_map, thread_cap
 from .potentials import PotentialProfile, SHAPE_NAMES, eval_potential, validate_profile
-from .scenario import Scenario, ScenarioError, load_scenario, scenario_from_dict
+from .scenario import (
+    Scenario,
+    ScenarioError,
+    bundled_scenario,
+    load_scenario,
+    scenario_from_dict,
+)
 from .semiclassical import (
     CutoffWindow,
     EmissionAmplitude,
@@ -64,7 +69,6 @@ from .variational import (
     Perturbation,
     hamiltonian_hessian,
     jacobi_basis,
-    jacobi_field,
     retarded_perturbation,
     symplectic_product,
 )
@@ -85,12 +89,12 @@ __all__ = [
     "PotentialProfile", "SHAPE_NAMES", "eval_potential", "validate_profile",
     # dynamics
     "Trajectory", "Kinematics", "ReflectedTrajectoryError",
-    "integrate_trajectory", "kinematics", "external_coordinate_force",
+    "integrate_trajectory", "kinematics",
     # self-force
     "ld_four_force", "ld_coordinate_force",
     # variational machinery
     "JacobiField", "Perturbation", "hamiltonian_hessian", "jacobi_basis",
-    "jacobi_field", "retarded_perturbation", "symplectic_product",
+    "retarded_perturbation", "symplectic_product",
     # shift routes
     "ROUTE_NAMES", "AngularIntegrals", "ShiftReport", "angular_integrals",
     "angular_integrals_quadrature", "classical_shift_direct",
@@ -104,7 +108,8 @@ __all__ = [
     "radiated_energy", "radiative_amplitude", "shift_from_amplitudes",
     "solve_mode_function", "taper_amplitude", "window_time_range",
     # scenarios and verification
-    "Scenario", "ScenarioError", "load_scenario", "scenario_from_dict",
+    "Scenario", "ScenarioError", "bundled_scenario", "load_scenario",
+    "scenario_from_dict",
     "CRITERION_NAMES", "CriterionResult", "SuiteReport", "hbar_convergence",
     "run_criterion", "run_suite",
     # execution

@@ -29,7 +29,6 @@ __all__ = [
     "ReflectedTrajectoryError",
     "integrate_trajectory",
     "kinematics",
-    "external_coordinate_force",
 ]
 
 
@@ -121,18 +120,6 @@ class Trajectory:
     @property
     def acc_duration(self) -> float:
         return self.acc_end - self.acc_start
-
-    def coordinate_time(self, s: float) -> float:
-        """Time at which the profile coordinate reaches the value s."""
-        ai = axis_index(self.profile)
-        if ai is None:
-            return float(s)
-        f = lambda t: self.sol(t)[ai] - s
-        return brentq(f, self.t_min, 0.0, xtol=1e-13)
-
-
-def _coordinate_value(profile, ai, t, x):
-    return t if ai is None else x[ai]
 
 
 def _rhs_factory(profile, mass, ai):
@@ -352,28 +339,3 @@ def kinematics(traj: Trajectory, t) -> Kinematics:
             a=acc[0], adot=adot[0], gamma=gamma[0],
         )
     return Kinematics(t=t_arr, x=x, P=P, w=w, sigma=sigma, v=v, a=acc, adot=adot, gamma=gamma)
-
-
-def external_coordinate_force(traj: Trajectory, t) -> np.ndarray:
-    """d/dt (m dx^i/dtau) = dw^i/dt along the unperturbed flow.
-
-    Equals the Lorentz force of the background potential in coordinate-time
-    form; for a purely time-dependent potential this is -dV^i/dt.
-    """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    kin = kinematics(traj, t_arr)
-    profile = traj.profile
-    ai = axis_index(profile)
-    s = t_arr if ai is None else kin.x[:, ai]
-    V1 = eval_derivative(profile, s, 1)
-    if ai is None:
-        wdot = -V1[:, 1:]
-    else:
-        e_a = np.zeros(3)
-        e_a[ai] = 1.0
-        v_a = kin.v[:, ai]
-        vdV1 = np.einsum("ij,ij->i", kin.v, V1[:, 1:])
-        wdot = (vdV1 - V1[:, 0])[:, None] * e_a - V1[:, 1:] * v_a[:, None]
-    return wdot[0] if scalar else wdot

@@ -22,7 +22,6 @@ __all__ = [
     "PotentialProfile",
     "ValidationReport",
     "eval_potential",
-    "eval_gradient",
     "eval_derivative",
     "validate_profile",
     "axis_index",
@@ -195,11 +194,6 @@ def eval_derivative(profile: PotentialProfile, s, order: int = 0) -> np.ndarray:
 def eval_potential(profile: PotentialProfile, s) -> np.ndarray:
     """V^mu at coordinate value(s) s."""
     return eval_derivative(profile, s, order=0)
-
-
-def eval_gradient(profile: PotentialProfile, s) -> np.ndarray:
-    """dV^mu/ds at coordinate value(s) s (closed form, no differencing)."""
-    return eval_derivative(profile, s, order=1)
 
 
 def validate_profile(profile: PotentialProfile) -> ValidationReport:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,8 @@ from .dynamics import Trajectory, integrate_trajectory
 from .potentials import PotentialProfile, SHAPE_NAMES, validate_profile
 from .semiclassical import CutoffWindow, default_window
 
-__all__ = ["Scenario", "ScenarioError", "load_scenario", "scenario_from_dict"]
+__all__ = ["Scenario", "ScenarioError", "bundled_scenario", "load_scenario",
+           "scenario_from_dict"]
 
 MAX_SPEED = 0.95  # build-time guard: faster trajectories are out of contract
 
@@ -238,3 +240,12 @@ def load_scenario(source) -> Scenario:
             raise ScenarioError([f"scenario file not found: {text}"]) from None
         raise ScenarioError([f"not valid JSON: {exc}"]) from None
     return scenario_from_dict(data)
+
+
+def bundled_scenario(name: str, **overrides) -> Scenario:
+    """Build one of the scenarios shipped with the package, with keys replaced
+    by `overrides` before validation."""
+    path = resources.files(__package__) / "scenarios" / f"{name}.json"
+    if not path.is_file():
+        raise ScenarioError([f"unknown bundled scenario '{name}'"])
+    return scenario_from_dict({**json.loads(path.read_text()), **overrides})

@@ -33,7 +33,7 @@ from scipy.optimize import brentq
 
 from .dynamics import Trajectory, integrate_trajectory, kinematics
 from .potentials import PotentialProfile, _smoothstep7, eval_potential
-from .shift import sphere_quadrature
+from .shift import _gauss_panels, sphere_quadrature
 
 __all__ = [
     "CutoffWindow",
@@ -186,18 +186,16 @@ def _require_covers_all_directions(traj: Trajectory, window: CutoffWindow):
 # ---------------------------------------------------------------------------
 
 
-def _panel_nodes(a: float, b: float, rate: float, base_panels: int = 48,
-                 per_panel: int = 12) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre grid resolving phases up to `rate` rad/unit:
-    one 12-point panel per oscillation period (error far below 1e-10)."""
+# one 12-point Gauss-Legendre panel per oscillation period keeps the
+# quadrature error far below 1e-10
+_PANEL_ORDER = 12
+
+
+def _phase_edges(a: float, b: float, rate: float, base_panels: int = 48) -> np.ndarray:
+    """Equal panel edges on [a, b], at least one panel per period of a phase
+    turning at `rate` rad/unit."""
     n_panels = int(max(base_panels, np.ceil((b - a) * max(rate, 0.0) / (2.0 * np.pi))))
-    base_x, base_w = np.polynomial.legendre.leggauss(per_panel)
-    edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    xs = (mid[:, None] + half[:, None] * base_x[None, :]).ravel()
-    ws = (half[:, None] * base_w[None, :]).ravel()
-    return xs, ws
+    return np.linspace(a, b, n_panels + 1)
 
 
 def _max_speed(traj: Trajectory, t_lo: float, t_hi: float, num: int = 129) -> float:
@@ -221,7 +219,7 @@ def _classical_amplitude_batch(traj: Trajectory, ks: np.ndarray, n, window: Cuto
     t_lo, t_hi = t_range
     if rate is None:
         rate = float(np.max(np.abs(ks))) * (1.0 + _max_speed(traj, t_lo, t_hi))
-    ts, w = _panel_nodes(t_lo, t_hi, rate)
+    ts, w = _gauss_panels(_phase_edges(t_lo, t_hi, rate), _PANEL_ORDER)
     xi = traj.xi(n, ts)
     gate = window.chi(xi) * w
     u = _fourvelocity_dt(traj, ts) * gate[:, None]
@@ -242,7 +240,8 @@ def _radiative_amplitude_batch(traj: Trajectory, ks: np.ndarray, n, charge: floa
     if rate is None:
         rate = float(np.max(np.abs(ks))) * (
             1.0 + _max_speed(traj, traj.acc_start, traj.acc_end))
-    ts, w = _panel_nodes(traj.acc_start, traj.acc_end, rate, base_panels=24)
+    edges = _phase_edges(traj.acc_start, traj.acc_end, rate, base_panels=24)
+    ts, w = _gauss_panels(edges, _PANEL_ORDER)
     kin = kinematics(traj, ts)
     xi = ts - traj.position(ts) @ n
     xd = 1.0 - kin.v @ n
@@ -264,7 +263,7 @@ def _taper_transforms(window: CutoffWindow, ks: np.ndarray):
     rate = float(np.max(np.abs(ks)))
     out = []
     for a, b in ((lo, window.xi_on), (window.xi_off, hi)):
-        xs, w = _panel_nodes(a, b, rate, base_panels=24)
+        xs, w = _gauss_panels(_phase_edges(a, b, rate, base_panels=24), _PANEL_ORDER)
         cp = window.chi_prime(xs) * w
         out.append(np.exp(1j * np.outer(ks, xs)) @ cp)
     return out[0], out[1]
@@ -482,7 +481,8 @@ def amplitude_quantum(traj: Trajectory, window: CutoffWindow, mode_p: ModeFuncti
     probe = np.linspace(t_lo, t_hi, 513)
     dsig = np.abs(mode_p.sigma(probe) - mode_P.sigma(probe))
     rate = k + float(np.max(dsig)) / hbar
-    ts, w = _panel_nodes(max(t_lo, dom_lo), min(t_hi, dom_hi), rate)
+    edges = _phase_edges(max(t_lo, dom_lo), min(t_hi, dom_hi), rate)
+    ts, w = _gauss_panels(edges, _PANEL_ORDER)
 
     phi_p, dphi_p = mode_p(ts)
     phi_P, dphi_P = mode_P(ts)
@@ -554,7 +554,8 @@ def radiated_energy(traj: Trajectory, window: CutoffWindow, charge: float,
         # separations up to the full support span; afterwards only the
         # acceleration image matters
         k_rate = span if k_lo * window.width < 30.0 else (img_hi - img_lo) + 0.25 * span
-        ks, wk = _panel_nodes(k_lo, k_hi, 0.75 * k_rate, base_panels=4)
+        edges = _phase_edges(k_lo, k_hi, 0.75 * k_rate, base_panels=4)
+        ks, wk = _gauss_panels(edges, _PANEL_ORDER)
         transforms = _taper_transforms(window, ks)
         t_rate = 0.75 * k_hi * (1.0 + vmax)
         oct_peak = 0.0
@@ -633,7 +634,7 @@ def _assembled_probability(traj: Trajectory, window: CutoffWindow, k_max: float,
     total = 0.0
     base = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        ks, wk = _panel_nodes(a, b, span, base_panels=4)
+        ks, wk = _gauss_panels(_phase_edges(a, b, span, base_panels=4), _PANEL_ORDER)
         transforms = _taper_transforms(window, ks)
         t_rate = b * (1.0 + vmax_acc)
         wk_k = wk * ks
@@ -650,7 +651,8 @@ def _double_xi_probability(traj: Trajectory, window: CutoffWindow, k_max: float,
     out = 0.0
     for n, wdir in zip(dirs, wd):
         t_lo, t_hi = window_time_range(traj, n, window)
-        ts, w = _panel_nodes(t_lo, t_hi, k_max * (1.0 + _max_speed(traj, t_lo, t_hi)))
+        rate = k_max * (1.0 + _max_speed(traj, t_lo, t_hi))
+        ts, w = _gauss_panels(_phase_edges(t_lo, t_hi, rate), _PANEL_ORDER)
         xi = traj.xi(n, ts)
         gate = window.chi(xi) * w
         u = _fourvelocity_dt(traj, ts)
@@ -766,7 +768,7 @@ def shift_from_amplitudes(family: TrajectoryFamily, window: CutoffWindow, charge
     small_streak = 0
     for octave in range(max_octaves):
         k_hi = k_edge * 2.0**octave
-        ks, wk = _panel_nodes(k_lo, k_hi, span, base_panels=4)
+        ks, wk = _gauss_panels(_phase_edges(k_lo, k_hi, span, base_panels=4), _PANEL_ORDER)
         transforms = _taper_transforms(window, ks)
         t_rate = k_hi * (1.0 + vmax)
         wk_k = wk * ks

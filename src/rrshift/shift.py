@@ -51,16 +51,14 @@ __all__ = [
 ROUTE_NAMES = ("direct", "green", "quantum", "quantum_quadrature")
 
 
-def gauss_panels(a: float, b: float, n_nodes: int, breakpoints=()) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes on [a, b], split at interior breakpoints."""
-    cuts = [a] + [c for c in sorted(breakpoints) if a < c < b] + [b]
-    base_x, base_w = np.polynomial.legendre.leggauss(max(int(n_nodes // (len(cuts) - 1)), 6))
-    xs, ws = [], []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        half = 0.5 * (hi - lo)
-        xs.append(0.5 * (hi + lo) + half * base_x)
-        ws.append(half * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
+def _gauss_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights, `order` points on each
+    panel between consecutive `edges`."""
+    edges = np.asarray(edges, dtype=float)
+    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return (mid[:, None] + half[:, None] * base_x).ravel(), (half[:, None] * base_w).ravel()
 
 
 def sphere_quadrature(n_polar: int = 64, n_azimuth: int = 128, axis=None):
@@ -149,14 +147,12 @@ def angular_integrals_quadrature(v, n_polar: int = 64, n_azimuth: int = 128) -> 
 
 
 def _jacobi_matrices(basis, t: float):
-    """Position/momentum response blocks X, K (columns = kick directions)
-    and dX/dt at one time, evaluated from the stacked dense solution."""
+    """Position response X (columns = kick directions) and dX/dt at one
+    time, evaluated from the stacked dense solution."""
     y = basis[0]._eval(t)[0]
     X = y[:9].reshape(3, 3)
-    K = y[9:].reshape(3, 3)
     h = hamiltonian_hessian(basis[0].traj, t)
-    Xdot = h.h_xp.T @ X + h.h_pp @ K
-    return X, K, Xdot
+    return X, h.h_xp.T @ X + h.h_pp @ y[9:].reshape(3, 3)
 
 
 def _support_quad(traj, f, epsrel=1e-11):
@@ -170,83 +166,47 @@ def _support_quad(traj, f, epsrel=1e-11):
     return total
 
 
-def classical_shift_direct(traj: Trajectory, alpha_c: float, tol: float | None = None) -> np.ndarray:
+def classical_shift_direct(traj: Trajectory, alpha_c: float) -> np.ndarray:
     """Route a: endpoint of the retarded forced variational solution."""
-    return retarded_perturbation(traj, alpha_c, tol=tol).final_shift
+    return retarded_perturbation(traj, alpha_c).final_shift
 
 
 def classical_shift_green(
     traj: Trajectory,
     alpha_c: float,
     basis=None,
-    mode: str = "swap",
-    n_fresh: int = 96,
     epsrel: float = 1e-11,
 ) -> np.ndarray:
     """Route b: dx^i = int dt f^j(t) dx^i_(j)(0; t).
 
-    mode="swap" rewrites the kicked-at-t response through the symplectic
-    swap identity dx^i_(j)(0;t) = -dx^j_(i)(t;0) and reuses the three
-    t = 0 fields; mode="fresh" solves a new unit-kick system from every
-    quadrature node (slow, kept as a cross-check of the identity itself).
+    The kicked-at-t response is rewritten through the symplectic swap
+    identity dx^i_(j)(0;t) = -dx^j_(i)(t;0), so the three t = 0 fields are
+    reused at every quadrature node.
     """
-    if mode == "swap":
-        if basis is None:
-            basis = jacobi_basis(traj, 0.0)
+    if basis is None:
+        basis = jacobi_basis(traj, 0.0)
 
-        def f(t):
-            force = ld_coordinate_force(traj, t, alpha_c)
-            X, _, _ = _jacobi_matrices(basis, t)
-            return -(force @ X)  # -f^j X[j, i]
+    def f(t):
+        force = ld_coordinate_force(traj, t, alpha_c)
+        X, _ = _jacobi_matrices(basis, t)
+        return -(force @ X)  # -f^j X[j, i]
 
-        return _support_quad(traj, f, epsrel)
-
-    if mode != "fresh":
-        raise ValueError("mode must be 'swap' or 'fresh'")
-
-    from scipy.integrate import solve_ivp
-    from .variational import _linear_rhs
-
-    rhs = _linear_rhs(traj)
-    y0 = np.concatenate([np.zeros(9), np.eye(3).ravel()])
-    s_nodes, s_w = gauss_panels(traj.acc_start, traj.acc_end, n_fresh, traj.breakpoints)
-    total = np.zeros(3)
-    for s, w in zip(s_nodes, s_w):
-        res = solve_ivp(rhs, (s, 0.0), y0, method="DOP853", rtol=traj.tol, atol=traj.tol)
-        if not res.success:
-            raise RuntimeError(f"unit-kick integration failed: {res.message}")
-        X0 = res.y[:9, -1].reshape(3, 3)  # dx^i_(j)(0; s)
-        force = ld_coordinate_force(traj, float(s), alpha_c)
-        total += w * (X0 @ force)
-    return total
+    return _support_quad(traj, f, epsrel)
 
 
 def shift_quantum_closed(
     traj: Trajectory,
     basis=None,
     alpha_c: float = 1.0,
-    form: str = "bracket",
     epsrel: float = 1e-11,
 ) -> np.ndarray:
     """Route c: closed angular form of the emission-amplitude shift.
 
-    form="bracket" integrates the two-term integrand as written;
-    form="greens" uses the integrated-by-parts equivalent
-    -int dt f^k (dx^k/dp^i)_t.  Both must agree to quadrature accuracy.
+    Integrates the two-term bracket as written; integrating it by parts
+    gives -int dt f^k (dx^k/dp^i)_t, which is route b's integrand.
     """
     if basis is None:
         basis = jacobi_basis(traj, 0.0)
-
-    if form == "greens":
-        def f(t):
-            force = ld_coordinate_force(traj, t, alpha_c)
-            X, _, _ = _jacobi_matrices(basis, t)
-            return -(force @ X)
-
-        return _support_quad(traj, f, epsrel)
-
-    if form != "bracket":
-        raise ValueError("form must be 'bracket' or 'greens'")
 
     pref = 2.0 * alpha_c / 3.0
 
@@ -257,7 +217,7 @@ def shift_quantum_closed(
         av = a @ v
         B = g2**2 * av * v + g2 * a
         C = (g2**3 * av**2 + g2**2 * (a @ a)) * v
-        X, _, Xdot = _jacobi_matrices(basis, float(t))
+        X, Xdot = _jacobi_matrices(basis, float(t))
         return pref * (B @ Xdot + C @ X)
 
     return _support_quad(traj, f, epsrel)
@@ -285,12 +245,14 @@ def shift_quantum_quadrature(
     if basis is None:
         basis = jacobi_basis(traj, 0.0)
 
-    t_nodes, t_w = gauss_panels(traj.acc_start, traj.acc_end, n_time, traj.breakpoints)
+    lo, hi = traj.acc_start, traj.acc_end
+    cuts = [lo] + [c for c in sorted(traj.breakpoints) if lo < c < hi] + [hi]
+    t_nodes, t_w = _gauss_panels(cuts, max(n_time // (len(cuts) - 1), 6))
     total = np.zeros(3)
     for t, wt in zip(t_nodes, t_w):
         kin = kinematics(traj, float(t))
         v, a = kin.v, kin.a
-        X, _, Xdot = _jacobi_matrices(basis, float(t))
+        X, Xdot = _jacobi_matrices(basis, float(t))
 
         nodes, w = sphere_quadrature(n_polar, n_azimuth, axis=v if v @ v > 0 else None)
         xd = 1.0 - nodes @ v          # (N,)
@@ -356,7 +318,7 @@ def compare_routes(
     runners = {
         "direct": lambda: classical_shift_direct(traj, alpha_c),
         "green": lambda: classical_shift_green(traj, alpha_c, basis=basis, epsrel=epsrel),
-        "quantum": lambda: shift_quantum_closed(traj, basis, alpha_c, form="bracket", epsrel=epsrel),
+        "quantum": lambda: shift_quantum_closed(traj, basis, alpha_c, epsrel=epsrel),
         "quantum_quadrature": lambda: shift_quantum_quadrature(
             traj, basis, alpha_c, n_polar=n_polar, n_azimuth=n_azimuth, n_time=n_time
         ),

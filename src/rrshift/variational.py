@@ -32,7 +32,6 @@ __all__ = [
     "Perturbation",
     "hamiltonian_hessian",
     "jacobi_basis",
-    "jacobi_field",
     "symplectic_product",
     "retarded_perturbation",
 ]
@@ -118,18 +117,6 @@ class JacobiField:
         res = y[:, 9:].reshape(-1, 3, 3)[:, :, self.direction]
         return res[0] if np.asarray(t).ndim == 0 else res
 
-    def dxdot(self, t):
-        """d/dt of the position response, from the variational RHS."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        y = self._eval(t_arr)
-        out = np.empty((t_arr.size, 3))
-        for i, ti in enumerate(t_arr):
-            h = hamiltonian_hessian(self.traj, ti)
-            X = y[i, :9].reshape(3, 3)[:, self.direction]
-            K = y[i, 9:].reshape(3, 3)[:, self.direction]
-            out[i] = h.h_xp.T @ X + h.h_pp @ K
-        return out[0] if np.asarray(t).ndim == 0 else out
-
 
 def jacobi_basis(traj: Trajectory, s: float, tol: float | None = None) -> list[JacobiField]:
     """All three unit-kick fields anchored at kick time s, solved together."""
@@ -156,13 +143,6 @@ def jacobi_basis(traj: Trajectory, s: float, tol: float | None = None) -> list[J
     if not sols:  # degenerate domain
         raise ValueError("empty trajectory domain")
     return [JacobiField(traj, s, j, sols) for j in range(3)]
-
-
-def jacobi_field(traj: Trajectory, j: int, s: float, tol: float | None = None) -> JacobiField:
-    """Unit-kick field for one direction j in {0, 1, 2}."""
-    if j not in (0, 1, 2):
-        raise ValueError("kick direction must be 0, 1, or 2")
-    return jacobi_basis(traj, s, tol=tol)[j]
 
 
 def symplectic_product(f1: JacobiField, f2: JacobiField, t) -> np.ndarray:
@@ -204,13 +184,12 @@ class Perturbation:
         return self.delta_x(0.0)
 
 
-def retarded_perturbation(traj: Trajectory, alpha_c: float, tol: float | None = None) -> Perturbation:
+def retarded_perturbation(traj: Trajectory, alpha_c: float) -> Perturbation:
     """Integrate the radiation-reaction-forced system from rest at t_min.
 
     Data dx = dP = 0 at t_min (retarded boundary condition: nothing before
     the force turns on); the value at t = 0 is the direct-route shift.
     """
-    tol = traj.tol if tol is None else float(tol)
 
     def rhs(t, y):
         dx, dP = y[:3], y[3:]
@@ -228,7 +207,7 @@ def retarded_perturbation(traj: Trajectory, alpha_c: float, tol: float | None = 
 
     res = solve_ivp(
         rhs, (traj.t_min, 0.0), np.zeros(6), method="DOP853",
-        dense_output=True, rtol=tol, atol=tol * scale,
+        dense_output=True, rtol=traj.tol, atol=traj.tol * scale,
     )
     if not res.success:
         raise RuntimeError(f"perturbation integration failed: {res.message}")

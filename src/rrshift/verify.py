@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import kinematics
 from .lorentz_dirac import ld_coordinate_force, ld_four_force
 from .parallel import parallel_map
-from .scenario import Scenario, ScenarioError, scenario_from_dict
+from .scenario import Scenario, ScenarioError, bundled_scenario
 from .semiclassical import (
     amplitude_classical,
     amplitude_quantum,
@@ -41,7 +41,6 @@ from .variational import jacobi_basis, symplectic_product
 __all__ = [
     "CriterionResult",
     "SuiteReport",
-    "SCENARIOS",
     "run_criterion",
     "run_suite",
     "hbar_convergence",
@@ -50,110 +49,6 @@ __all__ = [
     "FULL_IDS",
 ]
 
-
-# Scenario catalog.  The first four drive the route-agreement check and are
-# reused elsewhere; the rest are specialized probes.
-SCENARIOS = {
-    # time-dependent potential, collinear with the final momentum
-    "collinear": {
-        "name": "collinear",
-        "mass": 1.0,
-        "charge": 0.3,
-        "p_final": [0.0, 0.0, 1.0],
-        "potential": {"axis": "time", "v_past": [0.0, 0.0, 0.0, 0.35],
-                      "x1": 2.0, "x2": 1.0},
-    },
-    # time axis, potential at an angle to the final momentum
-    "oblique": {
-        "name": "oblique",
-        "mass": 1.0,
-        "charge": 0.3,
-        "p_final": [0.0, 0.0, 1.35],
-        "potential": {"axis": "time", "v_past": [0.0, 0.3897, 0.0, 0.225],
-                      "x1": 2.0, "x2": 1.0},
-    },
-    # potential depending on one spatial coordinate, all components active
-    "spatial": {
-        "name": "spatial",
-        "mass": 1.0,
-        "charge": 0.3,
-        "p_final": [0.3, 0.1, 1.1],
-        "potential": {"axis": "z", "v_past": [0.15, 0.2, 0.0, 0.1],
-                      "x1": 2.0, "x2": 1.0},
-    },
-    # weak-coupling sanity point
-    "weak": {
-        "name": "weak",
-        "mass": 1.0,
-        "charge": 0.3,
-        "p_final": [0.05, 0.0, 0.6],
-        "potential": {"axis": "time", "v_past": [0.0, 0.02, 0.0, 0.01],
-                      "x1": 2.0, "x2": 1.0},
-    },
-    # pulse overshooting the anchor momentum: the velocity crosses zero on
-    # the rising flank, where acceleration and jerk are both nonzero
-    "rest_pulse": {
-        "name": "rest_pulse",
-        "mass": 1.0,
-        "charge": 0.3,
-        "p_final": [0.0, 0.0, 0.6],
-        "potential": {"axis": "time", "v_past": [0.0, 0.0, 0.0, 0.0],
-                      "x1": 2.0, "x2": 1.0, "shape": "bump",
-                      "amplitude": [0.0, 0.0, 0.0, 1.5]},
-    },
-    # moderate speeds keep the spectrum short for the energy balance
-    "energy": {
-        "name": "energy",
-        "mass": 1.0,
-        "charge": 0.3,
-        "p_final": [0.0, 0.0, 0.35],
-        "potential": {"axis": "time", "v_past": [0.0, 0.0, 0.0, 0.25],
-                      "x1": 2.0, "x2": 1.0},
-        "pad_fraction": 1.5,
-        "width_fraction": 1.0,
-    },
-    # finite-hbar convergence probe; transverse potential components keep
-    # every amplitude component alive, and the longer pulse keeps hbar = 0.1
-    # inside the first-order regime for k up to 5/duration
-    "convergence": {
-        "name": "convergence",
-        "mass": 1.0,
-        "charge": 0.3,
-        "p_final": [0.0, 0.1, 0.5],
-        "potential": {"axis": "time", "v_past": [0.0, 0.15, 0.0, 0.2],
-                      "x1": 3.0, "x2": 1.0},
-        "seed": 7,
-    },
-    # amplitude-derivative route probe
-    "amplitude_shift": {
-        "name": "amplitude_shift",
-        "mass": 1.0,
-        "charge": 0.3,
-        "p_final": [0.0, 0.0, 0.6],
-        "potential": {"axis": "time", "v_past": [0.0, 0.0, 0.0, 0.3],
-                      "x1": 2.0, "x2": 1.0},
-    },
-    # transverse velocity pulse; returns to rest, only a position offset
-    "pulse_single": {
-        "name": "pulse_single",
-        "mass": 1.0,
-        "charge": 0.3,
-        "p_final": [0.0, 0.0, 0.3],
-        "potential": {"axis": "time", "v_past": [0.0, 0.0, 0.0, 0.0],
-                      "x1": 5.0, "x2": 1.0, "shape": "bump",
-                      "amplitude": [0.0, 0.25, 0.0, 0.0]},
-    },
-    # two exact time-shifted copies of the single pulse
-    "pulse_double": {
-        "name": "pulse_double",
-        "mass": 1.0,
-        "charge": 0.3,
-        "p_final": [0.0, 0.0, 0.3],
-        "potential": {"axis": "time", "v_past": [0.0, 0.0, 0.0, 0.0],
-                      "x1": 17.0, "x2": 1.0, "shape": "double_bump",
-                      "amplitude": [0.0, 0.25, 0.0, 0.0]},
-    },
-}
 
 CRITERION_NAMES = {
     1: "route agreement",
@@ -199,11 +94,6 @@ class SuiteReport:
         return all(r.passed for r in self.results)
 
 
-def _scenario(key: str, **overrides) -> Scenario:
-    data = {**SCENARIOS[key], **overrides}
-    return scenario_from_dict(data)
-
-
 # --- criterion 1: all shift routes agree on four scenarios -----------------
 
 
@@ -217,7 +107,7 @@ def _criterion_1(full: bool, serial: bool) -> CriterionResult:
     parts = []
     ok = True
     for key in ("collinear", "oblique", "spatial", "weak"):
-        sc = _scenario(key, tol=tol, residual_threshold=threshold)
+        sc = bundled_scenario(key, tol=tol, residual_threshold=threshold)
         traj = sc.build()
         rep = compare_routes(traj, sc.alpha_c, threshold=threshold,
                              n_polar=n_polar, n_azimuth=n_azimuth, n_time=n_time,
@@ -286,7 +176,7 @@ def _criterion_2(full: bool, serial: bool) -> CriterionResult:
 def _criterion_3(full: bool, serial: bool) -> CriterionResult:
     # dense-output interpolation dominates the drift; a tight solver
     # tolerance keeps the conservation check far from its threshold
-    sc = _scenario("spatial", tol=3e-13)
+    sc = bundled_scenario("spatial", tol=3e-13)
     traj = sc.build()
 
     # conservation of the symplectic pairing between fields kicked at
@@ -327,7 +217,7 @@ def _criterion_3(full: bool, serial: bool) -> CriterionResult:
 
 def _criterion_4(full: bool, serial: bool) -> CriterionResult:
     threshold = 1e-5
-    sc = _scenario("oblique")
+    sc = bundled_scenario("oblique")
     p_norm = float(np.linalg.norm(sc.p_final))
     # absolute momentum step 1e-5; tighter trajectories keep the solver
     # noise well under the differencing scale
@@ -358,7 +248,7 @@ def _criterion_5(full: bool, serial: bool) -> CriterionResult:
 
     # gamma * coordinate force = spatial four-force, and u.F = 0, on a
     # 200-point grid across the acceleration interval
-    sc = _scenario("oblique")
+    sc = bundled_scenario("oblique")
     traj = sc.build()
     ts = np.linspace(traj.acc_start, traj.acc_end, 200)
     F = ld_four_force(traj, ts, sc.alpha_c)
@@ -372,7 +262,7 @@ def _criterion_5(full: bool, serial: bool) -> CriterionResult:
 
     # at the velocity zero of the overshooting pulse the force must reduce
     # to (2 alpha_c / 3) da/dt with acceleration and jerk both nonzero
-    sc2 = _scenario("rest_pulse")
+    sc2 = bundled_scenario("rest_pulse")
     traj2 = sc2.build()
     from scipy.optimize import brentq
     t_peak = -0.5 * (sc2.profile.x1 + sc2.profile.x2)
@@ -398,7 +288,8 @@ def _criterion_5(full: bool, serial: bool) -> CriterionResult:
 
 def _criterion_6(full: bool, serial: bool) -> CriterionResult:
     threshold = 1e-3
-    sc = _scenario("energy")
+    # moderate speeds keep the spectrum short
+    sc = bundled_scenario("energy")
     traj = sc.build()
     window = sc.window(traj)
     rep = radiated_energy(traj, window, sc.charge, n_polar=16, n_azimuth=32)
@@ -505,7 +396,10 @@ def hbar_convergence(sc: Scenario, hbars=None, serial: bool = False) -> dict:
 
 
 def _criterion_7(full: bool, serial: bool) -> CriterionResult:
-    sc = _scenario("convergence")
+    # transverse potential components keep every amplitude component alive,
+    # and the longer pulse keeps hbar = 0.1 inside the first-order regime for
+    # k up to 5/duration
+    sc = bundled_scenario("convergence")
     out = hbar_convergence(sc, serial=serial)
     margins = [r / (0.85 * e)
                for row, e in zip(out["component_ratios"], out["expected_ratios"])
@@ -523,7 +417,7 @@ def _criterion_7(full: bool, serial: bool) -> CriterionResult:
 
 def _criterion_8(full: bool, serial: bool) -> CriterionResult:
     threshold = 1e-3
-    sc = _scenario("amplitude_shift")
+    sc = bundled_scenario("amplitude_shift")
     family = build_trajectory_family(sc.profile, sc.p_final, sc.mass, tol=sc.tol)
     center = family.center
     window = default_window(center, pad_fraction=sc.pad_fraction,
@@ -554,7 +448,7 @@ def _criterion_8(full: bool, serial: bool) -> CriterionResult:
 
 def _criterion_9(full: bool, serial: bool) -> CriterionResult:
     threshold = 1e-8
-    sc = _scenario("pulse_single")
+    sc = bundled_scenario("pulse_single")
     traj = sc.build()
     window = sc.window(traj)
     rep = emission_probability_reduced(traj, window, n_polar=8, n_azimuth=16,

@@ -1,16 +1,8 @@
 """Shared fixtures: prebuilt trajectories reused across test modules."""
 
-from pathlib import Path
-
 import pytest
 
 import rrshift as rr
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
-
-
-def load_bundled(name):
-    return rr.load_scenario(str(SCENARIO_DIR / f"{name}.json"))
 
 
 @pytest.fixture(scope="session")
@@ -27,12 +19,12 @@ def time_traj(time_profile):
 
 @pytest.fixture(scope="session")
 def spatial_traj():
-    return load_bundled("spatial").build()
+    return rr.bundled_scenario("spatial").build()
 
 
 @pytest.fixture(scope="session")
 def collinear_traj():
-    return load_bundled("collinear").build()
+    return rr.bundled_scenario("collinear").build()
 
 
 @pytest.fixture(scope="session")

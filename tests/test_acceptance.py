@@ -19,7 +19,8 @@ def _check(results, cid):
 
 
 def test_criterion_1_route_agreement(results):
-    """All four shift routes agree pairwise on every bundled scenario."""
+    """All four shift routes agree pairwise on the collinear, oblique, spatial
+    and weak scenarios."""
     _check(results, 1)
 
 
@@ -49,7 +50,8 @@ def test_criterion_6_radiated_energy_balance(results):
 
 
 def test_criterion_7_hbar_convergence(results):
-    """Quantum shift converges to the classical one as hbar shrinks."""
+    """Finite-hbar emission amplitudes converge to the classical amplitudes
+    at first order as hbar shrinks."""
     _check(results, 7)
 
 

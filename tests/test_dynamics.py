@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from rrshift import (PotentialProfile, ReflectedTrajectoryError,
-                     external_coordinate_force, integrate_trajectory, kinematics)
-from rrshift.potentials import eval_gradient, eval_potential
+from rrshift import (PotentialProfile, ReflectedTrajectoryError, integrate_trajectory,
+                     kinematics)
+from rrshift.potentials import eval_potential
 
 
 def test_free_particle_coasts(free_traj):
@@ -108,31 +108,6 @@ def test_coasting_extensions_are_linear(time_traj):
     v_now = time_traj.velocity(0.0)
     np.testing.assert_allclose(time_traj.position(2.0), 2.0 * v_now,
                                rtol=0, atol=1e-14)
-
-
-def test_external_force_zero_in_constant_regions(time_traj):
-    assert np.array_equal(external_coordinate_force(time_traj, time_traj.t_min),
-                          np.zeros(3))
-
-
-def test_external_force_matches_momentum_rate(time_traj):
-    """Force equals d/dt of the mechanical momentum sigma*v by differences."""
-    h = 1e-6
-    for t in (-1.8, -1.5, -1.2):
-        def mech(u):
-            kin = kinematics(time_traj, u)
-            return kin.sigma * np.asarray(kin.v)
-        fd = (mech(t + h) - mech(t - h)) / (2 * h)
-        np.testing.assert_allclose(external_coordinate_force(time_traj, t), fd,
-                                   rtol=0, atol=1e-7)
-
-
-def test_external_force_is_minus_potential_rate(time_traj):
-    """Time-dependent potential: canonical P is constant, so f = -dV/dt."""
-    for t in (-1.9, -1.4, -1.1):
-        grad = eval_gradient(time_traj.profile, t)[1:]
-        np.testing.assert_allclose(external_coordinate_force(time_traj, t), -grad,
-                                   rtol=0, atol=1e-12)
 
 
 def test_reflected_trajectory_raises():

@@ -3,7 +3,7 @@
 import numpy as np
 
 from rrshift import PotentialProfile, eval_potential, validate_profile
-from rrshift.potentials import SHAPE_NAMES, eval_derivative, eval_gradient
+from rrshift.potentials import SHAPE_NAMES, eval_derivative
 
 PROFILE = PotentialProfile(axis="time", v_past=[0.0, 0.2, 0.0, 0.3], x1=2.0, x2=1.0)
 
@@ -36,12 +36,12 @@ def test_gradient_matches_finite_differences():
     h = 1e-6
     for s in rng.uniform(-2.0, -1.0, 100):
         fd = (eval_potential(PROFILE, s + h) - eval_potential(PROFILE, s - h)) / (2 * h)
-        np.testing.assert_allclose(eval_gradient(PROFILE, s), fd, rtol=0, atol=1e-8)
+        np.testing.assert_allclose(eval_derivative(PROFILE, s, 1), fd, rtol=0, atol=1e-8)
 
 
 def test_gradient_zero_outside_transition():
-    assert np.array_equal(eval_gradient(PROFILE, -3.0), np.zeros(4))
-    assert np.array_equal(eval_gradient(PROFILE, 0.5), np.zeros(4))
+    assert np.array_equal(eval_derivative(PROFILE, -3.0, 1), np.zeros(4))
+    assert np.array_equal(eval_derivative(PROFILE, 0.5, 1), np.zeros(4))
 
 
 def test_joins_are_c3():

@@ -1,12 +1,17 @@
 """Scenario validation and the command-line entry points."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rrshift import ScenarioError, load_scenario, scenario_from_dict
+from rrshift import ScenarioError, bundled_scenario, load_scenario, scenario_from_dict
 from rrshift.cli import main
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+BUNDLED = ("amplitude_shift", "collinear", "convergence", "energy", "oblique",
+           "pulse_single", "rest_pulse", "spatial", "weak")
 
 BASE = {
     "name": "unit",
@@ -74,6 +79,25 @@ def test_load_scenario_sources(tmp_path):
     assert load_scenario(dict(BASE)).name == "unit"
     with pytest.raises(ScenarioError, match="not found"):
         load_scenario(str(tmp_path / "missing.json"))
+
+
+def test_bundled_scenarios_match_repo_files():
+    """The package data and the repo-root scenarios/ directory are one source."""
+    assert sorted(p.stem for p in SCENARIO_DIR.glob("*.json")) == list(BUNDLED)
+    for name in BUNDLED:
+        sc = bundled_scenario(name)
+        assert sc.raw == json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+        assert sc.name == name
+
+
+def test_bundled_scenario_overrides():
+    sc = bundled_scenario("weak", tol=1e-11, residual_threshold=1e-5)
+    assert (sc.tol, sc.residual_threshold) == (1e-11, 1e-5)
+
+
+def test_bundled_scenario_unknown_name():
+    with pytest.raises(ScenarioError, match="unknown bundled scenario 'nope'"):
+        bundled_scenario("nope")
 
 
 # ---------------------------------------------------------------- shift cli

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from rrshift import (angular_integrals, angular_integrals_quadrature,
                      classical_shift_direct, classical_shift_green, compare_routes,
-                     integrate_trajectory, shift_quantum_closed,
+                     integrate_trajectory, ld_coordinate_force, shift_quantum_closed,
                      shift_quantum_quadrature, sphere_quadrature)
+from rrshift.shift import _gauss_panels
+from rrshift.variational import _linear_rhs
 
 ALPHA = 0.0071619724391352765  # e = 0.3
 
@@ -97,16 +100,32 @@ def test_collinear_shift_is_longitudinal(collinear_traj):
 
 
 def test_bracket_and_greens_forms_agree(time_traj):
-    """The two closed evaluations differ only by an exact integration by parts."""
-    bracket = shift_quantum_closed(time_traj, alpha_c=ALPHA, form="bracket")
-    greens = shift_quantum_closed(time_traj, alpha_c=ALPHA, form="greens")
+    """The closed bracket integrand differs from route b's Green's-function
+    integrand only by an exact integration by parts."""
+    bracket = shift_quantum_closed(time_traj, alpha_c=ALPHA)
+    greens = classical_shift_green(time_traj, ALPHA)
     assert np.max(np.abs(bracket - greens)) < 1e-8 * np.linalg.norm(greens)
+
+
+def green_fresh(traj, alpha_c, n_nodes=96):
+    """Route b without the swap identity: dx^i_(j)(0; s) from a new unit-kick
+    solve at every Gauss-Legendre node s of the forcing support."""
+    rhs = _linear_rhs(traj)
+    y0 = np.concatenate([np.zeros(9), np.eye(3).ravel()])
+    edges = [traj.acc_start, *traj.breakpoints, traj.acc_end]
+    total = np.zeros(3)
+    for s, w in zip(*_gauss_panels(edges, n_nodes)):
+        res = solve_ivp(rhs, (s, 0.0), y0, method="DOP853", rtol=traj.tol, atol=traj.tol)
+        assert res.success, res.message
+        X0 = res.y[:9, -1].reshape(3, 3)  # dx^i_(j)(0; s)
+        total += w * (X0 @ ld_coordinate_force(traj, float(s), alpha_c))
+    return total
 
 
 def test_green_swap_equals_fresh(time_traj):
     """Reusing anchored kick responses (swap) matches per-node solves (fresh)."""
-    swap = classical_shift_green(time_traj, ALPHA, mode="swap")
-    fresh = classical_shift_green(time_traj, ALPHA, mode="fresh", n_fresh=96)
+    swap = classical_shift_green(time_traj, ALPHA)
+    fresh = green_fresh(time_traj, ALPHA)
     assert np.max(np.abs(swap - fresh)) < 1e-6 * np.linalg.norm(swap)
 
 

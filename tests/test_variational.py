@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rrshift import (classical_shift_green, hamiltonian_hessian, integrate_trajectory,
-                     jacobi_basis, jacobi_field, kinematics, retarded_perturbation,
+                     jacobi_basis, kinematics, retarded_perturbation,
                      symplectic_product)
 from rrshift.potentials import axis_index, eval_potential
 
@@ -63,7 +63,7 @@ def test_jacobi_initial_conditions(time_traj):
     """Unit momentum kick at s: dx(s) = 0 and dp(s) = e_j exactly."""
     s = -1.2
     for j in range(3):
-        field = jacobi_field(time_traj, j, s)
+        field = jacobi_basis(time_traj, s)[j]
         np.testing.assert_allclose(field.dx(s), np.zeros(3), rtol=0, atol=1e-14)
         np.testing.assert_allclose(field.dp(s), np.eye(3)[j], rtol=0, atol=1e-14)
 
@@ -75,7 +75,7 @@ def test_jacobi_free_particle_closed_form(free_traj):
     v = np.asarray(kin.v)
     proj = (np.eye(3) - np.outer(v, v)) / (kin.gamma * free_traj.mass)
     for j in range(3):
-        field = jacobi_field(free_traj, j, s)
+        field = jacobi_basis(free_traj, s)[j]
         for t in (-1.0, -0.25, 0.0):
             np.testing.assert_allclose(field.dx(t), (t - s) * proj[:, j],
                                        rtol=0, atol=1e-10)
@@ -101,7 +101,7 @@ def test_jacobi_matches_trajectory_differences(time_traj):
 
 
 def test_symplectic_product_antisymmetry(time_traj):
-    field = jacobi_field(time_traj, 0, -1.0)
+    field = jacobi_basis(time_traj, -1.0)[0]
     assert symplectic_product(field, field, -0.4) == 0.0
 
 
@@ -125,8 +125,8 @@ def test_swap_identity(time_traj):
     for s, u in pairs:
         for i in range(3):
             for j in range(3):
-                left = -jacobi_field(time_traj, j, u).dx(s)[i]
-                right = jacobi_field(time_traj, i, s).dx(u)[j]
+                left = -jacobi_basis(time_traj, u)[j].dx(s)[i]
+                right = jacobi_basis(time_traj, s)[i].dx(u)[j]
                 assert abs(left - right) < 1e-7
 
 
