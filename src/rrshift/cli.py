@@ -11,13 +11,15 @@ Subcommands:
 Exit codes: 0 success (and every check passed), 1 a residual check failed,
 2 bad input (scenario, flags, or auxiliary files).
 
-Reports are deterministic with --serial: timing fields are nulled so two
-runs of the same scenario are byte-identical.
+Reports are deterministic with --serial: timing fields are nulled (and
+`verify` prints no runtime stamps) so two runs of the same scenario are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -223,7 +225,8 @@ def _cmd_convergence(args) -> int:
 def _cmd_verify(args) -> int:
     report = run_suite(args.suite, serial=args.serial)
     for res in report.results:
-        print(res.line())
+        # the runtime stamp is left out so that --serial stdout is reproducible
+        print((dataclasses.replace(res, runtime=None) if args.serial else res).line())
     if args.out:
         payload = {
             "suite": report.suite,

@@ -21,7 +21,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .potentials import PotentialProfile, axis_index, eval_derivative, validate_profile
+from .potentials import (PotentialProfile, _derivatives, axis_index, eval_derivative,
+                         validate_profile)
 
 __all__ = [
     "Trajectory",
@@ -124,18 +125,19 @@ class Trajectory:
 
 def _rhs_factory(profile, mass, ai):
     e_a = None if ai is None else np.eye(3)[ai]
+    orders = (0,) if ai is None else (0, 1)
 
     def rhs(t, y):
         x, P = y[:3], y[3:]
         s = t if ai is None else x[ai]
-        V = eval_derivative(profile, s, 0)
-        w = P - V[1:]
+        derivs = _derivatives(profile, s, orders)
+        w = P - derivs[0][0, 1:]
         sigma = np.sqrt(w @ w + mass * mass)
         v = w / sigma
         if ai is None:
             dP = np.zeros(3)
         else:
-            dV = eval_derivative(profile, s, 1)
+            dV = derivs[1][0]
             dP = e_a * (v @ dV[1:] - dV[0])
         return np.concatenate([v, dP])
 
@@ -269,8 +271,11 @@ def _interior_breakpoints(profile, sol, ai, t_min):
     return sorted(out)
 
 
-def kinematics(traj: Trajectory, t) -> Kinematics:
-    """Velocity, acceleration, jerk, and energy factors along the flow.
+def _flow_sample(traj: Trajectory, t) -> tuple[Kinematics, np.ndarray, np.ndarray]:
+    """Kinematics at the times t in array form, shape (N, ...), together
+    with the potential derivatives V' and V'' at the flow points, shape
+    (N, 4).  V, V' and V'' come from one shape evaluation, so callers that
+    also need the Hessian or the self-force sample the flow once per point.
 
     Closed forms: with w = P - V and sigma = sqrt(w^2 + m^2),
 
@@ -280,18 +285,14 @@ def kinematics(traj: Trajectory, t) -> Kinematics:
     where dw/dt follows from Hamilton's equations and the potential
     derivatives along the relevant coordinate.
     """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     x, P = traj.state(t_arr)
 
     profile, m = traj.profile, traj.mass
     ai = axis_index(profile)
     s = t_arr if ai is None else x[:, ai]
 
-    V = eval_derivative(profile, s, 0)
-    V1 = eval_derivative(profile, s, 1)
-    V2 = eval_derivative(profile, s, 2)
+    V, V1, V2 = _derivatives(profile, s, (0, 1, 2))
     Vs, V1s, V2s = V[:, 1:], V1[:, 1:], V2[:, 1:]
     V1_0, V2_0 = V1[:, 0], V2[:, 0]
 
@@ -333,9 +334,15 @@ def kinematics(traj: Trajectory, t) -> Kinematics:
 
     gamma = sigma / m  # the mass shell makes m*gamma and sigma one quantity
 
-    if scalar:
-        return Kinematics(
-            t=t_arr[0], x=x[0], P=P[0], w=w[0], sigma=sigma[0], v=v[0],
-            a=acc[0], adot=adot[0], gamma=gamma[0],
-        )
-    return Kinematics(t=t_arr, x=x, P=P, w=w, sigma=sigma, v=v, a=acc, adot=adot, gamma=gamma)
+    kin = Kinematics(t=t_arr, x=x, P=P, w=w, sigma=sigma, v=v, a=acc, adot=adot, gamma=gamma)
+    return kin, V1, V2
+
+
+def kinematics(traj: Trajectory, t) -> Kinematics:
+    """Velocity, acceleration, jerk, and energy factors along the flow
+    (see `_flow_sample` for the closed forms).  A scalar t gives one point,
+    an array of shape (N,) gives arrays of length N."""
+    kin, _, _ = _flow_sample(traj, t)
+    if np.ndim(t) == 0:
+        return Kinematics(**{name: value[0] for name, value in vars(kin).items()})
+    return kin

@@ -17,25 +17,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import Trajectory, kinematics
+from .dynamics import Trajectory, _flow_sample
 
 __all__ = ["ld_four_force", "ld_coordinate_force"]
 
 
 def _dots(kin):
-    v, a, adot = np.atleast_2d(kin.v), np.atleast_2d(kin.a), np.atleast_2d(kin.adot)
+    v, a, adot = kin.v, kin.a, kin.adot
     av = np.einsum("ij,ij->i", a, v)
     aa = np.einsum("ij,ij->i", a, a)
     adv = np.einsum("ij,ij->i", adot, v)
-    g = np.atleast_1d(kin.gamma)
-    return v, a, adot, av, aa, adv, g
+    return v, a, adot, av, aa, adv, kin.gamma
 
 
 def ld_four_force(traj: Trajectory, t, alpha_c: float) -> np.ndarray:
     """F^mu at time(s) t; scalar t -> shape (4,), array -> (N, 4)."""
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    kin = kinematics(traj, np.atleast_1d(t_arr))
+    kin, _, _ = _flow_sample(traj, t)
     v, a, adot, av, aa, adv, g = _dots(kin)
 
     # u'' = d^2x/dtau^2 and its coordinate-time derivative
@@ -54,7 +51,21 @@ def ld_four_force(traj: Trajectory, t, alpha_c: float) -> np.ndarray:
     F[:, 0] = g * dudd0 + g * norm2          # u^0 = gamma
     F[:, 1:] = g[:, None] * duddv + (g * norm2)[:, None] * v
     F *= 2.0 * alpha_c / 3.0
-    return F[0] if scalar else F
+    return F[0] if np.ndim(t) == 0 else F
+
+
+def _coordinate_force(kin, alpha_c: float) -> np.ndarray:
+    """f^i of `ld_coordinate_force` from a flow sample in array form, (N, 3)."""
+    v, a, adot, av, aa, adv, g = _dots(kin)
+    g2, g4, g6 = g**2, g**4, g**6
+
+    f = (
+        g2[:, None] * adot
+        + 3.0 * (g4 * av)[:, None] * a
+        + (3.0 * g6 * av**2 + g4 * adv)[:, None] * v
+    )
+    f *= 2.0 * alpha_c / 3.0
+    return f
 
 
 def ld_coordinate_force(traj: Trajectory, t, alpha_c: float) -> np.ndarray:
@@ -65,16 +76,5 @@ def ld_coordinate_force(traj: Trajectory, t, alpha_c: float) -> np.ndarray:
                             + [3 g^6 (a.v)^2 + g^4 (adot.v)] v }.
     At v = 0 this reduces to (2 alpha_c/3) da/dt.
     """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    kin = kinematics(traj, np.atleast_1d(t_arr))
-    v, a, adot, av, aa, adv, g = _dots(kin)
-    g2, g4, g6 = g**2, g**4, g**6
-
-    f = (
-        g2[:, None] * adot
-        + 3.0 * (g4 * av)[:, None] * a
-        + (3.0 * g6 * av**2 + g4 * adv)[:, None] * v
-    )
-    f *= 2.0 * alpha_c / 3.0
-    return f[0] if scalar else f
+    f = _coordinate_force(_flow_sample(traj, t)[0], alpha_c)
+    return f[0] if np.ndim(t) == 0 else f

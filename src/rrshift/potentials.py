@@ -155,19 +155,14 @@ def _component_scale(profile: PotentialProfile, pulse: bool) -> np.ndarray:
     return profile.v_past
 
 
-def eval_derivative(profile: PotentialProfile, s, order: int = 0) -> np.ndarray:
-    """d^n V^mu / ds^n at coordinate value(s) s, order 0..3.
+def _derivatives(profile: PotentialProfile, s, orders) -> list[np.ndarray]:
+    """d^n V^mu / ds^n for each n in `orders`, from one shape evaluation.
 
-    Exact (bitwise) constants outside the open transition interval.
-    Scalars map to shape (4,), arrays of shape (N,) to (N, 4).
+    Each entry has shape s.shape + (4,), with a scalar s taken as shape (1,).
     """
-    if order not in (0, 1, 2, 3):
-        raise ValueError("order must be 0..3")
-    s_arr = np.asarray(s, dtype=float)
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.all(np.isfinite(s_arr)):
         raise ValueError("non-finite coordinate value")
-    scalar = s_arr.ndim == 0
-    s_arr = np.atleast_1d(s_arr)
 
     fn, pulse = _shape_fn(profile)
     amp = _component_scale(profile, pulse)
@@ -176,19 +171,32 @@ def eval_derivative(profile: PotentialProfile, s, order: int = 0) -> np.ndarray:
     derivs = fn(np.clip(u, 0.0, 1.0))
     inside = (s_arr > -profile.x1) & (s_arr < -profile.x2)
 
-    out = np.zeros(s_arr.shape + (4,))
-    if order == 0:
-        if pulse:
-            shape_vals = np.where(inside, derivs[0], 0.0)
+    out = []
+    for order in orders:
+        if order == 0:
+            if pulse:
+                shape_vals = np.where(inside, derivs[0], 0.0)
+            else:
+                # v_past for s <= -x1, ramp down to 0 at -x2
+                shape_vals = np.where(inside, 1.0 - derivs[0],
+                                      np.where(s_arr <= -profile.x1, 1.0, 0.0))
         else:
-            # v_past for s <= -x1, ramp down to 0 at -x2
-            shape_vals = np.where(inside, 1.0 - derivs[0], np.where(s_arr <= -profile.x1, 1.0, 0.0))
-        out = shape_vals[..., None] * amp[None, :]
-    else:
-        sign = 1.0 if pulse else -1.0
-        d = np.where(inside, derivs[order], 0.0) * sign / width**order
-        out = d[..., None] * amp[None, :]
-    return out[0] if scalar else out
+            sign = 1.0 if pulse else -1.0
+            shape_vals = np.where(inside, derivs[order], 0.0) * sign / width**order
+        out.append(shape_vals[..., None] * amp[None, :])
+    return out
+
+
+def eval_derivative(profile: PotentialProfile, s, order: int = 0) -> np.ndarray:
+    """d^n V^mu / ds^n at coordinate value(s) s, order 0..3.
+
+    Exact (bitwise) constants outside the open transition interval.
+    Scalars map to shape (4,), arrays of shape (N,) to (N, 4).
+    """
+    if order not in (0, 1, 2, 3):
+        raise ValueError("order must be 0..3")
+    out = _derivatives(profile, s, (order,))[0]
+    return out[0] if np.ndim(s) == 0 else out
 
 
 def eval_potential(profile: PotentialProfile, s) -> np.ndarray:

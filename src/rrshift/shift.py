@@ -14,7 +14,9 @@ caused by the radiation-reaction force along the trajectory:
   quantum_quadrature — the same quantity before the solid-angle integrals
              are done in closed form: a numerical sphere quadrature of the
              retarded-phase integrand built from d^2x^mu/dxi^2 and the
-             fixed-xi momentum partials.
+             fixed-xi momentum partials.  The sphere sum uses the same
+             64 x 128 nodes as `sphere_quadrature`, grouped as polar sums
+             of azimuthal pre-sums in the frame whose polar axis is v(t).
 
 Agreement of all four at the configured threshold is the verification
 target; the closed-form angular moments used on the way are checked
@@ -29,10 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad_vec
 
-from .dynamics import Trajectory, kinematics
+from .dynamics import Trajectory, _flow_sample
 from .lorentz_dirac import ld_coordinate_force
 from .parallel import parallel_map
-from .variational import jacobi_basis, hamiltonian_hessian, retarded_perturbation
+from .variational import _hessian_blocks, _rowdot, jacobi_basis, retarded_perturbation
 
 __all__ = [
     "AngularIntegrals",
@@ -61,25 +63,35 @@ def _gauss_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     return (mid[:, None] + half[:, None] * base_x).ravel(), (half[:, None] * base_w).ravel()
 
 
+def _sphere_grid(n_polar: int, n_azimuth: int):
+    """Gauss-Legendre nodes mu = cos(theta) and their weights, the uniform
+    azimuth nodes phi and their common weight."""
+    mu, wmu = np.polynomial.legendre.leggauss(int(n_polar))
+    phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
+    return mu, wmu, phi, 2.0 * np.pi / n_azimuth
+
+
+def _polar_frames(axes) -> np.ndarray:
+    """Orthonormal frames with rows (e1, e2, ez), shape (N, 3, 3), whose
+    polar axis ez points along each row of `axes`; a zero row gets ez = z.
+    The completion is deterministic."""
+    axes = np.asarray(axes, dtype=float)
+    nrm = np.sqrt(_rowdot(axes, axes))
+    ez = np.where((nrm > 0)[:, None], axes / np.where(nrm > 0, nrm, 1.0)[:, None],
+                  np.array([0.0, 0.0, 1.0]))
+    trial = np.eye(3)[np.argmin(np.abs(ez), axis=1)]
+    e1 = np.cross(trial, ez)
+    e1 /= np.sqrt(_rowdot(e1, e1))[:, None]
+    e2 = np.cross(ez, e1)
+    return np.stack([e1, e2, ez], axis=1)
+
+
 def sphere_quadrature(n_polar: int = 64, n_azimuth: int = 128, axis=None):
     """Solid-angle nodes and weights: Gauss-Legendre in cos(theta), uniform
     azimuth.  The polar axis is rotated onto `axis` when given (the moment
     integrands are then azimuthal trig polynomials, integrated exactly)."""
-    mu, wmu = np.polynomial.legendre.leggauss(int(n_polar))
-    phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
-    wphi = 2.0 * np.pi / n_azimuth
-
-    if axis is None:
-        ez = np.array([0.0, 0.0, 1.0])
-    else:
-        axis = np.asarray(axis, dtype=float)
-        nrm = np.linalg.norm(axis)
-        ez = axis / nrm if nrm > 0 else np.array([0.0, 0.0, 1.0])
-    # orthonormal frame completion, deterministic
-    trial = np.eye(3)[np.argmin(np.abs(ez))]
-    e1 = np.cross(trial, ez)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(ez, e1)
+    mu, wmu, phi, wphi = _sphere_grid(n_polar, n_azimuth)
+    e1, e2, ez = _polar_frames(np.reshape(np.zeros(3) if axis is None else axis, (1, 3)))[0]
 
     st = np.sqrt(1.0 - mu**2)
     nodes = (
@@ -88,6 +100,18 @@ def sphere_quadrature(n_polar: int = 64, n_azimuth: int = 128, axis=None):
     ).reshape(-1, 3)
     weights = (wmu[:, None] * wphi * np.ones_like(phi)[None, :]).reshape(-1)
     return nodes, weights
+
+
+def _frame_grid(n_polar: int, n_azimuth: int):
+    """The `sphere_quadrature` grid written in the frame of its polar axis:
+    directions b = (sin(theta) cos(phi), sin(theta) sin(phi), cos(theta)),
+    shape (n_polar, n_azimuth, 3), the polar weights and the azimuthal weight.
+    `b @ _polar_frames([axis])[0]` is the node set for that axis."""
+    mu, wmu, phi, wphi = _sphere_grid(n_polar, n_azimuth)
+    st = np.sqrt(1.0 - mu**2)
+    b = np.stack(np.broadcast_arrays(st[:, None] * np.cos(phi), st[:, None] * np.sin(phi),
+                                     mu[:, None]), axis=-1)
+    return b, wmu, wphi
 
 
 @dataclass(frozen=True)
@@ -146,13 +170,13 @@ def angular_integrals_quadrature(v, n_polar: int = 64, n_azimuth: int = 128) -> 
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_matrices(basis, t: float):
-    """Position response X (columns = kick directions) and dX/dt at one
-    time, evaluated from the stacked dense solution."""
-    y = basis[0]._eval(t)[0]
-    X = y[:9].reshape(3, 3)
-    h = hamiltonian_hessian(basis[0].traj, t)
-    return X, h.h_xp.T @ X + h.h_pp @ y[9:].reshape(3, 3)
+def _jacobi_matrices(basis, t, h_xp, h_pp):
+    """Position response X (columns = kick directions) and dX/dt at the
+    times t, each (N, 3, 3), from the stacked dense solution and the
+    Hessian blocks at those times."""
+    y = basis[0]._eval(t)
+    X = y[:, :9].reshape(-1, 3, 3)
+    return X, np.swapaxes(h_xp, 1, 2) @ X + h_pp @ y[:, 9:].reshape(-1, 3, 3)
 
 
 def _support_quad(traj, f, epsrel=1e-11):
@@ -188,7 +212,7 @@ def classical_shift_green(
 
     def f(t):
         force = ld_coordinate_force(traj, t, alpha_c)
-        X, _ = _jacobi_matrices(basis, t)
+        X = basis[0]._eval(t)[0, :9].reshape(3, 3)
         return -(force @ X)  # -f^j X[j, i]
 
     return _support_quad(traj, f, epsrel)
@@ -211,14 +235,15 @@ def shift_quantum_closed(
     pref = 2.0 * alpha_c / 3.0
 
     def f(t):
-        kin = kinematics(traj, float(t))
-        v, a = kin.v, kin.a
-        g2 = kin.gamma**2
+        kin, V1, V2 = _flow_sample(traj, float(t))
+        _, h_xp, h_pp = _hessian_blocks(traj, kin, V1, V2)
+        X, Xdot = _jacobi_matrices(basis, float(t), h_xp, h_pp)
+        v, a = kin.v[0], kin.a[0]
+        g2 = kin.gamma[0]**2
         av = a @ v
         B = g2**2 * av * v + g2 * a
         C = (g2**3 * av**2 + g2**2 * (a @ a)) * v
-        X, Xdot = _jacobi_matrices(basis, float(t))
-        return pref * (B @ Xdot + C @ X)
+        return pref * (B @ Xdot[0] + C @ X[0])
 
     return _support_quad(traj, f, epsrel)
 
@@ -241,6 +266,13 @@ def shift_quantum_quadrature(
     with J the fixed-t momentum-to-position response; the integrand is the
     Minkowski contraction d^2x_mu/dxi^2 * d/dt (dx^mu/dp^i)_xi and the
     shift is -(alpha_c/4pi) int dO int dt of it.
+
+    Summed over the directions, the integrand for kick i is
+        (1-v^2) (I2[a, dJ_i] + I3[a, a, J_i]) - I0 a.dJ_i - (a.v) I1.dJ_i
+        - (a.a) I1.J_i - 2 (a.v) I2[a, J_i] - (v.dJ_i) I1.a,
+    with dJ = dJ/dt and I_k the quadrature sums of w n^(x)k / xd^(k+2).
+    All time nodes are sampled in one call each for the flow, the Hessian
+    and the Jacobi data.
     """
     if basis is None:
         basis = jacobi_basis(traj, 0.0)
@@ -248,30 +280,43 @@ def shift_quantum_quadrature(
     lo, hi = traj.acc_start, traj.acc_end
     cuts = [lo] + [c for c in sorted(traj.breakpoints) if lo < c < hi] + [hi]
     t_nodes, t_w = _gauss_panels(cuts, max(n_time // (len(cuts) - 1), 6))
-    total = np.zeros(3)
-    for t, wt in zip(t_nodes, t_w):
-        kin = kinematics(traj, float(t))
-        v, a = kin.v, kin.a
-        X, Xdot = _jacobi_matrices(basis, float(t))
 
-        nodes, w = sphere_quadrature(n_polar, n_azimuth, axis=v if v @ v > 0 else None)
-        xd = 1.0 - nodes @ v          # (N,)
-        na = nodes @ a                # (N,)
-        d2t = na / xd**3
-        d2x = (xd[:, None] * a[None, :] + na[:, None] * v[None, :]) / (xd**3)[:, None]
+    kin, V1, V2 = _flow_sample(traj, t_nodes)
+    _, h_xp, h_pp = _hessian_blocks(traj, kin, V1, V2)
+    X, Xdot = _jacobi_matrices(basis, t_nodes, h_xp, h_pp)
+    v, a = kin.v, kin.a
 
-        nJ = nodes @ X                # (N, 3): n.J_i per kick i
-        nJd = nodes @ Xdot
-        dS0 = nJd / xd[:, None] + nJ * (na / xd**2)[:, None]               # (N, i)
-        dS = (
-            Xdot[None, :, :]
-            + (nJd / xd[:, None])[:, None, :] * v[None, :, None]
-            + (nJ / xd[:, None])[:, None, :] * a[None, :, None]
-            + (nJ * (na / xd**2)[:, None])[:, None, :] * v[None, :, None]
-        )                                                                   # (N, j, i)
-        integrand = d2t[:, None] * dS0 - np.einsum("nj,nji->ni", d2x, dS)
-        total += wt * (w @ integrand)
-    return -(alpha_c / (4.0 * np.pi)) * total
+    # Moments I_k = sum_n w n^(x)k / (1 - n.v)^(k+2), k = 0..3, in the frame
+    # whose polar axis is v: there 1 - n.v = 1 - mu |v| depends on the polar
+    # node alone, so each I_k is a polar sum of azimuthal pre-sums of b^(x)k.
+    b, wmu, wphi = _frame_grid(n_polar, n_azimuth)
+    mu = b[:, 0, 2]
+    presums = [np.full(len(mu), wphi * n_azimuth), wphi * b.sum(axis=1),
+               wphi * np.einsum("pai,paj->pij", b, b),
+               wphi * np.einsum("pai,paj,pak->pijk", b, b, b)]
+    speed = np.sqrt(_rowdot(v, v))
+    xd = 1.0 - np.outer(speed, mu)                                      # (N, polar)
+    I0, I1, I2, I3 = ((wmu / xd**(k + 2)) @ S.reshape(len(mu), -1)
+                      for k, S in enumerate(presums))
+    I0, I2, I3 = I0[:, 0], I2.reshape(-1, 3, 3), I3.reshape(-1, 3, 3, 3)
+
+    # a, X and dX/dt in that frame; dot products are frame-free
+    F = _polar_frames(v)
+    af = np.einsum("nij,nj->ni", F, a)
+    Xf, Xdf = F @ X, F @ Xdot
+    av, aa = _rowdot(a, v), _rowdot(a, a)
+    aI2 = np.einsum("np,npq->nq", af, I2)
+    aaI3 = np.einsum("np,nq,npqr->nr", af, af, I3)
+    integrand = (
+        (1.0 - speed**2)[:, None] * (np.einsum("nq,nqi->ni", aI2, Xdf)
+                                     + np.einsum("nr,nri->ni", aaI3, Xf))
+        - I0[:, None] * np.einsum("nj,nji->ni", a, Xdot)
+        - av[:, None] * np.einsum("np,npi->ni", I1, Xdf)
+        - aa[:, None] * np.einsum("np,npi->ni", I1, Xf)
+        - 2.0 * av[:, None] * np.einsum("nq,nqi->ni", aI2, Xf)
+        - np.einsum("nj,nji->ni", v, Xdot) * np.einsum("np,np->n", I1, af)[:, None]
+    )                                                                   # (N, kick i)
+    return -(alpha_c / (4.0 * np.pi)) * (t_w @ integrand)
 
 
 @dataclass

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .dynamics import Trajectory, kinematics
-from .lorentz_dirac import ld_coordinate_force
-from .potentials import axis_index, eval_derivative
+from .dynamics import Trajectory, _flow_sample
+from .lorentz_dirac import _coordinate_force, ld_coordinate_force
+from .potentials import axis_index
 
 __all__ = [
     "HessianSample",
@@ -50,24 +50,33 @@ class HessianSample:
     h_pp: np.ndarray
 
 
-def hamiltonian_hessian(traj: Trajectory, t: float) -> HessianSample:
-    """Closed-form Hessian of H on the unperturbed trajectory."""
-    kin = kinematics(traj, float(t))
+def _rowdot(a, b):
+    """Row-wise a . b of (N, 3) arrays; each row is the same BLAS dot that
+    `a[k] @ b[k]` computes, so N points and one point agree bitwise."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _hessian_blocks(traj: Trajectory, kin, V1, V2):
+    """h_xx, h_xp and h_pp, each (N, 3, 3), from one `_flow_sample`."""
     v, sigma = kin.v, kin.sigma
-    h_pp = (np.eye(3) - np.outer(v, v)) / sigma
+    h_pp = (np.eye(3) - v[:, :, None] * v[:, None, :]) / sigma[:, None, None]
 
     ai = axis_index(traj.profile)
-    h_xx = np.zeros((3, 3))
-    h_xp = np.zeros((3, 3))
+    h_xx = np.zeros((len(sigma), 3, 3))
+    h_xp = np.zeros((len(sigma), 3, 3))
     if ai is not None:
-        s = kin.x[ai]
-        V1 = eval_derivative(traj.profile, s, 1)
-        V2 = eval_derivative(traj.profile, s, 2)
-        V1s, V2s = V1[1:], V2[1:]
-        vdV1 = v @ V1s
-        h_xp[ai, :] = (-V1s + v * vdV1) / sigma
-        h_xx[ai, ai] = V2[0] - (kin.w @ V2s - V1s @ V1s) / sigma - vdV1**2 / sigma
-    return HessianSample(t=float(t), h_xx=h_xx, h_xp=h_xp, h_pp=h_pp)
+        V1s, V2s = V1[:, 1:], V2[:, 1:]
+        vdV1 = _rowdot(v, V1s)
+        h_xp[:, ai, :] = (-V1s + v * vdV1[:, None]) / sigma[:, None]
+        h_xx[:, ai, ai] = (V2[:, 0] - (_rowdot(kin.w, V2s) - _rowdot(V1s, V1s)) / sigma
+                           - vdV1**2 / sigma)
+    return h_xx, h_xp, h_pp
+
+
+def hamiltonian_hessian(traj: Trajectory, t: float) -> HessianSample:
+    """Closed-form Hessian of H on the unperturbed trajectory."""
+    h_xx, h_xp, h_pp = _hessian_blocks(traj, *_flow_sample(traj, float(t)))
+    return HessianSample(t=float(t), h_xx=h_xx[0], h_xp=h_xp[0], h_pp=h_pp[0])
 
 
 def _linear_rhs(traj):
@@ -193,10 +202,11 @@ def retarded_perturbation(traj: Trajectory, alpha_c: float) -> Perturbation:
 
     def rhs(t, y):
         dx, dP = y[:3], y[3:]
-        h = hamiltonian_hessian(traj, t)
-        f = ld_coordinate_force(traj, t, alpha_c)
-        ddx = h.h_xp.T @ dx + h.h_pp @ dP
-        ddP = -h.h_xx @ dx - h.h_xp @ dP + f
+        kin, V1, V2 = _flow_sample(traj, t)
+        h_xx, h_xp, h_pp = (h[0] for h in _hessian_blocks(traj, kin, V1, V2))
+        f = _coordinate_force(kin, alpha_c)[0]
+        ddx = h_xp.T @ dx + h_pp @ dP
+        ddP = -h_xx @ dx - h_xp @ dP + f
         return np.concatenate([ddx, ddP])
 
     # absolute tolerance tied to the forcing scale so the error control is

@@ -228,5 +228,25 @@ def test_verify_unknown_suite_exits_two():
     assert main(["verify", "--suite", "leisurely"]) == 2
 
 
+def test_verify_serial_stdout_has_no_runtime_stamp(monkeypatch, capsys, tmp_path):
+    """--serial prints no runtime stamp and nulls the runtime in --out; a
+    threaded run prints the stamp.  The suite itself is not run."""
+    from rrshift.verify import CriterionResult, SuiteReport
+
+    def fixed_suite(suite="fast", serial=False):
+        result = CriterionResult(cid=1, name="route agreement", passed=True,
+                                 residual=2.5e-8, threshold=1e-4, runtime=3.8)
+        return SuiteReport(suite=suite, results=[result])
+
+    monkeypatch.setattr("rrshift.cli.run_suite", fixed_suite)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--serial", "--out", str(out)]) == 0
+    line = "criterion 1 route agreement: PASS (residual 2.500e-08, threshold 1.0e-04)"
+    assert capsys.readouterr().out == line + "\n"
+    assert json.loads(out.read_text())["criteria"][0]["runtime"] is None
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out == line + " [3.8s]\n"
+
+
 def test_main_rejects_unknown_subcommand():
     assert main(["polish"]) == 2

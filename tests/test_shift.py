@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from rrshift import (angular_integrals, angular_integrals_quadrature,
+from rrshift import (angular_integrals, angular_integrals_quadrature, bundled_scenario,
                      classical_shift_direct, classical_shift_green, compare_routes,
-                     integrate_trajectory, ld_coordinate_force, shift_quantum_closed,
-                     shift_quantum_quadrature, sphere_quadrature)
-from rrshift.shift import _gauss_panels
+                     hamiltonian_hessian, integrate_trajectory, jacobi_basis, kinematics,
+                     ld_coordinate_force, shift_quantum_closed, shift_quantum_quadrature,
+                     sphere_quadrature)
+from rrshift.shift import _frame_grid, _gauss_panels, _polar_frames
 from rrshift.variational import _linear_rhs
 
 ALPHA = 0.0071619724391352765  # e = 0.3
@@ -145,6 +146,66 @@ def test_quadrature_route_converged(time_traj):
     scale = np.linalg.norm(closed)
     assert np.max(np.abs(coarse - closed)) < 1e-6 * scale
     assert np.max(np.abs(fine - coarse)) < 1e-8 * scale
+
+
+def sqq_per_node(traj, alpha_c, n_polar=64, n_azimuth=128, n_time=320):
+    """Route c' node by node: at every time node a sphere grid aligned with
+    v(t) and the full retarded-phase integrand at each of its directions."""
+    basis = jacobi_basis(traj, 0.0)
+    lo, hi = traj.acc_start, traj.acc_end
+    cuts = [lo] + [c for c in sorted(traj.breakpoints) if lo < c < hi] + [hi]
+    t_nodes, t_w = _gauss_panels(cuts, max(n_time // (len(cuts) - 1), 6))
+    total = np.zeros(3)
+    for t, wt in zip(t_nodes, t_w):
+        kin = kinematics(traj, float(t))
+        v, a = kin.v, kin.a
+        h = hamiltonian_hessian(traj, float(t))
+        X = np.column_stack([f.dx(float(t)) for f in basis])
+        Xdot = h.h_xp.T @ X + h.h_pp @ np.column_stack([f.dp(float(t)) for f in basis])
+
+        nodes, w = sphere_quadrature(n_polar, n_azimuth, axis=v if v @ v > 0 else None)
+        xd = 1.0 - nodes @ v
+        na = nodes @ a
+        d2t = na / xd**3
+        d2x = (xd[:, None] * a[None, :] + na[:, None] * v[None, :]) / (xd**3)[:, None]
+
+        nJ = nodes @ X
+        nJd = nodes @ Xdot
+        dS0 = nJd / xd[:, None] + nJ * (na / xd**2)[:, None]
+        dS = (
+            Xdot[None, :, :]
+            + (nJd / xd[:, None])[:, None, :] * v[None, :, None]
+            + (nJ / xd[:, None])[:, None, :] * a[None, :, None]
+            + (nJ * (na / xd**2)[:, None])[:, None, :] * v[None, :, None]
+        )
+        integrand = d2t[:, None] * dS0 - np.einsum("nj,nji->ni", d2x, dS)
+        total += wt * (w @ integrand)
+    return -(alpha_c / (4.0 * np.pi)) * total
+
+
+def test_factored_quadrature_matches_per_node(time_traj, spatial_traj):
+    """Polar sums of azimuthal pre-sums reproduce the per-direction sum on
+    a time axis, a spatial axis, the rest_pulse scenario and a coarse grid."""
+    rest = bundled_scenario("rest_pulse").build()
+    cases = [(time_traj, {}), (spatial_traj, {}), (rest, {}),
+             (time_traj, {"n_polar": 10, "n_azimuth": 7})]
+    for traj, grid in cases:
+        factored = shift_quantum_quadrature(traj, alpha_c=ALPHA, **grid)
+        per_node = sqq_per_node(traj, ALPHA, **grid)
+        assert np.linalg.norm(factored - per_node) <= 1e-13 * np.linalg.norm(per_node)
+
+
+def test_frame_grid_rotates_onto_sphere_nodes(time_traj):
+    """The pre-summed grid, rotated into the frame of an axis, is the node
+    set sphere_quadrature builds for that axis; a zero axis gets z."""
+    v = kinematics(time_traj, -1.5).v
+    for n_polar, n_azimuth in ((64, 128), (10, 7)):
+        b, wmu, wphi = _frame_grid(n_polar, n_azimuth)
+        for axis in (v, [0.0, 0.0, 0.0], [0.0, 0.0, 0.4], [-0.9, 0.0, 0.0], [0.3, -0.5, 0.81]):
+            nodes, w = sphere_quadrature(n_polar, n_azimuth, axis=axis)
+            rotated = (b @ _polar_frames([axis])[0]).reshape(-1, 3)
+            assert np.max(np.abs(rotated - nodes)) <= 1e-15
+            assert np.array_equal(np.outer(wmu, np.full(n_azimuth, wphi)).ravel(), w)
 
 
 def test_shift_linear_in_coupling(time_traj):
