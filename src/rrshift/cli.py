@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import kinematics
-from .lorentz_dirac import ld_coordinate_force
+from .dynamics import _flow_sample
+from .lorentz_dirac import _coordinate_force
 from .parallel import parallel_map
 from .scenario import ScenarioError, load_scenario
 from .semiclassical import amplitude_classical, taper_amplitude
@@ -181,8 +181,8 @@ def _cmd_force_profile(args) -> int:
     sc = load_scenario(args.scenario)
     traj = sc.build()
     ts = np.linspace(traj.t_min, 0.0, args.num)
-    forces = ld_coordinate_force(traj, ts, sc.alpha_c)
-    kin = kinematics(traj, ts)
+    kin = _flow_sample(traj, ts)[0]
+    forces = _coordinate_force(kin, sc.alpha_c)
     header = ["t", "f_x", "f_y", "f_z", "v_x", "v_y", "v_z", "gamma"]
     rows = np.column_stack([ts, forces, kin.v, kin.gamma])
     _emit(_csv(header, rows), args.out)

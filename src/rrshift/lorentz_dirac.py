@@ -30,9 +30,8 @@ def _dots(kin):
     return v, a, adot, av, aa, adv, kin.gamma
 
 
-def ld_four_force(traj: Trajectory, t, alpha_c: float) -> np.ndarray:
-    """F^mu at time(s) t; scalar t -> shape (4,), array -> (N, 4)."""
-    kin, _, _ = _flow_sample(traj, t)
+def _four_force(kin, alpha_c: float) -> np.ndarray:
+    """F^mu of `ld_four_force` from a flow sample in array form, (N, 4)."""
     v, a, adot, av, aa, adv, g = _dots(kin)
 
     # u'' = d^2x/dtau^2 and its coordinate-time derivative
@@ -51,6 +50,12 @@ def ld_four_force(traj: Trajectory, t, alpha_c: float) -> np.ndarray:
     F[:, 0] = g * dudd0 + g * norm2          # u^0 = gamma
     F[:, 1:] = g[:, None] * duddv + (g * norm2)[:, None] * v
     F *= 2.0 * alpha_c / 3.0
+    return F
+
+
+def ld_four_force(traj: Trajectory, t, alpha_c: float) -> np.ndarray:
+    """F^mu at time(s) t; scalar t -> shape (4,), array -> (N, 4)."""
+    F = _four_force(_flow_sample(traj, t)[0], alpha_c)
     return F[0] if np.ndim(t) == 0 else F
 
 

@@ -28,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from .dynamics import Trajectory, integrate_trajectory, kinematics
 from .potentials import PotentialProfile, _smoothstep7, eval_potential
-from .shift import _gauss_panels, sphere_quadrature
+from .shift import _gauss_panels, _support_integral, sphere_quadrature
 
 __all__ = [
     "CutoffWindow",
@@ -211,14 +211,11 @@ def _fourvelocity_dt(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
 
 
 def _classical_amplitude_batch(traj: Trajectory, ks: np.ndarray, n, window: CutoffWindow,
-                               charge: float, t_range=None, rate=None) -> np.ndarray:
+                               charge: float) -> np.ndarray:
     """Direct windowed A^mu(k) for a batch of k at one n; shape (nk, 4)."""
     n = np.asarray(n, dtype=float)
-    if t_range is None:
-        t_range = window_time_range(traj, n, window)
-    t_lo, t_hi = t_range
-    if rate is None:
-        rate = float(np.max(np.abs(ks))) * (1.0 + _max_speed(traj, t_lo, t_hi))
+    t_lo, t_hi = window_time_range(traj, n, window)
+    rate = float(np.max(np.abs(ks))) * (1.0 + _max_speed(traj, t_lo, t_hi))
     ts, w = _gauss_panels(_phase_edges(t_lo, t_hi, rate), _PANEL_ORDER)
     xi = traj.xi(n, ts)
     gate = window.chi(xi) * w
@@ -578,15 +575,13 @@ def radiated_energy(traj: Trajectory, window: CutoffWindow, charge: float,
 def larmor_radiated_energy(traj: Trajectory, alpha_c: float) -> float:
     """(2 alpha_c / 3) int gamma^6 [a^2 - (v x a)^2] dt over the acceleration."""
 
-    def f(t):
-        kin = kinematics(traj, float(t))
+    def f(ts):
+        kin = kinematics(traj, ts)
         cross = np.cross(kin.v, kin.a)
-        return kin.gamma**6 * (kin.a @ kin.a - cross @ cross)
+        return kin.gamma**6 * (np.einsum("ij,ij->i", kin.a, kin.a)
+                               - np.einsum("ij,ij->i", cross, cross))
 
-    val, _ = quad(f, traj.acc_start, traj.acc_end,
-                  points=list(traj.breakpoints) or None,
-                  epsabs=1e-300, epsrel=1e-12, limit=200)
-    return 2.0 * alpha_c / 3.0 * val
+    return 2.0 * alpha_c / 3.0 * float(_support_integral(f, traj, epsrel=1e-12))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,9 @@ caused by the radiation-reaction force along the trajectory:
              64 x 128 nodes as `sphere_quadrature`, grouped as polar sums
              of azimuthal pre-sums in the frame whose polar axis is v(t).
 
+The green and quantum time integrals use `_support_integral`: Gauss-Legendre
+panels cut where the dense solutions have kinks, 16 points checked against 8.
+
 Agreement of all four at the configured threshold is the verification
 target; the closed-form angular moments used on the way are checked
 against their own sphere quadrature.
@@ -29,10 +32,9 @@ import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .dynamics import Trajectory, _flow_sample
-from .lorentz_dirac import ld_coordinate_force
+from .lorentz_dirac import _coordinate_force
 from .parallel import parallel_map
 from .variational import _hessian_blocks, _rowdot, jacobi_basis, retarded_perturbation
 
@@ -170,24 +172,33 @@ def angular_integrals_quadrature(v, n_polar: int = 64, n_azimuth: int = 128) -> 
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_matrices(basis, t, h_xp, h_pp):
-    """Position response X (columns = kick directions) and dX/dt at the
-    times t, each (N, 3, 3), from the stacked dense solution and the
-    Hessian blocks at those times."""
-    y = basis[0]._eval(t)
+def _support_integral(f, traj, basis=None, epsrel=1e-11):
+    """Integral over [acc_start, acc_end] of the batched integrand
+    f(ts) -> (N, ...): 16-point Gauss-Legendre on panels cut at the
+    breakpoints and at the step points of the trajectory and of the Jacobi
+    `basis`, where the dense interpolants f reads have kinks.  RuntimeError
+    unless the 8-point sum on the same panels agrees to epsrel relative."""
+    lo, hi = traj.acc_start, traj.acc_end
+    sols = [traj.sol] + ([] if basis is None else [sol for _, _, sol in basis[0]._sols])
+    steps = np.concatenate([traj.breakpoints, *(sol.ts for sol in sols)])
+    cuts = np.unique(np.concatenate([[lo, hi], steps[(steps > lo) & (steps < hi)]]))
+    (t16, w16), (t8, w8) = _gauss_panels(cuts, 16), _gauss_panels(cuts, 8)
+    values = f(np.concatenate([t16, t8]))
+    fine, coarse = w16 @ values[:len(t16)], w8 @ values[len(t16):]
+    err, size = np.linalg.norm(fine - coarse), np.linalg.norm(fine)
+    if not err <= epsrel * size:
+        raise RuntimeError(f"quadrature not converged: 8- and 16-point sums differ by "
+                           f"{err:.3e} at size {size:.3e}, above epsrel {epsrel:.1e}")
+    return fine
+
+
+def _response_sample(traj, basis, ts):
+    """Kinematics, X (columns = kick directions) and dX/dt, (N, 3, 3), at ts."""
+    kin, V1, V2 = _flow_sample(traj, ts)
+    _, h_xp, h_pp = _hessian_blocks(traj, kin, V1, V2)
+    y = basis[0]._eval(ts)
     X = y[:, :9].reshape(-1, 3, 3)
-    return X, np.swapaxes(h_xp, 1, 2) @ X + h_pp @ y[:, 9:].reshape(-1, 3, 3)
-
-
-def _support_quad(traj, f, epsrel=1e-11):
-    """Adaptive quadrature of a vector integrand over the forcing support."""
-    a, b = traj.acc_start, traj.acc_end
-    cuts = [a] + list(traj.breakpoints) + [b]
-    total = np.zeros(3)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        val, _ = quad_vec(f, lo, hi, epsabs=1e-300, epsrel=epsrel)
-        total += val
-    return total
+    return kin, X, np.swapaxes(h_xp, 1, 2) @ X + h_pp @ y[:, 9:].reshape(-1, 3, 3)
 
 
 def classical_shift_direct(traj: Trajectory, alpha_c: float) -> np.ndarray:
@@ -205,17 +216,17 @@ def classical_shift_green(
 
     The kicked-at-t response is rewritten through the symplectic swap
     identity dx^i_(j)(0;t) = -dx^j_(i)(t;0), so the three t = 0 fields are
-    reused at every quadrature node.
+    reused at every quadrature node.  RuntimeError if the integral misses epsrel.
     """
     if basis is None:
         basis = jacobi_basis(traj, 0.0)
 
-    def f(t):
-        force = ld_coordinate_force(traj, t, alpha_c)
-        X = basis[0]._eval(t)[0, :9].reshape(3, 3)
-        return -(force @ X)  # -f^j X[j, i]
+    def f(ts):
+        force = _coordinate_force(_flow_sample(traj, ts)[0], alpha_c)
+        X = basis[0]._eval(ts)[:, :9].reshape(-1, 3, 3)
+        return -np.einsum("nj,nji->ni", force, X)  # -f^j X[j, i]
 
-    return _support_quad(traj, f, epsrel)
+    return _support_integral(f, traj, basis, epsrel)
 
 
 def shift_quantum_closed(
@@ -228,24 +239,21 @@ def shift_quantum_closed(
 
     Integrates the two-term bracket as written; integrating it by parts
     gives -int dt f^k (dx^k/dp^i)_t, which is route b's integrand.
+    RuntimeError if the time integral misses epsrel.
     """
     if basis is None:
         basis = jacobi_basis(traj, 0.0)
 
-    pref = 2.0 * alpha_c / 3.0
+    def f(ts):
+        kin, X, Xdot = _response_sample(traj, basis, ts)
+        v, a, g2 = kin.v, kin.a, kin.gamma**2
+        av = _rowdot(a, v)
+        B = (g2**2 * av)[:, None] * v + g2[:, None] * a
+        C = (g2**3 * av**2 + g2**2 * _rowdot(a, a))[:, None] * v
+        return (2.0 * alpha_c / 3.0) * (np.einsum("nj,nji->ni", B, Xdot)
+                                         + np.einsum("nj,nji->ni", C, X))
 
-    def f(t):
-        kin, V1, V2 = _flow_sample(traj, float(t))
-        _, h_xp, h_pp = _hessian_blocks(traj, kin, V1, V2)
-        X, Xdot = _jacobi_matrices(basis, float(t), h_xp, h_pp)
-        v, a = kin.v[0], kin.a[0]
-        g2 = kin.gamma[0]**2
-        av = a @ v
-        B = g2**2 * av * v + g2 * a
-        C = (g2**3 * av**2 + g2**2 * (a @ a)) * v
-        return pref * (B @ Xdot[0] + C @ X[0])
-
-    return _support_quad(traj, f, epsrel)
+    return _support_integral(f, traj, basis, epsrel)
 
 
 def shift_quantum_quadrature(
@@ -281,9 +289,7 @@ def shift_quantum_quadrature(
     cuts = [lo] + [c for c in sorted(traj.breakpoints) if lo < c < hi] + [hi]
     t_nodes, t_w = _gauss_panels(cuts, max(n_time // (len(cuts) - 1), 6))
 
-    kin, V1, V2 = _flow_sample(traj, t_nodes)
-    _, h_xp, h_pp = _hessian_blocks(traj, kin, V1, V2)
-    X, Xdot = _jacobi_matrices(basis, t_nodes, h_xp, h_pp)
+    kin, X, Xdot = _response_sample(traj, basis, t_nodes)
     v, a = kin.v, kin.a
 
     # Moments I_k = sum_n w n^(x)k / (1 - n.v)^(k+2), k = 0..3, in the frame
@@ -353,7 +359,7 @@ def compare_routes(
     raised.  Routes run on a thread pool unless serial is set; either way
     the numbers are identical because the routes share nothing mutable.
     """
-    report = ShiftReport(alpha_c=alpha_c, threshold=threshold)
+    report = ShiftReport(alpha_c=alpha_c, threshold=threshold, shifts=dict.fromkeys(ROUTE_NAMES))
     report.length_scale = max(float(np.linalg.norm(traj.position(traj.t_min))), 1.0)
 
     basis = None
@@ -377,9 +383,6 @@ def compare_routes(
             return name, None, f"{type(exc).__name__}: {exc}", _time.perf_counter() - t0
 
     active = [name for name in ROUTE_NAMES if name in routes]
-    for name in ROUTE_NAMES:
-        if name not in routes:
-            report.shifts[name] = None
     for name, shift, err, elapsed in parallel_map(run_one, active, serial=serial):
         report.shifts[name] = shift
         if err is not None:
@@ -395,12 +398,9 @@ def compare_routes(
     n = len(ROUTE_NAMES)
     res = np.full((n, n), np.nan)
     worst = 0.0
-    complete = True
     for i, ni in enumerate(ROUTE_NAMES):
         si = report.shifts.get(ni)
-        if si is None:
-            if ni in routes:
-                complete = False
+        if si is None:  # not requested, or failed and recorded in errors
             continue
         res[i, i] = 0.0
         for j in range(i + 1, n):
@@ -412,5 +412,5 @@ def compare_routes(
             worst = max(worst, r)
     report.residuals = res
     report.max_residual = worst
-    report.passed = complete and not report.errors and worst < threshold
+    report.passed = not report.errors and worst < threshold
     return report

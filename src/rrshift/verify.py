@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import kinematics
-from .lorentz_dirac import ld_coordinate_force, ld_four_force
+from .dynamics import _flow_sample
+from .lorentz_dirac import _coordinate_force, _four_force
 from .parallel import parallel_map
 from .scenario import Scenario, ScenarioError, bundled_scenario
 from .semiclassical import (
@@ -251,9 +251,9 @@ def _criterion_5(full: bool, serial: bool) -> CriterionResult:
     sc = bundled_scenario("oblique")
     traj = sc.build()
     ts = np.linspace(traj.acc_start, traj.acc_end, 200)
-    F = ld_four_force(traj, ts, sc.alpha_c)
-    f = ld_coordinate_force(traj, ts, sc.alpha_c)
-    kin = kinematics(traj, ts)
+    kin = _flow_sample(traj, ts)[0]
+    F = _four_force(kin, sc.alpha_c)
+    f = _coordinate_force(kin, sc.alpha_c)
     scale = float(np.max(np.abs(F)))
     match_err = float(np.max(np.abs(kin.gamma[:, None] * f - F[:, 1:]))) / scale
     u = kin.gamma[:, None] * np.column_stack([np.ones(ts.size), kin.v])
@@ -268,17 +268,17 @@ def _criterion_5(full: bool, serial: bool) -> CriterionResult:
     t_peak = -0.5 * (sc2.profile.x1 + sc2.profile.x2)
     t_star = brentq(lambda t: traj2.velocity(float(t))[2], traj2.acc_start,
                     t_peak, xtol=1e-15)
-    kin2 = kinematics(traj2, t_star)
-    speed = float(np.linalg.norm(kin2.v))
-    force = ld_coordinate_force(traj2, t_star, sc2.alpha_c)
-    limit = (2.0 * sc2.alpha_c / 3.0) * kin2.adot
+    kin2 = _flow_sample(traj2, t_star)[0]
+    speed = float(np.linalg.norm(kin2.v[0]))
+    force = _coordinate_force(kin2, sc2.alpha_c)[0]
+    limit = (2.0 * sc2.alpha_c / 3.0) * kin2.adot[0]
     rest_err = float(np.linalg.norm(force - limit) / np.linalg.norm(limit))
 
     worst = max(match_err, ortho_err, rest_err)
     passed = worst < threshold and speed < 1e-12
     details = (f"gamma-match {match_err:.2e}; u.F {ortho_err:.2e}; "
                f"rest limit {rest_err:.2e} at t* = {t_star:.6f} "
-               f"(|v| = {speed:.1e}, |da/dt| = {np.linalg.norm(kin2.adot):.2f})")
+               f"(|v| = {speed:.1e}, |da/dt| = {np.linalg.norm(kin2.adot[0]):.2f})")
     return CriterionResult(5, CRITERION_NAMES[5], passed, worst, threshold,
                            details=details)
 

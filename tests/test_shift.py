@@ -9,7 +9,7 @@ from rrshift import (angular_integrals, angular_integrals_quadrature, bundled_sc
                      hamiltonian_hessian, integrate_trajectory, jacobi_basis, kinematics,
                      ld_coordinate_force, shift_quantum_closed, shift_quantum_quadrature,
                      sphere_quadrature)
-from rrshift.shift import _frame_grid, _gauss_panels, _polar_frames
+from rrshift.shift import _frame_grid, _gauss_panels, _polar_frames, _support_integral
 from rrshift.variational import _linear_rhs
 
 ALPHA = 0.0071619724391352765  # e = 0.3
@@ -146,6 +146,45 @@ def test_quadrature_route_converged(time_traj):
     scale = np.linalg.norm(closed)
     assert np.max(np.abs(coarse - closed)) < 1e-6 * scale
     assert np.max(np.abs(fine - coarse)) < 1e-8 * scale
+
+
+@pytest.mark.parametrize("name", ["spatial", "rest_pulse"])
+def test_closed_and_quadrature_forms_agree(name):
+    """Route c integrated over time on step-cut panels matches route c' to
+    2e-12 relative on a spatial axis and through a velocity zero."""
+    sc = bundled_scenario(name)
+    traj = sc.build()
+    basis = jacobi_basis(traj, 0.0)
+    closed = shift_quantum_closed(traj, basis, sc.alpha_c, epsrel=sc.epsrel)
+    quadrature = shift_quantum_quadrature(traj, basis, sc.alpha_c, n_polar=sc.n_polar,
+                                          n_azimuth=sc.n_azimuth, n_time=sc.n_time)
+    assert np.linalg.norm(closed - quadrature) <= 2e-12 * np.linalg.norm(quadrature)
+
+
+def test_support_integral_is_exact_on_polynomials(time_traj):
+    """16 points per panel integrate a degree-9 polynomial exactly."""
+    lo, hi = time_traj.acc_start, time_traj.acc_end
+    value = _support_integral(lambda ts: np.column_stack([ts**9, np.ones_like(ts)]), time_traj)
+    np.testing.assert_allclose(value, [(hi**10 - lo**10) / 10, hi - lo], rtol=1e-14)
+
+
+def test_support_integral_raises_on_kink(time_traj):
+    """A kink inside a panel keeps the 8- and 16-point sums apart: an error,
+    not a value."""
+    kink = time_traj.acc_start + 0.3137 * time_traj.acc_duration
+    assert kink not in time_traj.sol.ts and kink not in time_traj.breakpoints
+    with pytest.raises(RuntimeError, match="not converged"):
+        _support_integral(lambda ts: np.abs(ts - kink), time_traj)
+
+
+def test_unconverged_quadrature_is_reported(time_traj):
+    """An epsrel below rounding fails the green and quantum routes; the
+    report records the errors and does not pass."""
+    rep = compare_routes(time_traj, ALPHA, epsrel=1e-17, serial=True)
+    assert not rep.passed
+    for name in ("green", "quantum"):
+        assert rep.errors[name].startswith("RuntimeError")
+        assert rep.shifts[name] is None
 
 
 def sqq_per_node(traj, alpha_c, n_polar=64, n_azimuth=128, n_time=320):
