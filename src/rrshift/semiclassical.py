@@ -17,7 +17,9 @@ Integrating by parts splits A exactly into a radiative part supported on
 the acceleration interval and a taper part carried by chi' alone (the
 trajectory coasts there whenever the plateau covers the acceleration
 image); the spectral routines below lean on that split both for speed and
-for an exact zero-acceleration baseline.  From the amplitudes: the
+for an exact zero-acceleration baseline.  Their k integrals climb the same
+octaves, and within an octave each trajectory is sampled once for all
+directions of the sphere grid.  From the amplitudes: the
 radiated-energy spectrum, the reduced emission probability in two
 independent evaluations (a Parseval pair), and the shift route that
 differentiates the amplitude with respect to the final momentum.
@@ -129,12 +131,13 @@ class CutoffWindow:
         return CutoffWindow(self.xi_on + c, self.xi_off + c, self.width)
 
 
-def acceleration_xi_bounds(traj: Trajectory, num: int = 513) -> tuple[float, float]:
+def acceleration_xi_bounds(traj: Trajectory) -> tuple[float, float]:
     """Range of xi = t - n.x(t) over the acceleration interval, over every
-    direction n at once (|n.x| <= |x|)."""
-    ts = np.linspace(traj.acc_start, traj.acc_end, num)
+    direction n at once (|n.x| <= |x|).  With |v| < 1 both t - |x(t)| and
+    t + |x(t)| increase with t, so the interval ends give the range."""
+    ts = np.array([traj.acc_start, traj.acc_end])
     r = np.linalg.norm(traj.position(ts), axis=1)
-    return float(np.min(ts - r)), float(np.max(ts + r))
+    return float(ts[0] - r[0]), float(ts[1] + r[1])
 
 
 def default_window(traj: Trajectory, pad_fraction: float = 0.5,
@@ -203,58 +206,79 @@ def _max_speed(traj: Trajectory, t_lo: float, t_hi: float, num: int = 129) -> fl
     return float(np.max(np.linalg.norm(traj.velocity(ts), axis=1)))
 
 
-def _fourvelocity_dt(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
-    """dx^mu/dt = (1, v) as a (N, 4) array."""
-    out = np.ones((ts.size, 4))
-    out[:, 1:] = traj.velocity(ts)
-    return out
+def _direction_grid(traj: Trajectory, n_polar: int, n_azimuth: int):
+    """Sphere nodes and weights with the polar axis along the final velocity."""
+    v_axis = traj.velocity(0.0)
+    return sphere_quadrature(n_polar, n_azimuth,
+                             axis=v_axis if v_axis @ v_axis > 0 else None)
+
+
+def _octaves(span: float, k_cap: float = np.inf):
+    """k panels (k_lo, k_hi): [0, 2pi/span], then doublings, clipped at k_cap."""
+    k_lo, k_hi = 0.0, min(2.0 * np.pi / span, k_cap)
+    while True:
+        yield k_lo, k_hi
+        if k_hi >= k_cap:
+            return
+        k_lo, k_hi = k_hi, min(2.0 * k_hi, k_cap)
+
+
+def _windowed_nodes(traj: Trajectory, n, window: CutoffWindow, k_max: float):
+    """Time nodes over the window support at direction n, one panel per
+    period up to k_max: xi, the gated weights chi(xi) w, and (1, v)."""
+    t_lo, t_hi = window_time_range(traj, n, window)
+    rate = k_max * (1.0 + _max_speed(traj, t_lo, t_hi))
+    ts, w = _gauss_panels(_phase_edges(t_lo, t_hi, rate), _PANEL_ORDER)
+    xi = traj.xi(n, ts)
+    u = np.ones((ts.size, 4))
+    u[:, 1:] = traj.velocity(ts)
+    return xi, window.chi(xi) * w, u
 
 
 def _classical_amplitude_batch(traj: Trajectory, ks: np.ndarray, n, window: CutoffWindow,
                                charge: float) -> np.ndarray:
     """Direct windowed A^mu(k) for a batch of k at one n; shape (nk, 4)."""
     n = np.asarray(n, dtype=float)
-    t_lo, t_hi = window_time_range(traj, n, window)
-    rate = float(np.max(np.abs(ks))) * (1.0 + _max_speed(traj, t_lo, t_hi))
-    ts, w = _gauss_panels(_phase_edges(t_lo, t_hi, rate), _PANEL_ORDER)
-    xi = traj.xi(n, ts)
-    gate = window.chi(xi) * w
-    u = _fourvelocity_dt(traj, ts) * gate[:, None]
+    xi, gate, u = _windowed_nodes(traj, n, window, float(np.max(np.abs(ks))))
     phase = np.exp(1j * np.outer(np.asarray(ks, dtype=float), xi))
-    return -charge * (phase @ u)
+    return -charge * (phase @ (u * gate[:, None]))
 
 
-def _radiative_amplitude_batch(traj: Trajectory, ks: np.ndarray, n, charge: float,
-                               rate=None) -> np.ndarray:
+def _radiative_amplitudes(traj: Trajectory, ks: np.ndarray, dirs, charge: float,
+                          rate=None):
     """The by-parts radiative piece, supported on the acceleration interval:
 
         A_rad^mu(k) = (e/ik) int_acc dt [xd (0, a) + (n.a)(1, v)]^mu / xd^2 e^{ik xi},
 
     with xd = 1 - n.v.  Exactly transverse (k_mu A_rad^mu = 0) and
-    window-independent."""
+    window-independent.  The trajectory is sampled once; one (nk, 4) array
+    is yielded per direction in dirs."""
     ks = np.asarray(ks, dtype=float)
-    n = np.asarray(n, dtype=float)
     if rate is None:
         rate = float(np.max(np.abs(ks))) * (
             1.0 + _max_speed(traj, traj.acc_start, traj.acc_end))
     edges = _phase_edges(traj.acc_start, traj.acc_end, rate, base_panels=24)
     ts, w = _gauss_panels(edges, _PANEL_ORDER)
     kin = kinematics(traj, ts)
-    xi = ts - traj.position(ts) @ n
-    xd = 1.0 - kin.v @ n
-    na = kin.a @ n
-    w0 = (na / xd**2) * w
-    wj = ((kin.a * xd[:, None] + na[:, None] * kin.v) / (xd**2)[:, None]) * w[:, None]
-    phase = np.exp(1j * np.outer(ks, xi))
-    out = np.empty((ks.size, 4), dtype=complex)
-    out[:, 0] = phase @ w0
-    out[:, 1:] = phase @ wj
-    return (charge / (1j * ks))[:, None] * out
+    x = traj.position(ts)
+    pref = (charge / (1j * ks))[:, None]
+    for n in dirs:
+        xi = ts - x @ n
+        xd = 1.0 - kin.v @ n
+        na = kin.a @ n
+        w0 = (na / xd**2) * w
+        wj = ((kin.a * xd[:, None] + na[:, None] * kin.v) / (xd**2)[:, None]) * w[:, None]
+        phase = np.exp(1j * np.outer(ks, xi))
+        out = np.empty((ks.size, 4), dtype=complex)
+        out[:, 0] = phase @ w0
+        out[:, 1:] = phase @ wj
+        del phase  # the (nk, nt) matrix must not outlive the yield
+        yield pref * out
 
 
 def _taper_transforms(window: CutoffWindow, ks: np.ndarray):
     """T_left(k), T_right(k): Fourier transforms of chi' over each taper.
-    Window-only — shared across directions and trajectories."""
+    Window-only — shared across directions."""
     ks = np.asarray(ks, dtype=float)
     lo, hi = window.support
     rate = float(np.max(np.abs(ks)))
@@ -266,21 +290,21 @@ def _taper_transforms(window: CutoffWindow, ks: np.ndarray):
     return out[0], out[1]
 
 
-def _taper_amplitude_batch(traj: Trajectory, ks: np.ndarray, n, window: CutoffWindow,
-                           charge: float, transforms=None) -> np.ndarray:
+def _taper_amplitudes(traj: Trajectory, ks: np.ndarray, dirs, window: CutoffWindow,
+                      charge: float):
     """A_taper^mu(k) = (e/ik)[W_in^mu T_left + W_out^mu T_right]; the coasting
-    four-velocity-per-xi W = (1, v)/(1 - n.v) is constant on each taper."""
-    n = np.asarray(n, dtype=float)
+    four-velocity-per-xi W = (1, v)/(1 - n.v) is constant on each taper.
+    The transforms are taken once; one (nk, 4) array is yielded per
+    direction in dirs."""
     ks = np.asarray(ks, dtype=float)
     v_in = traj.velocity(traj.acc_start)
     v_out = traj.velocity(0.0)
-    w_in = np.concatenate([[1.0], v_in]) / (1.0 - n @ v_in)
-    w_out = np.concatenate([[1.0], v_out]) / (1.0 - n @ v_out)
-    if transforms is None:
-        transforms = _taper_transforms(window, ks)
-    t_left, t_right = transforms
+    t_left, t_right = _taper_transforms(window, ks)
     pref = charge / (1j * ks)
-    return pref[:, None] * (np.outer(t_left, w_in) + np.outer(t_right, w_out))
+    for n in dirs:
+        w_in = np.concatenate([[1.0], v_in]) / (1.0 - n @ v_in)
+        w_out = np.concatenate([[1.0], v_out]) / (1.0 - n @ v_out)
+        yield pref[:, None] * (np.outer(t_left, w_in) + np.outer(t_right, w_out))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +347,7 @@ def radiative_amplitude(traj: Trajectory, k: float, n, charge: float) -> Emissio
     """Window-independent radiative part of the amplitude (see the split in
     the module docstring); A_windowed = A_rad + A_taper exactly."""
     n = _check_direction(n)
-    a = _radiative_amplitude_batch(traj, np.array([float(k)]), n, charge)[0]
+    a = next(_radiative_amplitudes(traj, np.array([float(k)]), [n], charge))[0]
     return EmissionAmplitude(p=traj.p_final.copy(), k=float(k), n=n, a=a)
 
 
@@ -333,7 +357,7 @@ def taper_amplitude(traj: Trajectory, k: float, n, window: CutoffWindow,
     generalized to a trajectory whose in/out velocities differ."""
     n = _check_direction(n)
     _require_plateau_covers(traj, n, window)
-    a = _taper_amplitude_batch(traj, np.array([float(k)]), n, window, charge)[0]
+    a = next(_taper_amplitudes(traj, np.array([float(k)]), [n], window, charge))[0]
     return EmissionAmplitude(p=traj.p_final.copy(), k=float(k), n=n, a=a)
 
 
@@ -531,9 +555,7 @@ def radiated_energy(traj: Trajectory, window: CutoffWindow, charge: float,
     decay); exceeding max_octaves raises a spectral error.
     """
     _require_covers_all_directions(traj, window)
-    v_axis = traj.velocity(0.0)
-    dirs, wd = sphere_quadrature(n_polar, n_azimuth,
-                                 axis=v_axis if v_axis @ v_axis > 0 else None)
+    dirs, wd = _direction_grid(traj, n_polar, n_azimuth)
     img_lo, img_hi = acceleration_xi_bounds(traj)
     s_lo, s_hi = window.support
     span = s_hi - s_lo
@@ -542,33 +564,25 @@ def radiated_energy(traj: Trajectory, window: CutoffWindow, charge: float,
     total = 0.0
     base = 0.0
     peak = 0.0
-    k_edge = 2.0 * np.pi / span
-    k_lo = 0.0
-    octaves = 0
-    while octaves < max_octaves:
-        k_hi = k_edge * 2.0**octaves
+    for octave, (k_lo, k_hi) in zip(range(max_octaves), _octaves(span)):
         # while the taper transforms are alive the integrand beats at pair
         # separations up to the full support span; afterwards only the
         # acceleration image matters
         k_rate = span if k_lo * window.width < 30.0 else (img_hi - img_lo) + 0.25 * span
         edges = _phase_edges(k_lo, k_hi, 0.75 * k_rate, base_panels=4)
         ks, wk = _gauss_panels(edges, _PANEL_ORDER)
-        transforms = _taper_transforms(window, ks)
         t_rate = 0.75 * k_hi * (1.0 + vmax)
         oct_peak = 0.0
-        for n, wdir in zip(dirs, wd):
-            a_tap = _taper_amplitude_batch(traj, ks, n, window, charge, transforms)
-            g_full = ks**2 * _minkowski_sq(
-                _radiative_amplitude_batch(traj, ks, n, charge, rate=t_rate) + a_tap)
+        for wdir, a_rad, a_tap in zip(wd, _radiative_amplitudes(traj, ks, dirs, charge, t_rate),
+                                      _taper_amplitudes(traj, ks, dirs, window, charge)):
+            g_full = ks**2 * _minkowski_sq(a_rad + a_tap)
             g_tap = ks**2 * _minkowski_sq(a_tap)
             total += wdir * (wk @ g_full) / _8PI3
             base += wdir * (wk @ g_tap) / _8PI3
             oct_peak = max(oct_peak, float(np.max(np.abs(g_full))))
         peak = max(peak, oct_peak)
-        k_lo = k_hi
-        octaves += 1
-        if octaves >= 4 and oct_peak < rel_floor * peak:
-            return EnergyReport(total=total, baseline=base, k_max=k_hi, octaves=octaves)
+        if octave >= 3 and oct_peak < rel_floor * peak:
+            return EnergyReport(total=total, baseline=base, k_max=k_hi, octaves=octave + 1)
     raise RuntimeError("radiated-energy spectrum failed to decay below the floor")
 
 
@@ -621,22 +635,15 @@ def _assembled_probability(traj: Trajectory, window: CutoffWindow, k_max: float,
     span = s_hi - s_lo
     vmax_acc = _max_speed(traj, traj.acc_start, traj.acc_end)
 
-    # k edges: [0, k1] then octaves, clipped at the shared cut
-    edges = [0.0, min(2.0 * np.pi / span, k_max)]
-    while edges[-1] < k_max:
-        edges.append(min(2.0 * edges[-1], k_max))
-
     total = 0.0
     base = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
+    for a, b in _octaves(span, k_max):
         ks, wk = _gauss_panels(_phase_edges(a, b, span, base_panels=4), _PANEL_ORDER)
-        transforms = _taper_transforms(window, ks)
         t_rate = b * (1.0 + vmax_acc)
         wk_k = wk * ks
-        for n, wdir in zip(dirs, wd):
-            a_tap = _taper_amplitude_batch(traj, ks, n, window, 1.0, transforms)
-            amp = _radiative_amplitude_batch(traj, ks, n, 1.0, rate=t_rate) + a_tap
-            total += wdir * (wk_k @ _minkowski_sq(amp)) / _8PI3
+        for wdir, a_rad, a_tap in zip(wd, _radiative_amplitudes(traj, ks, dirs, 1.0, t_rate),
+                                      _taper_amplitudes(traj, ks, dirs, window, 1.0)):
+            total += wdir * (wk_k @ _minkowski_sq(a_rad + a_tap)) / _8PI3
             base += wdir * (wk_k @ _minkowski_sq(a_tap)) / _8PI3
     return total, base
 
@@ -645,12 +652,7 @@ def _double_xi_probability(traj: Trajectory, window: CutoffWindow, k_max: float,
                            dirs: np.ndarray, wd: np.ndarray) -> float:
     out = 0.0
     for n, wdir in zip(dirs, wd):
-        t_lo, t_hi = window_time_range(traj, n, window)
-        rate = k_max * (1.0 + _max_speed(traj, t_lo, t_hi))
-        ts, w = _gauss_panels(_phase_edges(t_lo, t_hi, rate), _PANEL_ORDER)
-        xi = traj.xi(n, ts)
-        gate = window.chi(xi) * w
-        u = _fourvelocity_dt(traj, ts)
+        xi, gate, u = _windowed_nodes(traj, n, window, k_max)
         c_mink = np.outer(u[:, 0], u[:, 0]) - u[:, 1:] @ u[:, 1:].T
         kern = _pair_kernel(xi[:, None] - xi[None, :], k_max)
         out += wdir * (-(gate @ (c_mink * kern) @ gate)) / _8PI3
@@ -677,9 +679,7 @@ def emission_probability_reduced(traj: Trajectory, window: CutoffWindow,
         k_max = 24.0 * np.pi / window.width
     k_max = float(k_max)
     _require_covers_all_directions(traj, window)
-    v_axis = traj.velocity(0.0)
-    dirs, wd = sphere_quadrature(n_polar, n_azimuth,
-                                 axis=v_axis if v_axis @ v_axis > 0 else None)
+    dirs, wd = _direction_grid(traj, n_polar, n_azimuth)
     assembled, base = _assembled_probability(traj, window, k_max, dirs, wd)
     double_xi = _double_xi_probability(traj, window, k_max, dirs, wd)
     return ProbabilityReport(assembled=assembled, double_xi=double_xi,
@@ -748,9 +748,7 @@ def shift_from_amplitudes(family: TrajectoryFamily, window: CutoffWindow, charge
     trajs = family.all()
     for tr in trajs:
         _require_covers_all_directions(tr, window)
-    v_axis = center.velocity(0.0)
-    dirs, wd = sphere_quadrature(n_polar, n_azimuth,
-                                 axis=v_axis if v_axis @ v_axis > 0 else None)
+    dirs, wd = _direction_grid(center, n_polar, n_azimuth)
     s_lo, s_hi = window.support
     span = s_hi - s_lo
     vmax = max(_max_speed(tr, tr.acc_start, tr.acc_end) for tr in trajs)
@@ -758,22 +756,16 @@ def shift_from_amplitudes(family: TrajectoryFamily, window: CutoffWindow, charge
     total = np.zeros(3)
     rich_num = 0.0
     rich_den = 0.0
-    k_edge = 2.0 * np.pi / span
-    k_lo = 0.0
     small_streak = 0
-    for octave in range(max_octaves):
-        k_hi = k_edge * 2.0**octave
+    for octave, (k_lo, k_hi) in zip(range(max_octaves), _octaves(span)):
         ks, wk = _gauss_panels(_phase_edges(k_lo, k_hi, span, base_panels=4), _PANEL_ORDER)
-        transforms = _taper_transforms(window, ks)
         t_rate = k_hi * (1.0 + vmax)
         wk_k = wk * ks
         contrib = np.zeros(3)
-        for n, wdir in zip(dirs, wd):
-            amps = np.stack([
-                _radiative_amplitude_batch(tr, ks, n, charge, rate=t_rate)
-                + _taper_amplitude_batch(tr, ks, n, window, charge, transforms)
-                for tr in trajs
-            ])  # (7, nk, 4)
+        samplers = [zip(_radiative_amplitudes(tr, ks, dirs, charge, t_rate),
+                        _taper_amplitudes(tr, ks, dirs, window, charge)) for tr in trajs]
+        for wdir, *pairs in zip(wd, *samplers):
+            amps = np.stack([a_rad + a_tap for a_rad, a_tap in pairs])  # (7, nk, 4)
             a0 = amps[0]
             for i in range(3):
                 da = (amps[1 + i] - amps[4 + i]) / (2.0 * family.eps)
@@ -785,7 +777,6 @@ def shift_from_amplitudes(family: TrajectoryFamily, window: CutoffWindow, charge
                 rich_num += wdir * (wk_k @ np.linalg.norm(curv, axis=1))
                 rich_den += wdir * (wk_k @ np.linalg.norm(diff, axis=1))
         total += contrib
-        k_lo = k_hi
         if np.linalg.norm(contrib) < octave_tol * np.linalg.norm(total):
             small_streak += 1
             if octave >= 5 and small_streak >= 2:

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from rrshift import (CutoffWindow, PotentialProfile, amplitude_classical,
-                     amplitude_quantum, build_trajectory_family, default_window,
-                     emission_probability_reduced, free_twin, integrate_trajectory,
-                     radiated_energy, radiative_amplitude, shift_from_amplitudes,
-                     solve_mode_function, taper_amplitude, window_time_range)
+                     amplitude_quantum, build_trajectory_family, bundled_scenario,
+                     default_window, emission_probability_reduced, free_twin,
+                     integrate_trajectory, kinematics, radiated_energy, radiative_amplitude,
+                     shift_from_amplitudes, solve_mode_function, sphere_quadrature,
+                     taper_amplitude, window_time_range)
+from rrshift.semiclassical import (_PANEL_ORDER, _max_speed, _phase_edges,
+                                   _radiative_amplitudes, _taper_amplitudes,
+                                   _taper_transforms, acceleration_xi_bounds)
+from rrshift.shift import _gauss_panels
 
 CHARGE = 0.3
 NVEC = np.array([0.3, 0.4, np.sqrt(1 - 0.25)])
@@ -28,6 +33,41 @@ def riemann_amplitude(traj, k, n, window, charge, num=1_000_000):
     four = np.concatenate([np.ones((num, 1)), v_u], axis=1) / xidot[:, None]
     integrand = four * (window.chi(xi_u) * np.exp(1j * k * xi_u))[:, None]
     return -charge * np.trapezoid(integrand, xi_u, axis=0)
+
+
+def radiative_per_direction(traj, ks, n, charge, rate=None):
+    """The radiative piece for one direction, sampling the trajectory anew."""
+    ks = np.asarray(ks, dtype=float)
+    n = np.asarray(n, dtype=float)
+    if rate is None:
+        rate = float(np.max(np.abs(ks))) * (
+            1.0 + _max_speed(traj, traj.acc_start, traj.acc_end))
+    edges = _phase_edges(traj.acc_start, traj.acc_end, rate, base_panels=24)
+    ts, w = _gauss_panels(edges, _PANEL_ORDER)
+    kin = kinematics(traj, ts)
+    xi = ts - traj.position(ts) @ n
+    xd = 1.0 - kin.v @ n
+    na = kin.a @ n
+    w0 = (na / xd**2) * w
+    wj = ((kin.a * xd[:, None] + na[:, None] * kin.v) / (xd**2)[:, None]) * w[:, None]
+    phase = np.exp(1j * np.outer(ks, xi))
+    out = np.empty((ks.size, 4), dtype=complex)
+    out[:, 0] = phase @ w0
+    out[:, 1:] = phase @ wj
+    return (charge / (1j * ks))[:, None] * out
+
+
+def taper_per_direction(traj, ks, n, window, charge):
+    """The taper piece for one direction, with its own velocities and transforms."""
+    n = np.asarray(n, dtype=float)
+    ks = np.asarray(ks, dtype=float)
+    v_in = traj.velocity(traj.acc_start)
+    v_out = traj.velocity(0.0)
+    w_in = np.concatenate([[1.0], v_in]) / (1.0 - n @ v_in)
+    w_out = np.concatenate([[1.0], v_out]) / (1.0 - n @ v_out)
+    t_left, t_right = _taper_transforms(window, ks)
+    pref = charge / (1j * ks)
+    return pref[:, None] * (np.outer(t_left, w_in) + np.outer(t_right, w_out))
 
 
 # ---------------------------------------------------------------- window
@@ -139,6 +179,35 @@ def test_radiative_amplitude_transverse(time_traj):
         a = radiative_amplitude(time_traj, k, NVEC, CHARGE).a
         inner = a[0] - NVEC @ a[1:]
         assert abs(inner) < 1e-12 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("name", ["time_traj", "spatial_traj"])
+def test_samplers_match_per_direction_evaluation(name, request):
+    """Sampling the trajectory once for all directions changes no bit."""
+    traj = request.getfixturevalue(name)
+    window = default_window(traj)
+    ks = np.array([0.3, 1.7, 5.0, 12.0])
+    v = traj.velocity(0.0)
+    dirs, _ = sphere_quadrature(4, 8, axis=v)
+    for rate in (None, 40.0):
+        got = list(_radiative_amplitudes(traj, ks, dirs, CHARGE, rate))
+        assert len(got) == len(dirs)
+        for n, a in zip(dirs, got):
+            assert np.array_equal(a, radiative_per_direction(traj, ks, n, CHARGE, rate))
+    got = list(_taper_amplitudes(traj, ks, dirs, window, CHARGE))
+    assert len(got) == len(dirs)
+    for n, a in zip(dirs, got):
+        assert np.array_equal(a, taper_per_direction(traj, ks, n, window, CHARGE))
+
+
+@pytest.mark.parametrize("name", ["amplitude_shift", "collinear", "convergence", "energy",
+                                  "oblique", "pulse_single", "rest_pulse", "spatial", "weak"])
+def test_acceleration_xi_bounds_are_the_interval_ends(name):
+    """The two-point bounds equal the min/max of t -/+ |x(t)| over 513 samples."""
+    traj = bundled_scenario(name).build()
+    ts = np.linspace(traj.acc_start, traj.acc_end, 513)
+    r = np.linalg.norm(traj.position(ts), axis=1)
+    assert acceleration_xi_bounds(traj) == (float(np.min(ts - r)), float(np.max(ts + r)))
 
 
 # ------------------------------------------------------------- mode functions
@@ -295,3 +364,43 @@ def test_amplitude_shift_vanishes_without_acceleration():
     w = default_window(family.center, pad_fraction=1.5, width_fraction=1.0)
     shift = shift_from_amplitudes(family, w, CHARGE, n_polar=4, n_azimuth=8)
     assert np.max(np.abs(shift)) < 1e-8
+
+
+# ------------------------------------------------- octaves and stop rules
+
+
+def test_radiated_energy_octave_budget():
+    """A budget of exactly the reported octave count changes nothing; one
+    fewer octave fails loudly."""
+    prof = PotentialProfile(axis="time", v_past=[0.0, 0.0, 0.0, 0.25], x1=2.0, x2=1.0)
+    traj = integrate_trajectory(prof, [0.0, 0.0, 0.35], 1.0)
+    w = default_window(traj, pad_fraction=1.5, width_fraction=1.0)
+    grid = dict(n_polar=2, n_azimuth=4, rel_floor=1e-6)
+    rep = radiated_energy(traj, w, CHARGE, **grid)
+    assert radiated_energy(traj, w, CHARGE, max_octaves=rep.octaves, **grid) == rep
+    with pytest.raises(RuntimeError, match="failed to decay"):
+        radiated_energy(traj, w, CHARGE, max_octaves=rep.octaves - 1, **grid)
+
+
+def test_amplitude_shift_stop_rules_fail_loudly():
+    """Five octaves cannot satisfy the two-octave streak after octave 5, and
+    a zero Richardson limit rejects any curvature in the momentum step."""
+    prof = PotentialProfile(axis="time", v_past=[0.0, 0.0, 0.0, 0.0], x1=2.0, x2=1.0)
+    family = build_trajectory_family(prof, [0.0, 0.0, 0.35], 1.0)
+    w = default_window(family.center, pad_fraction=1.5, width_fraction=1.0)
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        shift_from_amplitudes(family, w, CHARGE, n_polar=2, n_azimuth=4, max_octaves=5)
+    with pytest.raises(ValueError, match="momentum step too large"):
+        shift_from_amplitudes(family, w, CHARGE, n_polar=2, n_azimuth=4, octave_tol=1e-2,
+                              step_ratio_limit=0.0)
+
+
+def test_probability_cut_below_first_octave(time_traj):
+    """k_max under 2pi/span is one clipped octave: the cut is kept as given
+    and the Parseval pair still agrees."""
+    w = default_window(time_traj)
+    lo, hi = w.support
+    k_max = 0.5 * 2.0 * np.pi / (hi - lo)
+    rep = emission_probability_reduced(time_traj, w, n_polar=2, n_azimuth=4, k_max=k_max)
+    assert rep.k_max == k_max
+    assert abs(rep.difference) < 1e-8 * abs(rep.assembled)
