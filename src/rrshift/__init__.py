@@ -65,7 +65,7 @@ from .shift import (
     sphere_quadrature,
 )
 from .variational import (
-    JacobiField,
+    JacobiBasis,
     Perturbation,
     hamiltonian_hessian,
     jacobi_basis,
@@ -93,7 +93,7 @@ __all__ = [
     # self-force
     "ld_four_force", "ld_coordinate_force",
     # variational machinery
-    "JacobiField", "Perturbation", "hamiltonian_hessian", "jacobi_basis",
+    "JacobiBasis", "Perturbation", "hamiltonian_hessian", "jacobi_basis",
     "retarded_perturbation", "symplectic_product",
     # shift routes
     "ROUTE_NAMES", "AngularIntegrals", "ShiftReport", "angular_integrals",

@@ -198,13 +198,9 @@ def _cmd_jacobi_dump(args) -> int:
     header = ["t"]
     header += [f"dx_{comps[i]}{comps[j]}" for j in range(3) for i in range(3)]
     header += [f"dp_{comps[i]}{comps[j]}" for j in range(3) for i in range(3)]
-    cols = [ts]
-    for field in ("dx", "dp"):
-        for j in range(3):
-            block = getattr(basis[j], field)(ts)  # (N, 3): response to kick j
-            for i in range(3):
-                cols.append(block[:, i])
-    _emit(_csv(header, np.column_stack(cols)), args.out)
+    # column j of each block is the response to kick j; j-major column order
+    blocks = [np.swapaxes(block, 1, 2).reshape(-1, 9) for block in basis(ts)]
+    _emit(_csv(header, np.column_stack([ts, *blocks])), args.out)
     return 0
 
 

@@ -52,35 +52,79 @@ class Kinematics:
     gamma: np.ndarray
 
 
+class _DenseSolution:
+    """Dense DOP853 solution of y' = rhs(t, y) on [lo, hi] with y(anchor) = y0.
+
+    One solve runs from the anchor out to each end that lies beyond it, with
+    `options` (tolerances, max_step, events) passed to `solve_ivp`; a failed
+    solve raises.  A call checks t against the domain to `slack`, clips it
+    into the domain and then into each segment (a later segment wins at a
+    join) and returns shape (N, len(y0)), or (len(y0),) for a scalar t.
+    `ts` holds the step points of every segment, `event_times` the times of
+    the first event.
+    """
+
+    def __init__(self, rhs, anchor, y0, lo, hi, what, slack=1e-12, **options):
+        self.lo, self.hi, self.what, self.slack = lo, hi, what, slack
+        self._y0 = y0
+        self.segments, self.event_times = [], []
+        for end in [e for e, beyond in ((lo, lo < anchor), (hi, hi > anchor)) if beyond]:
+            res = solve_ivp(rhs, (anchor, end), y0, method="DOP853", dense_output=True,
+                            **options)
+            if not res.success:
+                raise RuntimeError(f"{what} integration failed: {res.message}")
+            self.segments.append((min(anchor, end), max(anchor, end), res.sol))
+            if res.t_events:
+                self.event_times.extend(res.t_events[0])
+        if not self.segments:
+            raise ValueError(f"empty {what} domain")
+        self.ts = np.concatenate([sol.ts for _, _, sol in self.segments])
+
+    def __call__(self, t) -> np.ndarray:
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        if np.any(t_arr < self.lo - self.slack) or np.any(t_arr > self.hi + self.slack):
+            raise ValueError(f"t outside {self.what} domain [{self.lo}, {self.hi}]")
+        t_arr = np.clip(t_arr, self.lo, self.hi)
+        if len(self.segments) == 1:  # the domain clip already put t inside it
+            out = self.segments[0][2](t_arr).T
+        else:
+            out = np.empty((t_arr.size, self._y0.size), dtype=self._y0.dtype)
+            for a, b, sol in self.segments:
+                mask = (t_arr >= a - 1e-12) & (t_arr <= b + 1e-12)
+                if np.any(mask):
+                    out[mask] = sol(np.clip(t_arr[mask], a, b)).T
+        return out[0] if np.ndim(t) == 0 else out
+
+
 class Trajectory:
     """Dense backward-anchored solution plus exact coasting asymptotes."""
 
-    def __init__(self, profile, p_final, mass, tol, sol, t_min, acc_start, acc_end, breakpoints):
+    def __init__(self, profile, p_final, mass, tol, dense, acc_start, acc_end, breakpoints):
         self.profile = profile
         self.p_final = np.asarray(p_final, dtype=float)
         self.mass = float(mass)
         self.tol = float(tol)
-        self.sol = sol
-        self.t_min = float(t_min)
+        self._dense = dense
+        self.t_min = float(dense.lo)
         self.acc_start = float(acc_start)   # earliest accelerated time
         self.acc_end = float(acc_end)       # latest accelerated time
         self.breakpoints = tuple(breakpoints)  # interior C^3 joins, in t
-        x_in, _ = self.state(t_min)
+        x_in, _ = self.state(self.t_min)
         self._x_in = x_in
-        self._v_in = kinematics(self, t_min).v
+        self._v_in = kinematics(self, self.t_min).v
         self._v_out = kinematics(self, 0.0).v
 
     # -- state access ---------------------------------------------------
 
+    @property
+    def ts(self) -> np.ndarray:
+        """Step points of the integrator, where the dense solution has kinks."""
+        return self._dense.ts
+
     def state(self, t):
         """(x, P) on the integrated domain [t_min, 0]."""
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < self.t_min - 1e-12) or np.any(t_arr > 1e-12):
-            raise ValueError(f"t outside trajectory domain [{self.t_min}, 0]")
-        y = self.sol(np.clip(t_arr, self.t_min, 0.0))
-        if t_arr.ndim == 0:
-            return y[:3], y[3:]
-        return y[:3].T, y[3:].T
+        y = self._dense(t)
+        return y[..., :3], y[..., 3:]
 
     def position(self, t):
         """x(t) for any t; outside [t_min, 0] the exact coasting line is used
@@ -91,7 +135,7 @@ class Trajectory:
         out = np.empty(t_arr.shape + (3,))
         inside = (t_arr >= self.t_min) & (t_arr <= 0.0)
         if np.any(inside):
-            out[inside] = self.sol(t_arr[inside])[:3].T
+            out[inside] = self.state(t_arr[inside])[0]
         before = t_arr < self.t_min
         if np.any(before):
             out[before] = self._x_in + np.outer(t_arr[before] - self.t_min, self._v_in)
@@ -186,28 +230,28 @@ def integrate_trajectory(
     elif t_min > auto_t_min:
         raise ValueError(f"explicit t_min={t_min} leaves less than the 10% past margin")
 
-    events = []
-    if ai is not None:
-        def reflect(t, y):
-            s = y[ai]
-            V = eval_derivative(profile, s, 0)
-            return (y[3:] - V[1:])[ai]
-        reflect.terminal = True
-        events.append(reflect)
-
-    res = solve_ivp(
-        rhs, (0.0, t_min), y0, method="DOP853", dense_output=True,
-        rtol=tol, atol=tol, max_step=max_step, events=events or None,
-    )
-    if not res.success:
-        raise RuntimeError(f"trajectory integration failed: {res.message}")
-    if events and res.t_events[0].size:
+    events = None if ai is None else [_reflection_event(profile, ai)]
+    dense = _DenseSolution(rhs, 0.0, y0, t_min, 0.0, "trajectory",
+                           rtol=tol, atol=tol, max_step=max_step, events=events)
+    if dense.event_times:
         raise ReflectedTrajectoryError(
-            f"traversal fails: dx^{profile.axis}/dt reaches zero at t={res.t_events[0][0]:.6g}"
+            f"traversal fails: dx^{profile.axis}/dt reaches zero at t={dense.event_times[0]:.6g}"
         )
 
-    breakpoints = _interior_breakpoints(profile, res.sol, ai, t_min)
-    return Trajectory(profile, p_final, mass, tol, res.sol, t_min, t_start, t_end, breakpoints)
+    breakpoints = _interior_breakpoints(profile, dense, ai)
+    return Trajectory(profile, p_final, mass, tol, dense, t_start, t_end, breakpoints)
+
+
+def _reflection_event(profile, ai):
+    """Terminal event: the mechanical momentum along the profile axis
+    reaches zero, so the particle turns back."""
+
+    def reflect(t, y):
+        V = eval_derivative(profile, y[ai], 0)
+        return (y[3:] - V[1:])[ai]
+
+    reflect.terminal = True
+    return reflect
 
 
 def _locate_crossings(profile, mass, rhs, y0, ai, tol, max_step):
@@ -219,13 +263,7 @@ def _locate_crossings(profile, mass, rhs, y0, ai, tol, max_step):
     def cross_lo(t, y):
         return y[ai] + profile.x1
 
-    def reflect(t, y):
-        s = y[ai]
-        V = eval_derivative(profile, s, 0)
-        return (y[3:] - V[1:])[ai]
-
     cross_lo.terminal = True
-    reflect.terminal = True
 
     p_final = y0[3:]
     v0 = p_final[ai] / np.sqrt(p_final @ p_final + mass * mass)
@@ -234,7 +272,7 @@ def _locate_crossings(profile, mass, rhs, y0, ai, tol, max_step):
         res = solve_ivp(
             rhs, (0.0, -span), y0, method="DOP853",
             rtol=tol, atol=tol, max_step=max_step,
-            events=[cross_hi, cross_lo, reflect],
+            events=[cross_hi, cross_lo, _reflection_event(profile, ai)],
         )
         if not res.success:
             raise RuntimeError(f"trajectory probe failed: {res.message}")
@@ -256,7 +294,7 @@ _SHAPE_INTERIOR_JOINS = {
 }
 
 
-def _interior_breakpoints(profile, sol, ai, t_min):
+def _interior_breakpoints(profile, dense, ai):
     joins_u = _SHAPE_INTERIOR_JOINS.get(profile.shape, ())
     s_vals = [-profile.x1 + u * profile.width for u in joins_u]
     out = []
@@ -264,10 +302,9 @@ def _interior_breakpoints(profile, sol, ai, t_min):
         if ai is None:
             out.append(s)
         else:
-            f = lambda t: sol(t)[ai] - s
-            lo, hi = t_min, 0.0
-            if f(lo) * f(hi) < 0:
-                out.append(brentq(f, lo, hi, xtol=1e-13))
+            f = lambda t: dense(t)[ai] - s
+            if f(dense.lo) * f(dense.hi) < 0:
+                out.append(brentq(f, dense.lo, dense.hi, xtol=1e-13))
     return sorted(out)
 
 

@@ -30,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .dynamics import Trajectory, integrate_trajectory, kinematics
+from .dynamics import Trajectory, _DenseSolution, integrate_trajectory, kinematics
 from .potentials import PotentialProfile, _smoothstep7, eval_potential
 from .shift import _gauss_panels, _support_integral, sphere_quadrature
 
@@ -366,42 +365,37 @@ def taper_amplitude(traj: Trajectory, k: float, n, window: CutoffWindow,
 # ---------------------------------------------------------------------------
 
 
+def _local_energy(profile, p, mass, t) -> np.ndarray:
+    """sigma_p(t) = sqrt((p - V(t))^2 + m^2) at the times t, shape (N,), or
+    (M, N) for M momenta p of shape (M, 3); V is sampled once."""
+    V = np.atleast_2d(eval_potential(profile, t))[:, 1:]
+    w = np.asarray(p, dtype=float)[..., None, :] - V
+    return np.sqrt(np.einsum("...ij,...ij->...i", w, w) + mass**2)
+
+
 class ModeFunction:
     """Numerical solution of hbar^2 phi'' + sigma_p(t)^2 phi = 0 normalized
     to the positive-frequency plane wave at t = 0."""
 
-    def __init__(self, profile, p, hbar, mass, ts, values, dvalues, sols):
+    def __init__(self, profile, p, hbar, mass, ts, dense):
         self.profile = profile
         self.p = np.asarray(p, dtype=float)
         self.hbar = float(hbar)
         self.mass = float(mass)
-        self.ts = ts              # uniform sample grid
-        self.values = values      # phi on ts
-        self.dvalues = dvalues    # dphi/dt on ts
         self.p0 = float(np.sqrt(self.p @ self.p + self.mass**2))
-        self._sols = sols         # dense segments [(lo, hi, sol)]
+        self._dense = dense
+        self.ts = ts                              # uniform sample grid
+        self.values, self.dvalues = self(ts)      # phi and dphi/dt on ts
 
     def sigma(self, t):
         """Local energy sqrt((p - V(t))^2 + m^2)."""
-        V = np.atleast_2d(eval_potential(self.profile, t))[:, 1:]
-        w = self.p[None, :] - V
-        out = np.sqrt(np.einsum("ij,ij->i", w, w) + self.mass**2)
-        return float(out[0]) if np.asarray(t).ndim == 0 else out
+        out = _local_energy(self.profile, self.p, self.mass, t)
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def __call__(self, t):
         """(phi, dphi/dt) interpolated from the dense solution."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        lo, hi = self.ts[0], self.ts[-1]
-        if np.any(t_arr < lo - 1e-9) or np.any(t_arr > hi + 1e-9):
-            raise ValueError(f"t outside mode domain [{lo}, {hi}]")
-        out = np.empty((t_arr.size, 2), dtype=complex)
-        for (a, b, sol) in self._sols:
-            mask = (t_arr >= a - 1e-12) & (t_arr <= b + 1e-12)
-            if np.any(mask):
-                out[mask] = sol(np.clip(t_arr[mask], a, b)).T
-        if np.asarray(t).ndim == 0:
-            return out[0, 0], out[0, 1]
-        return out[:, 0], out[:, 1]
+        phi, dphi = self._dense(t).T
+        return phi, dphi
 
     def wronskian(self, t=None):
         """i hbar (phi* dphi - dphi* phi); constant and equal to 2 p0."""
@@ -434,9 +428,7 @@ def solve_mode_function(profile: PotentialProfile, p, hbar: float,
     if t_lo >= 0.0:
         raise ValueError("t_span must start before t = 0")
 
-    probe = np.linspace(t_lo, t_hi, 4097)
-    V = eval_potential(profile, probe)[:, 1:]
-    sig = np.sqrt(np.einsum("ij,ij->i", p[None, :] - V, p[None, :] - V) + mass**2)
+    sig = _local_energy(profile, p, mass, np.linspace(t_lo, t_hi, 4097))
     period = 2.0 * np.pi * hbar / float(np.max(sig))
     needed = int(np.ceil((t_hi - t_lo) / period * 20.0)) + 1
     if num is None:
@@ -455,21 +447,8 @@ def solve_mode_function(profile: PotentialProfile, p, hbar: float,
         return np.array([y[1], -((w @ w + mass**2) / h2) * y[0]])
 
     y0 = np.array([1.0 + 0.0j, -1j * p0 / hbar])
-    sols = []
-    for end in (t_lo, t_hi):
-        if end == 0.0:
-            continue
-        res = solve_ivp(rhs, (0.0, end), y0, method="DOP853", dense_output=True,
-                        rtol=rtol, atol=rtol)
-        if not res.success:
-            raise RuntimeError(f"mode integration failed: {res.message}")
-        sols.append((min(0.0, end), max(0.0, end), res.sol))
-
-    mode = ModeFunction(profile, p, hbar, mass, np.linspace(t_lo, t_hi, num),
-                        None, None, sols)
-    phi, dphi = mode(mode.ts)
-    mode.values, mode.dvalues = phi, dphi
-    return mode
+    dense = _DenseSolution(rhs, 0.0, y0, t_lo, t_hi, "mode", slack=1e-9, rtol=rtol, atol=rtol)
+    return ModeFunction(profile, p, hbar, mass, np.linspace(t_lo, t_hi, num), dense)
 
 
 def amplitude_quantum(traj: Trajectory, window: CutoffWindow, mode_p: ModeFunction,
@@ -564,6 +543,7 @@ def radiated_energy(traj: Trajectory, window: CutoffWindow, charge: float,
     total = 0.0
     base = 0.0
     peak = 0.0
+    oct_peak = k_hi = 0.0  # named in the stop-rule error, even with no octave run
     for octave, (k_lo, k_hi) in zip(range(max_octaves), _octaves(span)):
         # while the taper transforms are alive the integrand beats at pair
         # separations up to the full support span; afterwards only the
@@ -583,7 +563,11 @@ def radiated_energy(traj: Trajectory, window: CutoffWindow, charge: float,
         peak = max(peak, oct_peak)
         if octave >= 3 and oct_peak < rel_floor * peak:
             return EnergyReport(total=total, baseline=base, k_max=k_hi, octaves=octave + 1)
-    raise RuntimeError("radiated-energy spectrum failed to decay below the floor")
+    raise RuntimeError(
+        f"radiated-energy spectrum failed to decay below the floor: {max_octaves} octaves "
+        f"up to k_hi = {k_hi:.6g}, last octave peak / global peak = "
+        f"{oct_peak / max(peak, 1e-300):.3e} above rel_floor {rel_floor:.1e}"
+    )
 
 
 def larmor_radiated_energy(traj: Trajectory, alpha_c: float) -> float:
@@ -757,6 +741,7 @@ def shift_from_amplitudes(family: TrajectoryFamily, window: CutoffWindow, charge
     rich_num = 0.0
     rich_den = 0.0
     small_streak = 0
+    contrib, k_hi = np.zeros(3), 0.0  # named in the stop-rule error, even with no octave run
     for octave, (k_lo, k_hi) in zip(range(max_octaves), _octaves(span)):
         ks, wk = _gauss_panels(_phase_edges(k_lo, k_hi, span, base_panels=4), _PANEL_ORDER)
         t_rate = k_hi * (1.0 + vmax)
@@ -784,7 +769,12 @@ def shift_from_amplitudes(family: TrajectoryFamily, window: CutoffWindow, charge
         else:
             small_streak = 0
     else:
-        raise RuntimeError("amplitude-derivative shift failed to converge in k")
+        raise RuntimeError(
+            f"amplitude-derivative shift failed to converge in k: {max_octaves} octaves up to "
+            f"k_hi = {k_hi:.6g}, last contribution / total = "
+            f"{np.linalg.norm(contrib) / max(np.linalg.norm(total), 1e-300):.3e} "
+            f"against octave_tol {octave_tol:.1e}"
+        )
 
     ratio = rich_num / max(rich_den, 1e-300)
     if ratio > step_ratio_limit:

@@ -179,8 +179,7 @@ def _support_integral(f, traj, basis=None, epsrel=1e-11):
     `basis`, where the dense interpolants f reads have kinks.  RuntimeError
     unless the 8-point sum on the same panels agrees to epsrel relative."""
     lo, hi = traj.acc_start, traj.acc_end
-    sols = [traj.sol] + ([] if basis is None else [sol for _, _, sol in basis[0]._sols])
-    steps = np.concatenate([traj.breakpoints, *(sol.ts for sol in sols)])
+    steps = np.concatenate([traj.breakpoints, traj.ts, [] if basis is None else basis.ts])
     cuts = np.unique(np.concatenate([[lo, hi], steps[(steps > lo) & (steps < hi)]]))
     (t16, w16), (t8, w8) = _gauss_panels(cuts, 16), _gauss_panels(cuts, 8)
     values = f(np.concatenate([t16, t8]))
@@ -196,9 +195,8 @@ def _response_sample(traj, basis, ts):
     """Kinematics, X (columns = kick directions) and dX/dt, (N, 3, 3), at ts."""
     kin, V1, V2 = _flow_sample(traj, ts)
     _, h_xp, h_pp = _hessian_blocks(traj, kin, V1, V2)
-    y = basis[0]._eval(ts)
-    X = y[:, :9].reshape(-1, 3, 3)
-    return kin, X, np.swapaxes(h_xp, 1, 2) @ X + h_pp @ y[:, 9:].reshape(-1, 3, 3)
+    X, K = basis(ts)
+    return kin, X, np.swapaxes(h_xp, 1, 2) @ X + h_pp @ K
 
 
 def classical_shift_direct(traj: Trajectory, alpha_c: float) -> np.ndarray:
@@ -223,8 +221,7 @@ def classical_shift_green(
 
     def f(ts):
         force = _coordinate_force(_flow_sample(traj, ts)[0], alpha_c)
-        X = basis[0]._eval(ts)[:, :9].reshape(-1, 3, 3)
-        return -np.einsum("nj,nji->ni", force, X)  # -f^j X[j, i]
+        return -np.einsum("nj,nji->ni", force, basis(ts)[0])  # -f^j X[j, i]
 
     return _support_integral(f, traj, basis, epsrel)
 

@@ -9,10 +9,13 @@ with the Hessian of H = sqrt((P-V)^2 + m^2) + V^0 evaluated on the
 unperturbed flow and f an optional forcing (zero for Jacobi fields, the
 radiation-reaction force for the retarded perturbation).
 
-A unit-kick Jacobi field with kick time s and direction j carries the data
-dx(s) = 0, dP^i(s) = delta^{ij}; its position block evaluated at fixed t is
-the momentum-to-position response matrix (dx^i/dp^j)_t used by the shift
-quadratures.
+Both are solved through one right-hand side on a (6, m) state, rows dx and
+dP and one column per solution.  `jacobi_basis(traj, s)` solves the three
+unit kicks at s together, with data dx(s) = 0, dP^i(s) = delta^{ij}, and
+returns one basis: evaluated at times t it gives the position and momentum
+blocks X and K, each (N, 3, 3) with column j the kick in direction j.  X at
+fixed t is the momentum-to-position response matrix (dx^i/dp^j)_t used by
+the shift quadratures; the basis's step points are where X and K have kinks.
 """
 
 from __future__ import annotations
@@ -20,15 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .dynamics import Trajectory, _flow_sample
+from .dynamics import Trajectory, _DenseSolution, _flow_sample
 from .lorentz_dirac import _coordinate_force, ld_coordinate_force
 from .potentials import axis_index
 
 __all__ = [
     "HessianSample",
-    "JacobiField",
+    "JacobiBasis",
     "Perturbation",
     "hamiltonian_hessian",
     "jacobi_basis",
@@ -79,114 +81,81 @@ def hamiltonian_hessian(traj: Trajectory, t: float) -> HessianSample:
     return HessianSample(t=float(t), h_xx=h_xx[0], h_xp=h_xp[0], h_pp=h_pp[0])
 
 
-def _linear_rhs(traj):
-    """RHS of the 18-dim stacked system: three kicks solved at once."""
+def _linear_rhs(traj, alpha_c=None):
+    """RHS of the variational system for a (6, m) state, flattened: rows dx
+    and dP, one column per solution.  With alpha_c the Lorentz-Dirac
+    coordinate force forces dP."""
 
     def rhs(t, y):
-        X = y[:9].reshape(3, 3)
-        K = y[9:].reshape(3, 3)
-        h = hamiltonian_hessian(traj, t)
-        dX = h.h_xp.T @ X + h.h_pp @ K
-        dK = -h.h_xx @ X - h.h_xp @ K
-        return np.concatenate([dX.ravel(), dK.ravel()])
+        Y = y.reshape(6, -1)
+        kin, V1, V2 = _flow_sample(traj, t)
+        h_xx, h_xp, h_pp = (h[0] for h in _hessian_blocks(traj, kin, V1, V2))
+        dX = h_xp.T @ Y[:3] + h_pp @ Y[3:]
+        dK = -h_xx @ Y[:3] - h_xp @ Y[3:]
+        if alpha_c is not None:
+            dK += _coordinate_force(kin, alpha_c)[0][:, None]
+        return np.concatenate([dX, dK]).ravel()
 
     return rhs
 
 
-class JacobiField:
-    """Unit-kick solution of the homogeneous variational system."""
+class JacobiBasis:
+    """The three unit-kick Jacobi fields with one kick time s, solved as one
+    system.  `basis(t)` gives the position block X and the momentum block K
+    from one evaluation, each of shape (N, 3, 3), or (3, 3) for a scalar t,
+    with column j the response to the kick in direction j:
+    X[..., i, j] = dx^i_(j)(t; s) and K[..., i, j] = dP^i_(j)(t; s)."""
 
-    def __init__(self, traj, s, j, sols):
+    def __init__(self, traj, dense):
         self.traj = traj
-        self.kick_time = float(s)
-        self.direction = int(j)
-        self._sols = sols  # list of (t_lo, t_hi, dense) covering [t_min, 0]
+        self._dense = dense
 
-    def _eval(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        lo, hi = self.traj.t_min - 1e-12, 1e-12
-        if np.any(t_arr < lo) or np.any(t_arr > hi):
-            raise ValueError(f"t outside trajectory domain [{self.traj.t_min}, 0]")
-        out = np.empty((t_arr.size, 18))
-        for (a, b, sol) in self._sols:
-            mask = (t_arr >= a - 1e-12) & (t_arr <= b + 1e-12)
-            if np.any(mask):
-                out[mask] = sol(np.clip(t_arr[mask], a, b)).T
-        return out
+    @property
+    def ts(self) -> np.ndarray:
+        """Step points of the integrator, where the blocks have kinks."""
+        return self._dense.ts
 
-    def dx(self, t):
-        """Position response dx_(j)(t; s), shape (3,) or (N, 3)."""
-        y = self._eval(t)
-        res = y[:, :9].reshape(-1, 3, 3)[:, :, self.direction]
-        return res[0] if np.asarray(t).ndim == 0 else res
-
-    def dp(self, t):
-        """Momentum response dP_(j)(t; s)."""
-        y = self._eval(t)
-        res = y[:, 9:].reshape(-1, 3, 3)[:, :, self.direction]
-        return res[0] if np.asarray(t).ndim == 0 else res
+    def __call__(self, t):
+        y = self._dense(t)
+        shape = np.shape(t) + (3, 3)
+        return y[..., :9].reshape(shape), y[..., 9:].reshape(shape)
 
 
-def jacobi_basis(traj: Trajectory, s: float, tol: float | None = None) -> list[JacobiField]:
-    """All three unit-kick fields anchored at kick time s, solved together."""
+def jacobi_basis(traj: Trajectory, s: float, tol: float | None = None) -> JacobiBasis:
+    """The three unit-kick fields anchored at kick time s, solved together."""
     s = float(s)
     if not (traj.t_min - 1e-12 <= s <= 1e-12):
         raise ValueError(f"kick time {s} outside [{traj.t_min}, 0]")
     tol = traj.tol if tol is None else float(tol)
-    rhs = _linear_rhs(traj)
     y0 = np.concatenate([np.zeros(9), np.eye(3).ravel()])
-
-    sols = []
-    if s > traj.t_min:
-        res = solve_ivp(rhs, (s, traj.t_min), y0, method="DOP853",
-                        dense_output=True, rtol=tol, atol=tol)
-        if not res.success:
-            raise RuntimeError(f"variational integration failed: {res.message}")
-        sols.append((traj.t_min, s, res.sol))
-    if s < 0.0:
-        res = solve_ivp(rhs, (s, 0.0), y0, method="DOP853",
-                        dense_output=True, rtol=tol, atol=tol)
-        if not res.success:
-            raise RuntimeError(f"variational integration failed: {res.message}")
-        sols.append((s, 0.0, res.sol))
-    if not sols:  # degenerate domain
-        raise ValueError("empty trajectory domain")
-    return [JacobiField(traj, s, j, sols) for j in range(3)]
+    dense = _DenseSolution(_linear_rhs(traj), s, y0, traj.t_min, 0.0, "variational",
+                           rtol=tol, atol=tol)
+    return JacobiBasis(traj, dense)
 
 
-def symplectic_product(f1: JacobiField, f2: JacobiField, t) -> np.ndarray:
-    """dx1.dP2 - dx2.dP1, conserved along t for any two fields of one flow."""
-    if f1.traj is not f2.traj:
-        raise ValueError("fields belong to different trajectories")
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    a = np.einsum("ij,ij->i", np.atleast_2d(f1.dx(t_arr)), np.atleast_2d(f2.dp(t_arr)))
-    b = np.einsum("ij,ij->i", np.atleast_2d(f2.dx(t_arr)), np.atleast_2d(f1.dp(t_arr)))
-    res = a - b
-    return res[0] if np.asarray(t).ndim == 0 else res
+def symplectic_product(b1: JacobiBasis, b2: JacobiBasis, t) -> np.ndarray:
+    """Omega[i, j] = dx_(i)^1 . dP_(j)^2 - dx_(j)^2 . dP_(i)^1 between the
+    fields of two bases, shape (N, 3, 3) or (3, 3) for a scalar t; conserved
+    along t for any two bases of one flow."""
+    if b1.traj is not b2.traj:
+        raise ValueError("bases belong to different trajectories")
+    (X1, K1), (X2, K2) = b1(t), b2(t)
+    return (np.einsum("...ki,...kj->...ij", X1, K2)
+            - np.swapaxes(np.einsum("...ki,...kj->...ij", X2, K1), -1, -2))
 
 
 class Perturbation:
     """Retarded solution of the forced variational system."""
 
-    def __init__(self, traj, alpha_c, sol):
+    def __init__(self, traj, dense):
         self.traj = traj
-        self.alpha_c = float(alpha_c)
-        self._sol = sol
-
-    def _eval(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        lo, hi = self.traj.t_min - 1e-12, 1e-12
-        if np.any(t_arr < lo) or np.any(t_arr > hi):
-            raise ValueError(f"t outside trajectory domain [{self.traj.t_min}, 0]")
-        return self._sol(np.clip(t_arr, self.traj.t_min, 0.0)).T
+        self._dense = dense
 
     def delta_x(self, t):
-        y = self._eval(t)
-        return y[0, :3] if np.asarray(t).ndim == 0 else y[:, :3]
+        return self._dense(t)[..., :3]
 
     def delta_p(self, t):
-        y = self._eval(t)
-        return y[0, 3:] if np.asarray(t).ndim == 0 else y[:, 3:]
+        return self._dense(t)[..., 3:]
 
     @property
     def final_shift(self) -> np.ndarray:
@@ -199,26 +168,12 @@ def retarded_perturbation(traj: Trajectory, alpha_c: float) -> Perturbation:
     Data dx = dP = 0 at t_min (retarded boundary condition: nothing before
     the force turns on); the value at t = 0 is the direct-route shift.
     """
-
-    def rhs(t, y):
-        dx, dP = y[:3], y[3:]
-        kin, V1, V2 = _flow_sample(traj, t)
-        h_xx, h_xp, h_pp = (h[0] for h in _hessian_blocks(traj, kin, V1, V2))
-        f = _coordinate_force(kin, alpha_c)[0]
-        ddx = h_xp.T @ dx + h_pp @ dP
-        ddP = -h_xx @ dx - h_xp @ dP + f
-        return np.concatenate([ddx, ddP])
-
     # absolute tolerance tied to the forcing scale so the error control is
     # effectively relative to the solution whatever alpha_c is
     ts = np.linspace(traj.acc_start, traj.acc_end, 64)
     fscale = float(np.max(np.linalg.norm(ld_coordinate_force(traj, ts, alpha_c), axis=1)))
     scale = max(fscale * traj.acc_duration * max(-traj.t_min, 1.0), 1e-290)
 
-    res = solve_ivp(
-        rhs, (traj.t_min, 0.0), np.zeros(6), method="DOP853",
-        dense_output=True, rtol=traj.tol, atol=traj.tol * scale,
-    )
-    if not res.success:
-        raise RuntimeError(f"perturbation integration failed: {res.message}")
-    return Perturbation(traj, alpha_c, res.sol)
+    dense = _DenseSolution(_linear_rhs(traj, alpha_c), traj.t_min, np.zeros(6), traj.t_min,
+                           0.0, "perturbation", rtol=traj.tol, atol=traj.tol * scale)
+    return Perturbation(traj, dense)

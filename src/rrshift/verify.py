@@ -13,12 +13,14 @@ import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .dynamics import _flow_sample
 from .lorentz_dirac import _coordinate_force, _four_force
 from .parallel import parallel_map
 from .scenario import Scenario, ScenarioError, bundled_scenario
 from .semiclassical import (
+    _local_energy,
     amplitude_classical,
     amplitude_quantum,
     build_trajectory_family,
@@ -181,29 +183,19 @@ def _criterion_3(full: bool, serial: bool) -> CriterionResult:
 
     # conservation of the symplectic pairing between fields kicked at
     # different times, sampled across the whole domain
-    f_basis = jacobi_basis(traj, 0.0)
-    g_basis = jacobi_basis(traj, 0.5 * traj.t_min)
     grid = np.linspace(traj.t_min, 0.0, 21)
-    drift = 0.0
-    for fi in f_basis:
-        for gj in g_basis:
-            vals = np.array([symplectic_product(fi, gj, t) for t in grid])
-            scale = max(1.0, float(np.max(np.abs(vals))))
-            drift = max(drift, float(np.max(np.abs(vals - vals[0]))) / scale)
+    omega = symplectic_product(jacobi_basis(traj, 0.0), jacobi_basis(traj, 0.5 * traj.t_min),
+                               grid)  # (t, i, j)
+    scale = np.maximum(1.0, np.max(np.abs(omega), axis=0))
+    drift = float(np.max(np.max(np.abs(omega - omega[0]), axis=0) / scale))
     sym_ratio = drift / 1e-9
 
     # -dx^i_(j)(s; u) = dx^j_(i)(u; s) on a 5 x 5 grid of kick/observation times
     pts = np.linspace(0.85 * traj.t_min, -0.05, 5)
-    bases = {float(s): jacobi_basis(traj, float(s)) for s in pts}
-    swap_err = 0.0
-    for s in pts:
-        for u in pts:
-            m_su = np.stack([bases[float(u)][j].dx(float(s)) for j in range(3)],
-                            axis=1)  # [i, j] = dx^i_(j)(s; u)
-            m_us = np.stack([bases[float(s)][i].dx(float(u)) for i in range(3)],
-                            axis=1)  # [j, i] = dx^j_(i)(u; s)
-            scale = max(1.0, float(np.max(np.abs(m_su))))
-            swap_err = max(swap_err, float(np.max(np.abs(m_su + m_us.T))) / scale)
+    X = np.stack([jacobi_basis(traj, float(u))(pts)[0] for u in pts])  # [u, s, i, j]
+    scale = np.maximum(1.0, np.max(np.abs(X), axis=(2, 3)))
+    swapped = np.swapaxes(np.swapaxes(X, 0, 1), 2, 3)  # [u, s, i, j] = dx^j_(i)(u; s)
+    swap_err = float(np.max(np.max(np.abs(X + swapped), axis=(2, 3)) / scale))
     swap_ratio = swap_err / 1e-7
 
     ratio = max(sym_ratio, swap_ratio)
@@ -232,7 +224,7 @@ def _criterion_4(full: bool, serial: bool) -> CriterionResult:
     for j in range(3):
         fd[:, :, j] = (family.plus[j].position(ts)
                        - family.minus[j].position(ts)) / (2.0 * family.eps)
-    jac = np.stack([basis[j].dx(ts) for j in range(3)], axis=2)
+    jac = basis(ts)[0]
     scale = float(np.max(np.abs(fd)))
     rel = float(np.max(np.abs(jac - fd))) / scale
     details = f"50 times in [{center.t_min:.3f}, 0); field scale {scale:.3e}"
@@ -264,7 +256,6 @@ def _criterion_5(full: bool, serial: bool) -> CriterionResult:
     # to (2 alpha_c / 3) da/dt with acceleration and jerk both nonzero
     sc2 = bundled_scenario("rest_pulse")
     traj2 = sc2.build()
-    from scipy.optimize import brentq
     t_peak = -0.5 * (sc2.profile.x1 + sc2.profile.x2)
     t_star = brentq(lambda t: traj2.velocity(float(t))[2], traj2.acc_start,
                     t_peak, xtol=1e-15)
@@ -336,13 +327,7 @@ def hbar_convergence(sc: Scenario, hbars=None, serial: bool = False) -> dict:
     # one shared grid size per hbar so every mode pair matches exactly
     probe = np.linspace(t_span[0], t_span[1], 2049)
     momenta = [sc.p_final] + [sc.p_final - h * k * n for h in hbars for k, n in samples]
-    sig_max = 0.0
-    from .potentials import eval_potential
-    V = eval_potential(sc.profile, probe)[:, 1:]
-    for q in momenta:
-        w = q[None, :] - V
-        sig_max = max(sig_max, float(np.sqrt(np.max(
-            np.einsum("ij,ij->i", w, w)) + sc.mass**2)))
+    sig_max = float(np.max(_local_energy(sc.profile, np.array(momenta), sc.mass, probe)))
 
     span = t_span[1] - t_span[0]
     comp_errors = []

@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 from rrshift import (PotentialProfile, ReflectedTrajectoryError, integrate_trajectory,
-                     kinematics)
+                     jacobi_basis, kinematics, retarded_perturbation, solve_mode_function)
 from rrshift.potentials import eval_potential
+
+# every dense ODE solution over the trajectory domain [t_min, 0], as an evaluator
+DENSE_SOLUTIONS = {
+    "trajectory_state": lambda traj: traj.state,
+    "jacobi_basis": lambda traj: jacobi_basis(traj, 0.5 * traj.t_min),
+    "retarded_perturbation": lambda traj: retarded_perturbation(traj, 0.01).delta_x,
+    "mode_function": lambda traj: solve_mode_function(traj.profile, traj.p_final, 0.5,
+                                                      (traj.t_min, 0.0), mass=traj.mass),
+}
 
 
 def test_free_particle_coasts(free_traj):
@@ -132,3 +141,15 @@ def test_xi_monotone(time_traj):
         n /= np.linalg.norm(n)
         xi = time_traj.xi(n, ts)
         assert np.all(np.diff(xi) > 0)
+
+
+@pytest.mark.parametrize("kind", DENSE_SOLUTIONS)
+def test_dense_solutions_reject_times_outside_domain(kind, time_traj):
+    """Each dense solution evaluates at both ends of its domain and raises
+    just outside it."""
+    evaluate = DENSE_SOLUTIONS[kind](time_traj)
+    lo, hi = time_traj.t_min, 0.0
+    evaluate(np.array([lo, hi]))
+    for t in (lo - 1e-8, hi + 1e-8):
+        with pytest.raises(ValueError, match="outside"):
+            evaluate(t)

@@ -378,7 +378,9 @@ def test_radiated_energy_octave_budget():
     grid = dict(n_polar=2, n_azimuth=4, rel_floor=1e-6)
     rep = radiated_energy(traj, w, CHARGE, **grid)
     assert radiated_energy(traj, w, CHARGE, max_octaves=rep.octaves, **grid) == rep
-    with pytest.raises(RuntimeError, match="failed to decay"):
+    match = (rf"failed to decay below the floor: {rep.octaves - 1} octaves up to "
+             rf"k_hi = \S+, last octave peak / global peak = \S+ above rel_floor 1\.0e-06")
+    with pytest.raises(RuntimeError, match=match):
         radiated_energy(traj, w, CHARGE, max_octaves=rep.octaves - 1, **grid)
 
 
@@ -388,7 +390,9 @@ def test_amplitude_shift_stop_rules_fail_loudly():
     prof = PotentialProfile(axis="time", v_past=[0.0, 0.0, 0.0, 0.0], x1=2.0, x2=1.0)
     family = build_trajectory_family(prof, [0.0, 0.0, 0.35], 1.0)
     w = default_window(family.center, pad_fraction=1.5, width_fraction=1.0)
-    with pytest.raises(RuntimeError, match="failed to converge"):
+    match = (r"failed to converge in k: 5 octaves up to k_hi = \S+, "
+             r"last contribution / total = \S+ against octave_tol 1\.0e-06")
+    with pytest.raises(RuntimeError, match=match):
         shift_from_amplitudes(family, w, CHARGE, n_polar=2, n_azimuth=4, max_octaves=5)
     with pytest.raises(ValueError, match="momentum step too large"):
         shift_from_amplitudes(family, w, CHARGE, n_polar=2, n_azimuth=4, octave_tol=1e-2,

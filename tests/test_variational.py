@@ -62,10 +62,9 @@ def test_hessian_free_particle_closed_form(free_traj):
 def test_jacobi_initial_conditions(time_traj):
     """Unit momentum kick at s: dx(s) = 0 and dp(s) = e_j exactly."""
     s = -1.2
-    for j in range(3):
-        field = jacobi_basis(time_traj, s)[j]
-        np.testing.assert_allclose(field.dx(s), np.zeros(3), rtol=0, atol=1e-14)
-        np.testing.assert_allclose(field.dp(s), np.eye(3)[j], rtol=0, atol=1e-14)
+    X, K = jacobi_basis(time_traj, s)(s)
+    np.testing.assert_allclose(X, np.zeros((3, 3)), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(K, np.eye(3), rtol=0, atol=1e-14)
 
 
 def test_jacobi_free_particle_closed_form(free_traj):
@@ -74,12 +73,11 @@ def test_jacobi_free_particle_closed_form(free_traj):
     kin = kinematics(free_traj, -0.5)
     v = np.asarray(kin.v)
     proj = (np.eye(3) - np.outer(v, v)) / (kin.gamma * free_traj.mass)
-    for j in range(3):
-        field = jacobi_basis(free_traj, s)[j]
-        for t in (-1.0, -0.25, 0.0):
-            np.testing.assert_allclose(field.dx(t), (t - s) * proj[:, j],
-                                       rtol=0, atol=1e-10)
-            np.testing.assert_allclose(field.dp(t), np.eye(3)[j], rtol=0, atol=1e-12)
+    basis = jacobi_basis(free_traj, s)
+    for t in (-1.0, -0.25, 0.0):
+        X, K = basis(t)
+        np.testing.assert_allclose(X, (t - s) * proj, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(K, np.eye(3), rtol=0, atol=1e-12)
 
 
 def test_jacobi_matches_trajectory_differences(time_traj):
@@ -88,7 +86,7 @@ def test_jacobi_matches_trajectory_differences(time_traj):
     basis = jacobi_basis(time_traj, 0.0)
     rng = np.random.default_rng(9)
     ts = rng.uniform(time_traj.t_min, -0.05, 8)
-    scale = max(np.max(np.abs(basis[j].dx(ts))) for j in range(3))
+    scale = np.max(np.abs(basis(ts)[0]))
     for j in range(3):
         kick = np.eye(3)[j] * eps
         plus = integrate_trajectory(time_traj.profile, time_traj.p_final + kick,
@@ -97,12 +95,28 @@ def test_jacobi_matches_trajectory_differences(time_traj):
                                      time_traj.mass, tol=1e-12)
         for t in ts:
             fd = (plus.position(t) - minus.position(t)) / (2 * eps)
-            assert np.max(np.abs(basis[j].dx(t) - fd)) < 1e-5 * scale
+            assert np.max(np.abs(basis(t)[0][:, j] - fd)) < 1e-5 * scale
 
 
 def test_symplectic_product_antisymmetry(time_traj):
-    field = jacobi_basis(time_traj, -1.0)[0]
-    assert symplectic_product(field, field, -0.4) == 0.0
+    basis = jacobi_basis(time_traj, -1.0)
+    omega = symplectic_product(basis, basis, -0.4)
+    assert np.array_equal(np.diag(omega), np.zeros(3))
+    assert np.array_equal(omega, -omega.T)
+
+
+def test_symplectic_product_matches_per_pair_row_dots(time_traj):
+    """The batched product equals, bitwise, row dots of each field pair."""
+    ts = np.linspace(time_traj.t_min, 0.0, 17)
+    b1, b2 = jacobi_basis(time_traj, 0.0), jacobi_basis(time_traj, 0.5 * time_traj.t_min)
+    (X1, K1), (X2, K2) = b1(ts), b2(ts)
+    oracle = np.empty((ts.size, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            oracle[:, i, j] = (np.einsum("nk,nk->n", X1[:, :, i], K2[:, :, j])
+                               - np.einsum("nk,nk->n", X2[:, :, j], K1[:, :, i]))
+    assert np.array_equal(symplectic_product(b1, b2, ts), oracle)
+    assert np.array_equal(symplectic_product(b1, b2, ts[5]), oracle[5])
 
 
 def test_symplectic_product_conserved(time_traj):
@@ -110,32 +124,25 @@ def test_symplectic_product_conserved(time_traj):
     ts = np.linspace(time_traj.t_min, 0.0, 30)
     basis_0 = jacobi_basis(time_traj, 0.0, tol=3e-13)
     basis_u = jacobi_basis(time_traj, 0.5 * time_traj.t_min, tol=3e-13)
-    drift, scale = 0.0, 0.0
-    for a in basis_0:
-        for b in basis_u:
-            vals = symplectic_product(a, b, ts)
-            drift = max(drift, np.max(vals) - np.min(vals))
-            scale = max(scale, np.max(np.abs(vals)))
-    assert drift < 1e-9 * scale
+    vals = symplectic_product(basis_0, basis_u, ts)  # (t, i, j)
+    drift = np.max(np.max(vals, axis=0) - np.min(vals, axis=0))
+    assert drift < 1e-9 * np.max(np.abs(vals))
 
 
 def test_swap_identity(time_traj):
     """-dx_(j)^i(s; u) = dx_(i)^j(u; s) on sampled time pairs."""
     pairs = [(-1.9, -0.3), (-1.4, -0.8), (-0.6, -1.8)]
     for s, u in pairs:
-        for i in range(3):
-            for j in range(3):
-                left = -jacobi_basis(time_traj, u)[j].dx(s)[i]
-                right = jacobi_basis(time_traj, s)[i].dx(u)[j]
-                assert abs(left - right) < 1e-7
+        left = -jacobi_basis(time_traj, u)(s)[0]   # [i, j]
+        right = jacobi_basis(time_traj, s)(u)[0]   # [j, i]
+        assert np.max(np.abs(left - right.T)) < 1e-7
 
 
 def test_time_axis_momentum_response_constant(time_traj):
     """No x-dependence: dp stays equal to the kick everywhere."""
     ts = np.linspace(time_traj.t_min, 0.0, 25)
-    for j, field in enumerate(jacobi_basis(time_traj, 0.0)):
-        for t in ts:
-            np.testing.assert_allclose(field.dp(t), np.eye(3)[j], rtol=0, atol=1e-11)
+    K = jacobi_basis(time_traj, 0.0)(ts)[1]
+    np.testing.assert_allclose(K, np.broadcast_to(np.eye(3), K.shape), rtol=0, atol=1e-11)
 
 
 def test_perturbation_zero_coupling(time_traj):
