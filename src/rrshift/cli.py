@@ -212,7 +212,7 @@ def _cmd_convergence(args) -> int:
             hbars = [float(h) for h in args.hbars.split(",") if h.strip()]
         except ValueError:
             return _fail(f"--hbars must be a comma list of numbers, got {args.hbars!r}")
-    out = hbar_convergence(sc, hbars=hbars, serial=args.serial)
+    out = hbar_convergence(sc, hbars=hbars)
     payload = {"scenario": sc.raw, **out, "pass": out.pop("passed")}
     _emit(_dumps(payload), args.out)
     return 0 if payload["pass"] else 1

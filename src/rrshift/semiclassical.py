@@ -19,10 +19,13 @@ trajectory coasts there whenever the plateau covers the acceleration
 image); the spectral routines below lean on that split both for speed and
 for an exact zero-acceleration baseline.  Their k integrals climb the same
 octaves, and within an octave each trajectory is sampled once for all
-directions of the sphere grid.  From the amplitudes: the
-radiated-energy spectrum, the reduced emission probability in two
-independent evaluations (a Parseval pair), and the shift route that
-differentiates the amplitude with respect to the final momentum.
+directions of the sphere grid.  On the equal-width k panels
+e^{i(c_p + h x_j) xi} = E_p(xi) G_j(xi), so each transform is one matmul.
+From the amplitudes: the radiated-energy spectrum, the reduced emission
+probability in two independent evaluations (a Parseval pair), and the
+shift route that differentiates the amplitude with respect to the final
+momentum.  Mode functions for several momenta at one hbar are integrated
+as one stacked system.
 """
 
 from __future__ import annotations
@@ -94,32 +97,27 @@ class CutoffWindow:
             )
 
     def chi(self, xi):
-        xi_arr = np.asarray(xi, dtype=float)
-        scalar = xi_arr.ndim == 0
-        xi_arr = np.atleast_1d(xi_arr)
-        out = np.zeros(xi_arr.shape)
-        out[(xi_arr >= self.xi_on) & (xi_arr <= self.xi_off)] = 1.0
-        lo, hi = self.support
-        up = (xi_arr > lo) & (xi_arr < self.xi_on)
-        down = (xi_arr > self.xi_off) & (xi_arr < hi)
-        if np.any(up):
-            out[up] = _smoothstep7((xi_arr[up] - lo) / self.width)[0]
-        if np.any(down):
-            out[down] = _smoothstep7((hi - xi_arr[down]) / self.width)[0]
-        return out[0] if scalar else out
+        return self._profile(xi, 0)
 
     def chi_prime(self, xi):
+        return self._profile(xi, 1)
+
+    def _profile(self, xi, order: int):
+        """chi (order 0) or chi' (order 1) at xi."""
         xi_arr = np.asarray(xi, dtype=float)
         scalar = xi_arr.ndim == 0
         xi_arr = np.atleast_1d(xi_arr)
         out = np.zeros(xi_arr.shape)
+        if order == 0:
+            out[(xi_arr >= self.xi_on) & (xi_arr <= self.xi_off)] = 1.0
         lo, hi = self.support
         up = (xi_arr > lo) & (xi_arr < self.xi_on)
         down = (xi_arr > self.xi_off) & (xi_arr < hi)
         if np.any(up):
-            out[up] = _smoothstep7((xi_arr[up] - lo) / self.width)[1] / self.width
+            out[up] = _smoothstep7((xi_arr[up] - lo) / self.width)[order] / self.width**order
         if np.any(down):
-            out[down] = -_smoothstep7((hi - xi_arr[down]) / self.width)[1] / self.width
+            out[down] = ((-1.0) ** order * _smoothstep7((hi - xi_arr[down]) / self.width)[order]
+                         / self.width**order)
         return out[0] if scalar else out
 
     def with_width(self, width: float) -> "CutoffWindow":
@@ -178,11 +176,6 @@ def _require_plateau_covers(traj: Trajectory, n, window: CutoffWindow):
     window.require_covers(img_lo, img_hi, "the acceleration interval")
 
 
-def _require_covers_all_directions(traj: Trajectory, window: CutoffWindow):
-    lo, hi = acceleration_xi_bounds(traj)
-    window.require_covers(lo, hi, "the acceleration interval")
-
-
 # ---------------------------------------------------------------------------
 # quadrature helpers
 # ---------------------------------------------------------------------------
@@ -234,13 +227,23 @@ def _windowed_nodes(traj: Trajectory, n, window: CutoffWindow, k_max: float):
     return xi, window.chi(xi) * w, u
 
 
-def _classical_amplitude_batch(traj: Trajectory, ks: np.ndarray, n, window: CutoffWindow,
-                               charge: float) -> np.ndarray:
-    """Direct windowed A^mu(k) for a batch of k at one n; shape (nk, 4)."""
-    n = np.asarray(n, dtype=float)
-    xi, gate, u = _windowed_nodes(traj, n, window, float(np.max(np.abs(ks))))
-    phase = np.exp(1j * np.outer(np.asarray(ks, dtype=float), xi))
-    return -charge * (phase @ (u * gate[:, None]))
+def _k_panels(k_lo: float, k_hi: float, rate: float):
+    """Equal-width Gauss-Legendre k panels on [k_lo, k_hi], at least four and
+    one per 2pi/rate: the nodes as (P, J) and the flat weights."""
+    ks, wk = _gauss_panels(_phase_edges(k_lo, k_hi, rate, base_panels=4), _PANEL_ORDER)
+    return ks.reshape(-1, _PANEL_ORDER), wk
+
+
+def _phase_transform(ks: np.ndarray, xi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_t e^{i k xi_t} weights[t] at the nodes ks (P, J) of equal-width k
+    panels with symmetric nodes, flat (p-major) of shape (P J, m) for
+    weights (nt, m).  With k_pj = c_p + o_j, e^{i k xi} = E_p(xi) G_j(xi),
+    so this is one matmul E @ (G * weights) taking (P + J) nt exponentials
+    instead of P J nt."""
+    centers = 0.5 * (ks[:, 0] + ks[:, -1])
+    gw = np.exp(1j * np.outer(xi, ks[0] - centers[0]))[:, :, None] * weights[:, None, :]
+    e = np.exp(1j * np.outer(centers, xi))
+    return (e @ gw.reshape(xi.size, -1)).reshape(-1, weights.shape[1])
 
 
 def _radiative_amplitudes(traj: Trajectory, ks: np.ndarray, dirs, charge: float,
@@ -250,9 +253,9 @@ def _radiative_amplitudes(traj: Trajectory, ks: np.ndarray, dirs, charge: float,
         A_rad^mu(k) = (e/ik) int_acc dt [xd (0, a) + (n.a)(1, v)]^mu / xd^2 e^{ik xi},
 
     with xd = 1 - n.v.  Exactly transverse (k_mu A_rad^mu = 0) and
-    window-independent.  The trajectory is sampled once; one (nk, 4) array
-    is yielded per direction in dirs."""
-    ks = np.asarray(ks, dtype=float)
+    window-independent.  ks are the (P, J) nodes of equal-width k panels.
+    The trajectory is sampled once; one (P J, 4) array is yielded per
+    direction in dirs."""
     if rate is None:
         rate = float(np.max(np.abs(ks))) * (
             1.0 + _max_speed(traj, traj.acc_start, traj.acc_end))
@@ -260,46 +263,36 @@ def _radiative_amplitudes(traj: Trajectory, ks: np.ndarray, dirs, charge: float,
     ts, w = _gauss_panels(edges, _PANEL_ORDER)
     kin = kinematics(traj, ts)
     x = traj.position(ts)
-    pref = (charge / (1j * ks))[:, None]
+    pref = (charge / (1j * ks.ravel()))[:, None]
     for n in dirs:
-        xi = ts - x @ n
         xd = 1.0 - kin.v @ n
         na = kin.a @ n
-        w0 = (na / xd**2) * w
-        wj = ((kin.a * xd[:, None] + na[:, None] * kin.v) / (xd**2)[:, None]) * w[:, None]
-        phase = np.exp(1j * np.outer(ks, xi))
-        out = np.empty((ks.size, 4), dtype=complex)
-        out[:, 0] = phase @ w0
-        out[:, 1:] = phase @ wj
-        del phase  # the (nk, nt) matrix must not outlive the yield
-        yield pref * out
+        weights = np.column_stack([na, kin.a * xd[:, None] + na[:, None] * kin.v])
+        weights *= (w / xd**2)[:, None]
+        yield pref * _phase_transform(ks, ts - x @ n, weights)
 
 
 def _taper_transforms(window: CutoffWindow, ks: np.ndarray):
     """T_left(k), T_right(k): Fourier transforms of chi' over each taper.
-    Window-only — shared across directions."""
-    ks = np.asarray(ks, dtype=float)
+    Window-only — shared across directions and trajectories."""
     lo, hi = window.support
     rate = float(np.max(np.abs(ks)))
     out = []
     for a, b in ((lo, window.xi_on), (window.xi_off, hi)):
         xs, w = _gauss_panels(_phase_edges(a, b, rate, base_panels=24), _PANEL_ORDER)
-        cp = window.chi_prime(xs) * w
-        out.append(np.exp(1j * np.outer(ks, xs)) @ cp)
+        out.append(_phase_transform(ks, xs, (window.chi_prime(xs) * w)[:, None])[:, 0])
     return out[0], out[1]
 
 
-def _taper_amplitudes(traj: Trajectory, ks: np.ndarray, dirs, window: CutoffWindow,
-                      charge: float):
+def _taper_amplitudes(traj: Trajectory, ks: np.ndarray, dirs, transforms, charge: float):
     """A_taper^mu(k) = (e/ik)[W_in^mu T_left + W_out^mu T_right]; the coasting
     four-velocity-per-xi W = (1, v)/(1 - n.v) is constant on each taper.
-    The transforms are taken once; one (nk, 4) array is yielded per
-    direction in dirs."""
-    ks = np.asarray(ks, dtype=float)
+    `transforms` is _taper_transforms(window, ks); one (P J, 4) array is
+    yielded per direction in dirs."""
     v_in = traj.velocity(traj.acc_start)
     v_out = traj.velocity(0.0)
-    t_left, t_right = _taper_transforms(window, ks)
-    pref = charge / (1j * ks)
+    t_left, t_right = transforms
+    pref = charge / (1j * ks.ravel())
     for n in dirs:
         w_in = np.concatenate([[1.0], v_in]) / (1.0 - n @ v_in)
         w_out = np.concatenate([[1.0], v_out]) / (1.0 - n @ v_out)
@@ -338,7 +331,8 @@ def amplitude_classical(traj: Trajectory, k: float, n, window: CutoffWindow,
     """
     n = _check_direction(n)
     _require_plateau_covers(traj, n, window)
-    a = _classical_amplitude_batch(traj, np.array([float(k)]), n, window, charge)[0]
+    xi, gate, u = _windowed_nodes(traj, n, window, abs(float(k)))
+    a = -charge * _phase_transform(np.array([[float(k)]]), xi, u * gate[:, None])[0]
     return EmissionAmplitude(p=traj.p_final.copy(), k=float(k), n=n, a=a)
 
 
@@ -346,7 +340,7 @@ def radiative_amplitude(traj: Trajectory, k: float, n, charge: float) -> Emissio
     """Window-independent radiative part of the amplitude (see the split in
     the module docstring); A_windowed = A_rad + A_taper exactly."""
     n = _check_direction(n)
-    a = next(_radiative_amplitudes(traj, np.array([float(k)]), [n], charge))[0]
+    a = next(_radiative_amplitudes(traj, np.array([[float(k)]]), [n], charge))[0]
     return EmissionAmplitude(p=traj.p_final.copy(), k=float(k), n=n, a=a)
 
 
@@ -356,7 +350,8 @@ def taper_amplitude(traj: Trajectory, k: float, n, window: CutoffWindow,
     generalized to a trajectory whose in/out velocities differ."""
     n = _check_direction(n)
     _require_plateau_covers(traj, n, window)
-    a = next(_taper_amplitudes(traj, np.array([float(k)]), [n], window, charge))[0]
+    ks = np.array([[float(k)]])
+    a = next(_taper_amplitudes(traj, ks, [n], _taper_transforms(window, ks), charge))[0]
     return EmissionAmplitude(p=traj.p_final.copy(), k=float(k), n=n, a=a)
 
 
@@ -375,17 +370,20 @@ def _local_energy(profile, p, mass, t) -> np.ndarray:
 
 class ModeFunction:
     """Numerical solution of hbar^2 phi'' + sigma_p(t)^2 phi = 0 normalized
-    to the positive-frequency plane wave at t = 0."""
+    to the positive-frequency plane wave at t = 0.  `cols` picks phi and
+    dphi/dt out of a dense solution that may hold a stack of modes, and
+    `samples` is that solution on the uniform grid ts."""
 
-    def __init__(self, profile, p, hbar, mass, ts, dense):
+    def __init__(self, profile, p, hbar, mass, dense, cols, ts, samples):
         self.profile = profile
         self.p = np.asarray(p, dtype=float)
         self.hbar = float(hbar)
         self.mass = float(mass)
         self.p0 = float(np.sqrt(self.p @ self.p + self.mass**2))
         self._dense = dense
+        self._cols = list(cols)
         self.ts = ts                              # uniform sample grid
-        self.values, self.dvalues = self(ts)      # phi and dphi/dt on ts
+        self.values, self.dvalues = samples[:, self._cols].T   # phi and dphi/dt on ts
 
     def sigma(self, t):
         """Local energy sqrt((p - V(t))^2 + m^2)."""
@@ -394,8 +392,7 @@ class ModeFunction:
 
     def __call__(self, t):
         """(phi, dphi/dt) interpolated from the dense solution."""
-        phi, dphi = self._dense(t).T
-        return phi, dphi
+        return tuple(self._dense(t)[..., self._cols].T)
 
     def wronskian(self, t=None):
         """i hbar (phi* dphi - dphi* phi); constant and equal to 2 p0."""
@@ -411,24 +408,31 @@ class ModeFunction:
 
 def solve_mode_function(profile: PotentialProfile, p, hbar: float,
                         t_span: tuple[float, float], mass: float = 1.0,
-                        num: int | None = None, rtol: float = 1e-11) -> ModeFunction:
+                        num: int | None = None, rtol: float = 1e-11):
     """Integrate the mode equation over t_span (t_span[0] < 0, where the
     potential may act; plane-wave data is imposed at t = 0) and sample on a
     uniform grid.
 
-    The grid must resolve the oscillation: at least 20 points per period
-    2 pi hbar / max sigma_p, else a resolution error is raised.
+    A momentum p of shape (3,) gives one ModeFunction.  A stack of shape
+    (M, 3) is integrated as one 2M-component system, V(t) sampled once per
+    right-hand-side call, and gives a list of M ModeFunctions sharing the
+    dense solution.  The grid must resolve the fastest oscillation: at
+    least 20 points per period 2 pi hbar / max sigma_p over all momenta,
+    else a resolution error is raised.
     """
     if profile.axis != "time":
         raise ValueError("mode functions are defined for time-dependent potentials")
     if hbar <= 0.0:
         raise ValueError("hbar must be positive")
     p = np.asarray(p, dtype=float)
+    stack = np.atleast_2d(p)
+    if p.ndim > 2 or stack.shape[1] != 3:
+        raise ValueError("p must have shape (3,) or (M, 3)")
     t_lo, t_hi = float(t_span[0]), max(float(t_span[1]), 0.0)
     if t_lo >= 0.0:
         raise ValueError("t_span must start before t = 0")
 
-    sig = _local_energy(profile, p, mass, np.linspace(t_lo, t_hi, 4097))
+    sig = _local_energy(profile, stack, mass, np.linspace(t_lo, t_hi, 4097))
     period = 2.0 * np.pi * hbar / float(np.max(sig))
     needed = int(np.ceil((t_hi - t_lo) / period * 20.0)) + 1
     if num is None:
@@ -439,16 +443,21 @@ def solve_mode_function(profile: PotentialProfile, p, hbar: float,
             f"oscillation periods (need >= 20 per period, i.e. >= {needed})"
         )
 
-    p0 = float(np.sqrt(p @ p + mass**2))
+    m = len(stack)
+    p0 = np.sqrt(np.einsum("ij,ij->i", stack, stack) + mass**2)
     h2 = hbar * hbar
 
-    def rhs(t, y):
-        w = p - eval_potential(profile, t)[1:]
-        return np.array([y[1], -((w @ w + mass**2) / h2) * y[0]])
+    def rhs(t, y):  # y = (phi_1..phi_M, dphi_1..dphi_M)
+        w = stack - eval_potential(profile, t)[1:]
+        return np.concatenate([y[m:], -((np.einsum("ij,ij->i", w, w) + mass**2) / h2) * y[:m]])
 
-    y0 = np.array([1.0 + 0.0j, -1j * p0 / hbar])
+    y0 = np.concatenate([np.ones(m, dtype=complex), -1j * p0 / hbar])
     dense = _DenseSolution(rhs, 0.0, y0, t_lo, t_hi, "mode", slack=1e-9, rtol=rtol, atol=rtol)
-    return ModeFunction(profile, p, hbar, mass, np.linspace(t_lo, t_hi, num), dense)
+    ts = np.linspace(t_lo, t_hi, num)
+    samples = dense(ts)
+    modes = [ModeFunction(profile, q, hbar, mass, dense, (i, m + i), ts, samples)
+             for i, q in enumerate(stack)]
+    return modes if p.ndim == 2 else modes[0]
 
 
 def amplitude_quantum(traj: Trajectory, window: CutoffWindow, mode_p: ModeFunction,
@@ -533,9 +542,9 @@ def radiated_energy(traj: Trajectory, window: CutoffWindow, charge: float,
     falls below rel_floor of the global peak (smooth tapers guarantee the
     decay); exceeding max_octaves raises a spectral error.
     """
-    _require_covers_all_directions(traj, window)
-    dirs, wd = _direction_grid(traj, n_polar, n_azimuth)
     img_lo, img_hi = acceleration_xi_bounds(traj)
+    window.require_covers(img_lo, img_hi, "the acceleration interval")
+    dirs, wd = _direction_grid(traj, n_polar, n_azimuth)
     s_lo, s_hi = window.support
     span = s_hi - s_lo
     vmax = _max_speed(traj, traj.acc_start, traj.acc_end)
@@ -549,14 +558,15 @@ def radiated_energy(traj: Trajectory, window: CutoffWindow, charge: float,
         # separations up to the full support span; afterwards only the
         # acceleration image matters
         k_rate = span if k_lo * window.width < 30.0 else (img_hi - img_lo) + 0.25 * span
-        edges = _phase_edges(k_lo, k_hi, 0.75 * k_rate, base_panels=4)
-        ks, wk = _gauss_panels(edges, _PANEL_ORDER)
+        kp, wk = _k_panels(k_lo, k_hi, 0.75 * k_rate)
+        k2 = kp.ravel() ** 2
         t_rate = 0.75 * k_hi * (1.0 + vmax)
+        taper = _taper_transforms(window, kp)
         oct_peak = 0.0
-        for wdir, a_rad, a_tap in zip(wd, _radiative_amplitudes(traj, ks, dirs, charge, t_rate),
-                                      _taper_amplitudes(traj, ks, dirs, window, charge)):
-            g_full = ks**2 * _minkowski_sq(a_rad + a_tap)
-            g_tap = ks**2 * _minkowski_sq(a_tap)
+        for wdir, a_rad, a_tap in zip(wd, _radiative_amplitudes(traj, kp, dirs, charge, t_rate),
+                                      _taper_amplitudes(traj, kp, dirs, taper, charge)):
+            g_full = k2 * _minkowski_sq(a_rad + a_tap)
+            g_tap = k2 * _minkowski_sq(a_tap)
             total += wdir * (wk @ g_full) / _8PI3
             base += wdir * (wk @ g_tap) / _8PI3
             oct_peak = max(oct_peak, float(np.max(np.abs(g_full))))
@@ -600,18 +610,6 @@ class ProbabilityReport:
         return self.assembled - self.baseline
 
 
-def _pair_kernel(delta: np.ndarray, k_max: float) -> np.ndarray:
-    """int_0^K k cos(k d) dk = (cos(Kd) - 1 + Kd sin(Kd)) / d^2, evaluated
-    stably through the small-argument series."""
-    x = k_max * delta
-    small = np.abs(x) < 1e-2
-    xs = np.where(small, 1.0, x)  # keep the masked branch finite
-    direct = (np.cos(xs) - 1.0 + xs * np.sin(xs)) / np.where(small, 1.0, delta) ** 2
-    x2 = x * x
-    series = k_max**2 * (0.5 - x2 / 8.0 + x2 * x2 / 144.0)
-    return np.where(small, series, direct)
-
-
 def _assembled_probability(traj: Trajectory, window: CutoffWindow, k_max: float,
                            dirs: np.ndarray, wd: np.ndarray) -> tuple[float, float]:
     """(total, taper-only) reduced probability cut at k_max, per unit e^2."""
@@ -622,11 +620,12 @@ def _assembled_probability(traj: Trajectory, window: CutoffWindow, k_max: float,
     total = 0.0
     base = 0.0
     for a, b in _octaves(span, k_max):
-        ks, wk = _gauss_panels(_phase_edges(a, b, span, base_panels=4), _PANEL_ORDER)
+        kp, wk = _k_panels(a, b, span)
         t_rate = b * (1.0 + vmax_acc)
-        wk_k = wk * ks
-        for wdir, a_rad, a_tap in zip(wd, _radiative_amplitudes(traj, ks, dirs, 1.0, t_rate),
-                                      _taper_amplitudes(traj, ks, dirs, window, 1.0)):
+        wk_k = wk * kp.ravel()
+        taper = _taper_transforms(window, kp)
+        for wdir, a_rad, a_tap in zip(wd, _radiative_amplitudes(traj, kp, dirs, 1.0, t_rate),
+                                      _taper_amplitudes(traj, kp, dirs, taper, 1.0)):
             total += wdir * (wk_k @ _minkowski_sq(a_rad + a_tap)) / _8PI3
             base += wdir * (wk_k @ _minkowski_sq(a_tap)) / _8PI3
     return total, base
@@ -634,12 +633,26 @@ def _assembled_probability(traj: Trajectory, window: CutoffWindow, k_max: float,
 
 def _double_xi_probability(traj: Trajectory, window: CutoffWindow, k_max: float,
                            dirs: np.ndarray, wd: np.ndarray) -> float:
+    """Per direction, -sum_ij g_i g_j (u_i . u_j) K(xi_i - xi_j) for the gated
+    four-velocity currents g u, with the Minkowski product (+, -, -, -) and
+    the pair kernel K(d) = int_0^K k cos(k d) dk = (cos(Kd) - 1 + Kd sin(Kd)) / d^2.
+    cos and sin of K(xi_i - xi_j) come from per-node values by angle
+    addition; |Kd| < 1e-2 takes the small-argument series."""
+    sign = np.array([1.0, -1.0, -1.0, -1.0])
     out = 0.0
     for n, wdir in zip(dirs, wd):
         xi, gate, u = _windowed_nodes(traj, n, window, k_max)
-        c_mink = np.outer(u[:, 0], u[:, 0]) - u[:, 1:] @ u[:, 1:].T
-        kern = _pair_kernel(xi[:, None] - xi[None, :], k_max)
-        out += wdir * (-(gate @ (c_mink * kern) @ gate)) / _8PI3
+        cs = np.stack([np.cos(k_max * xi), np.sin(k_max * xi)], axis=1)
+        d = xi[:, None] - xi[None, :]
+        x = k_max * d
+        # cos(x) - 1 + x sin(x), with sin(x) = s_i c_j - c_i s_j
+        kern = cs @ cs.T - 1.0 + x * ((cs[:, ::-1] * [1.0, -1.0]) @ cs.T)
+        small = np.abs(x) < 1e-2
+        kern /= np.where(small, 1.0, d * d)
+        x2 = x[small] ** 2
+        kern[small] = k_max**2 * (0.5 - x2 / 8.0 + x2 * x2 / 144.0)
+        current = gate[:, None] * u
+        out += wdir * (-(np.sum(current * (kern @ current), axis=0) @ sign)) / _8PI3
     return out
 
 
@@ -662,7 +675,7 @@ def emission_probability_reduced(traj: Trajectory, window: CutoffWindow,
     if k_max is None:
         k_max = 24.0 * np.pi / window.width
     k_max = float(k_max)
-    _require_covers_all_directions(traj, window)
+    window.require_covers(*acceleration_xi_bounds(traj), "the acceleration interval")
     dirs, wd = _direction_grid(traj, n_polar, n_azimuth)
     assembled, base = _assembled_probability(traj, window, k_max, dirs, wd)
     double_xi = _double_xi_probability(traj, window, k_max, dirs, wd)
@@ -731,7 +744,7 @@ def shift_from_amplitudes(family: TrajectoryFamily, window: CutoffWindow, charge
     center = family.center
     trajs = family.all()
     for tr in trajs:
-        _require_covers_all_directions(tr, window)
+        window.require_covers(*acceleration_xi_bounds(tr), "the acceleration interval")
     dirs, wd = _direction_grid(center, n_polar, n_azimuth)
     s_lo, s_hi = window.support
     span = s_hi - s_lo
@@ -743,12 +756,13 @@ def shift_from_amplitudes(family: TrajectoryFamily, window: CutoffWindow, charge
     small_streak = 0
     contrib, k_hi = np.zeros(3), 0.0  # named in the stop-rule error, even with no octave run
     for octave, (k_lo, k_hi) in zip(range(max_octaves), _octaves(span)):
-        ks, wk = _gauss_panels(_phase_edges(k_lo, k_hi, span, base_panels=4), _PANEL_ORDER)
+        kp, wk = _k_panels(k_lo, k_hi, span)
         t_rate = k_hi * (1.0 + vmax)
-        wk_k = wk * ks
+        wk_k = wk * kp.ravel()
         contrib = np.zeros(3)
-        samplers = [zip(_radiative_amplitudes(tr, ks, dirs, charge, t_rate),
-                        _taper_amplitudes(tr, ks, dirs, window, charge)) for tr in trajs]
+        taper = _taper_transforms(window, kp)  # window-only: one for the whole family
+        samplers = [zip(_radiative_amplitudes(tr, kp, dirs, charge, t_rate),
+                        _taper_amplitudes(tr, kp, dirs, taper, charge)) for tr in trajs]
         for wdir, *pairs in zip(wd, *samplers):
             amps = np.stack([a_rad + a_tap for a_rad, a_tap in pairs])  # (7, nk, 4)
             a0 = amps[0]

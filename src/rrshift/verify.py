@@ -20,7 +20,6 @@ from .lorentz_dirac import _coordinate_force, _four_force
 from .parallel import parallel_map
 from .scenario import Scenario, ScenarioError, bundled_scenario
 from .semiclassical import (
-    _local_energy,
     amplitude_classical,
     amplitude_quantum,
     build_trajectory_family,
@@ -295,7 +294,7 @@ def _criterion_6(full: bool, serial: bool) -> CriterionResult:
 # --- criterion 7: finite-hbar amplitude converges to the classical one -----
 
 
-def hbar_convergence(sc: Scenario, hbars=None, serial: bool = False) -> dict:
+def hbar_convergence(sc: Scenario, hbars=None) -> dict:
     """Per-component error norms of the finite-hbar amplitude against the
     classical one over seeded (k, n) samples, with consecutive-ratio marks.
 
@@ -324,29 +323,16 @@ def hbar_convergence(sc: Scenario, hbars=None, serial: bool = False) -> dict:
     t_span = (min(lo for lo, _ in ranges) - 0.05 * dur,
               max(max(hi for _, hi in ranges), 0.0) + 0.05 * dur)
 
-    # one shared grid size per hbar so every mode pair matches exactly
-    probe = np.linspace(t_span[0], t_span[1], 2049)
-    momenta = [sc.p_final] + [sc.p_final - h * k * n for h in hbars for k, n in samples]
-    sig_max = float(np.max(_local_energy(sc.profile, np.array(momenta), sc.mass, probe)))
-
-    span = t_span[1] - t_span[0]
     comp_errors = []
     wronskians = []
     for hbar in hbars:
-        num = int(np.ceil(span * sig_max / (2.0 * np.pi * hbar) * 20.0)) + 8
-        mode_p = solve_mode_function(sc.profile, sc.p_final, hbar, t_span,
-                                     mass=sc.mass, num=num)
-
-        def one(sample, hbar=hbar, num=num, mode_p=mode_p):
-            k, n = sample
-            P = sc.p_final - hbar * k * n
-            mode_P = solve_mode_function(sc.profile, P, hbar, t_span,
-                                         mass=sc.mass, num=num)
-            aq = amplitude_quantum(traj, window, mode_p, mode_P, k, n, sc.charge)
-            ac = amplitude_classical(traj, k, n, window, sc.charge)
-            return np.abs(aq.a - ac.a) ** 2
-
-        errs2 = parallel_map(one, samples, serial=serial)
+        # p and every P = p - hbar k n in one solve, on one shared grid
+        stack = [sc.p_final] + [sc.p_final - hbar * k * n for k, n in samples]
+        mode_p, *mode_Ps = solve_mode_function(sc.profile, np.array(stack), hbar, t_span,
+                                               mass=sc.mass)
+        errs2 = [np.abs(amplitude_quantum(traj, window, mode_p, mode_P, k, n, sc.charge).a
+                        - amplitude_classical(traj, k, n, window, sc.charge).a) ** 2
+                 for (k, n), mode_P in zip(samples, mode_Ps)]
         comp_errors.append(np.sqrt(np.sum(errs2, axis=0)))
         wronskians.append(mode_p.wronskian_residual())
 
@@ -385,7 +371,7 @@ def _criterion_7(full: bool, serial: bool) -> CriterionResult:
     # and the longer pulse keeps hbar = 0.1 inside the first-order regime for
     # k up to 5/duration
     sc = bundled_scenario("convergence")
-    out = hbar_convergence(sc, serial=serial)
+    out = hbar_convergence(sc)
     margins = [r / (0.85 * e)
                for row, e in zip(out["component_ratios"], out["expected_ratios"])
                for r in row if r is not None]

@@ -9,9 +9,11 @@ from rrshift import (CutoffWindow, PotentialProfile, amplitude_classical,
                      integrate_trajectory, kinematics, radiated_energy, radiative_amplitude,
                      shift_from_amplitudes, solve_mode_function, sphere_quadrature,
                      taper_amplitude, window_time_range)
-from rrshift.semiclassical import (_PANEL_ORDER, _max_speed, _phase_edges,
-                                   _radiative_amplitudes, _taper_amplitudes,
-                                   _taper_transforms, acceleration_xi_bounds)
+from rrshift.semiclassical import (_8PI3, _PANEL_ORDER, _direction_grid,
+                                   _double_xi_probability, _k_panels, _max_speed, _octaves,
+                                   _phase_edges, _phase_transform, _radiative_amplitudes,
+                                   _taper_amplitudes, _taper_transforms, _windowed_nodes,
+                                   acceleration_xi_bounds)
 from rrshift.shift import _gauss_panels
 
 CHARGE = 0.3
@@ -35,39 +37,50 @@ def riemann_amplitude(traj, k, n, window, charge, num=1_000_000):
     return -charge * np.trapezoid(integrand, xi_u, axis=0)
 
 
-def radiative_per_direction(traj, ks, n, charge, rate=None):
+def radiative_per_direction(traj, kp, n, charge, rate=None):
     """The radiative piece for one direction, sampling the trajectory anew."""
-    ks = np.asarray(ks, dtype=float)
     n = np.asarray(n, dtype=float)
     if rate is None:
-        rate = float(np.max(np.abs(ks))) * (
+        rate = float(np.max(np.abs(kp))) * (
             1.0 + _max_speed(traj, traj.acc_start, traj.acc_end))
     edges = _phase_edges(traj.acc_start, traj.acc_end, rate, base_panels=24)
     ts, w = _gauss_panels(edges, _PANEL_ORDER)
     kin = kinematics(traj, ts)
-    xi = ts - traj.position(ts) @ n
     xd = 1.0 - kin.v @ n
     na = kin.a @ n
-    w0 = (na / xd**2) * w
-    wj = ((kin.a * xd[:, None] + na[:, None] * kin.v) / (xd**2)[:, None]) * w[:, None]
-    phase = np.exp(1j * np.outer(ks, xi))
-    out = np.empty((ks.size, 4), dtype=complex)
-    out[:, 0] = phase @ w0
-    out[:, 1:] = phase @ wj
-    return (charge / (1j * ks))[:, None] * out
+    weights = np.column_stack([na, kin.a * xd[:, None] + na[:, None] * kin.v])
+    weights *= (w / xd**2)[:, None]
+    xi = ts - traj.position(ts) @ n
+    return (charge / (1j * kp.ravel()))[:, None] * _phase_transform(kp, xi, weights), xi, weights
 
 
-def taper_per_direction(traj, ks, n, window, charge):
+def taper_per_direction(traj, kp, n, window, charge):
     """The taper piece for one direction, with its own velocities and transforms."""
     n = np.asarray(n, dtype=float)
-    ks = np.asarray(ks, dtype=float)
     v_in = traj.velocity(traj.acc_start)
     v_out = traj.velocity(0.0)
     w_in = np.concatenate([[1.0], v_in]) / (1.0 - n @ v_in)
     w_out = np.concatenate([[1.0], v_out]) / (1.0 - n @ v_out)
-    t_left, t_right = _taper_transforms(window, ks)
-    pref = charge / (1j * ks)
+    t_left, t_right = _taper_transforms(window, kp)
+    pref = charge / (1j * kp.ravel())
     return pref[:, None] * (np.outer(t_left, w_in) + np.outer(t_right, w_out))
+
+
+def dense_transform(ks, xi, weights):
+    """sum_t e^{i k xi_t} weights[t] through the full (nk, nt) phase matrix."""
+    return np.exp(1j * np.outer(ks, xi)) @ weights
+
+
+def pair_kernel(delta, k_max):
+    """int_0^K k cos(k d) dk = (cos(Kd) - 1 + Kd sin(Kd)) / d^2 on a matrix of
+    separations, with the small-argument series."""
+    x = k_max * delta
+    small = np.abs(x) < 1e-2
+    xs = np.where(small, 1.0, x)  # keep the masked branch finite
+    direct = (np.cos(xs) - 1.0 + xs * np.sin(xs)) / np.where(small, 1.0, delta) ** 2
+    x2 = x * x
+    series = k_max**2 * (0.5 - x2 / 8.0 + x2 * x2 / 144.0)
+    return np.where(small, series, direct)
 
 
 # ---------------------------------------------------------------- window
@@ -186,18 +199,57 @@ def test_samplers_match_per_direction_evaluation(name, request):
     """Sampling the trajectory once for all directions changes no bit."""
     traj = request.getfixturevalue(name)
     window = default_window(traj)
-    ks = np.array([0.3, 1.7, 5.0, 12.0])
+    span = window.support[1] - window.support[0]
     v = traj.velocity(0.0)
     dirs, _ = sphere_quadrature(4, 8, axis=v)
-    for rate in (None, 40.0):
-        got = list(_radiative_amplitudes(traj, ks, dirs, CHARGE, rate))
+    for k_lo, k_hi in list(_octaves(span))[:4:3]:  # the first and the fourth octave
+        kp, _ = _k_panels(k_lo, k_hi, span)
+        for rate in (None, 40.0):
+            got = list(_radiative_amplitudes(traj, kp, dirs, CHARGE, rate))
+            assert len(got) == len(dirs)
+            for n, a in zip(dirs, got):
+                assert np.array_equal(a, radiative_per_direction(traj, kp, n, CHARGE, rate)[0])
+        taper = _taper_transforms(window, kp)
+        got = list(_taper_amplitudes(traj, kp, dirs, taper, CHARGE))
         assert len(got) == len(dirs)
         for n, a in zip(dirs, got):
-            assert np.array_equal(a, radiative_per_direction(traj, ks, n, CHARGE, rate))
-    got = list(_taper_amplitudes(traj, ks, dirs, window, CHARGE))
-    assert len(got) == len(dirs)
-    for n, a in zip(dirs, got):
-        assert np.array_equal(a, taper_per_direction(traj, ks, n, window, CHARGE))
+            assert np.array_equal(a, taper_per_direction(traj, kp, n, window, CHARGE))
+
+
+# octaves the energy loop (criterion 6, 16x32 directions) and the
+# amplitude-derivative loop (criterion 8, 8x16) climb before they stop
+@pytest.mark.parametrize("name, octaves", [("energy", 10), ("amplitude_shift", 8)])
+def test_factorized_transforms_match_dense_oracle(name, octaves):
+    """On the first, a middle and the last octave of a real k grid, the
+    panel-factorized transforms equal the dense e^{i k xi} matrix product to
+    1e-13 of the global peak."""
+    sc = bundled_scenario(name)
+    traj = sc.build()
+    window = sc.window(traj)
+    span = window.support[1] - window.support[0]
+    vmax = _max_speed(traj, traj.acc_start, traj.acc_end)
+    dirs, _ = sphere_quadrature(2, 4, axis=traj.velocity(0.0))
+    grids = [edges for _, edges in zip(range(octaves), _octaves(span))]
+    rad_err = tap_err = rad_peak = tap_peak = 0.0
+    for k_lo, k_hi in (grids[0], grids[octaves // 2], grids[-1]):
+        kp, _ = _k_panels(k_lo, k_hi, span)
+        pref = (CHARGE / (1j * kp.ravel()))[:, None]
+        rate = k_hi * (1.0 + vmax)
+        for n, got in zip(dirs, _radiative_amplitudes(traj, kp, dirs, CHARGE, rate)):
+            _, xi, weights = radiative_per_direction(traj, kp, n, CHARGE, rate)
+            ref = pref * dense_transform(kp.ravel(), xi, weights)
+            rad_err = max(rad_err, np.max(np.abs(got - ref)))
+            rad_peak = max(rad_peak, np.max(np.abs(ref)))
+        lo, hi = window.support
+        for got, (a, b) in zip(_taper_transforms(window, kp),
+                               ((lo, window.xi_on), (window.xi_off, hi))):
+            rate = float(np.max(kp))
+            xs, w = _gauss_panels(_phase_edges(a, b, rate, base_panels=24), _PANEL_ORDER)
+            ref = dense_transform(kp.ravel(), xs, window.chi_prime(xs) * w)
+            tap_err = max(tap_err, np.max(np.abs(got - ref)))
+            tap_peak = max(tap_peak, np.max(np.abs(ref)))
+    assert rad_err < 1e-13 * rad_peak
+    assert tap_err < 1e-13 * tap_peak
 
 
 @pytest.mark.parametrize("name", ["amplitude_shift", "collinear", "convergence", "energy",
@@ -258,6 +310,35 @@ def test_mode_envelope_error_is_second_order(time_profile):
 def test_mode_grid_resolution_guard(time_profile):
     with pytest.raises(ValueError, match="under-resolved"):
         solve_mode_function(time_profile, [0.0, 0.1, 0.8], 0.1, (-3.0, 0.2), num=10)
+
+
+def test_mode_stack_columns_match_single_solves(time_profile):
+    """Six momenta solved as one stack: each column is its own M = 1 solve
+    to 1e-9 on the uniform grid, with its own Wronskian to 1e-8."""
+    p = np.array([0.0, 0.1, 0.8])
+    hbar, num = 0.05, 4001
+    ns = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, -0.6, 0.8], [1.0, 0.0, 0.0],
+                   [-0.48, 0.6, -0.64]])
+    stack = np.vstack([p, p - hbar * np.array([0.5, 1.3, 2.0, 3.1, 4.4])[:, None] * ns])
+    modes = solve_mode_function(time_profile, stack, hbar, (-3.5, 0.2), num=num)
+    assert len(modes) == len(stack)
+    for q, mode in zip(stack, modes):
+        one = solve_mode_function(time_profile, q, hbar, (-3.5, 0.2), num=num)
+        assert np.array_equal(mode.p, q) and np.array_equal(mode.ts, one.ts)
+        assert np.max(np.abs(mode.values - one.values)) < 1e-9
+        assert np.max(np.abs(mode.dvalues - one.dvalues)) < 1e-9 * np.max(np.abs(one.dvalues))
+        assert mode.wronskian_residual() < 1e-8
+
+
+def test_mode_stack_resolution_guard_takes_the_fastest_momentum(time_profile):
+    """200 points resolve the slow momentum alone (about 132 needed) but not
+    a stack holding the fast one (about 324 needed)."""
+    slow, fast = [0.0, 0.1, 0.8], [0.0, 0.1, 3.0]
+    solve_mode_function(time_profile, slow, 0.1, (-3.0, 0.2), num=200)
+    with pytest.raises(ValueError, match="under-resolved"):
+        solve_mode_function(time_profile, [slow, fast], 0.1, (-3.0, 0.2), num=200)
+    with pytest.raises(ValueError, match=r"shape \(3,\) or \(M, 3\)"):
+        solve_mode_function(time_profile, [[slow]], 0.1, (-3.0, 0.2))
 
 
 def test_mode_pair_grid_mismatch(time_traj):
@@ -355,6 +436,25 @@ def test_emission_probability_two_pulse_additivity():
     assert abs(rep_s.difference) < 1e-8 * abs(rep_s.assembled)
     assert rep_s.physical > 0
     assert abs(rep_d.physical / rep_s.physical - 2.0) < 0.04
+
+
+def test_double_xi_matches_pair_kernel_oracle():
+    """The angle-addition kernel with the rank-4 current contraction equals
+    the nt x nt pair-kernel form to 1e-13; the diagonal of every direction
+    takes the small-argument series."""
+    sc = bundled_scenario("pulse_single")
+    traj = sc.build()
+    window = sc.window(traj)
+    k_max = 12.0
+    dirs, wd = _direction_grid(traj, 4, 8)
+    ref = 0.0
+    for n, wdir in zip(dirs, wd):
+        xi, gate, u = _windowed_nodes(traj, n, window, k_max)
+        c_mink = np.outer(u[:, 0], u[:, 0]) - u[:, 1:] @ u[:, 1:].T
+        kern = pair_kernel(xi[:, None] - xi[None, :], k_max)
+        ref += wdir * (-(gate @ (c_mink * kern) @ gate)) / _8PI3
+    got = _double_xi_probability(traj, window, k_max, dirs, wd)
+    assert abs(got - ref) < 1e-13 * abs(ref)
 
 
 def test_amplitude_shift_vanishes_without_acceleration():
