@@ -55,27 +55,34 @@ class Kinematics:
 class _DenseSolution:
     """Dense DOP853 solution of y' = rhs(t, y) on [lo, hi] with y(anchor) = y0.
 
-    One solve runs from the anchor out to each end that lies beyond it, with
+    Solves run from the anchor out to each end that lies beyond it, with
     `options` (tolerances, max_step, events) passed to `solve_ivp`; a failed
-    solve raises.  A call checks t against the domain to `slack`, clips it
-    into the domain and then into each segment (a later segment wins at a
-    join) and returns shape (N, len(y0)), or (len(y0),) for a scalar t.
-    `ts` holds the step points of every segment, `event_times` the times of
-    the first event.
+    solve raises.  Each of the interior times `joins` met on the way (where
+    the RHS is less smooth) ends one solve, and the next starts from its last
+    state, so no step straddles a join.  A call checks t against the domain
+    to `slack`, clips it into the domain and then into each segment (a later
+    segment wins at a join) and returns shape (N, len(y0)), or (len(y0),)
+    for a scalar t.  `ts` holds the step points of every segment, joins
+    included, `event_times` the times of the first event.
     """
 
-    def __init__(self, rhs, anchor, y0, lo, hi, what, slack=1e-12, **options):
+    def __init__(self, rhs, anchor, y0, lo, hi, what, slack=1e-12, joins=(), **options):
         self.lo, self.hi, self.what, self.slack = lo, hi, what, slack
         self._y0 = y0
         self.segments, self.event_times = [], []
         for end in [e for e, beyond in ((lo, lo < anchor), (hi, hi > anchor)) if beyond]:
-            res = solve_ivp(rhs, (anchor, end), y0, method="DOP853", dense_output=True,
-                            **options)
-            if not res.success:
-                raise RuntimeError(f"{what} integration failed: {res.message}")
-            self.segments.append((min(anchor, end), max(anchor, end), res.sol))
-            if res.t_events:
-                self.event_times.extend(res.t_events[0])
+            inner = sorted((j for j in joins if min(anchor, end) < j < max(anchor, end)),
+                           reverse=end < anchor)
+            start, y = anchor, y0
+            for stop in [*inner, end]:
+                res = solve_ivp(rhs, (start, stop), y, method="DOP853", dense_output=True,
+                                **options)
+                if not res.success:
+                    raise RuntimeError(f"{what} integration failed: {res.message}")
+                self.segments.append((min(start, stop), max(start, stop), res.sol))
+                if res.t_events:
+                    self.event_times.extend(res.t_events[0])
+                start, y = stop, res.y[:, -1]
         if not self.segments:
             raise ValueError(f"empty {what} domain")
         self.ts = np.concatenate([sol.ts for _, _, sol in self.segments])
@@ -85,14 +92,11 @@ class _DenseSolution:
         if np.any(t_arr < self.lo - self.slack) or np.any(t_arr > self.hi + self.slack):
             raise ValueError(f"t outside {self.what} domain [{self.lo}, {self.hi}]")
         t_arr = np.clip(t_arr, self.lo, self.hi)
-        if len(self.segments) == 1:  # the domain clip already put t inside it
-            out = self.segments[0][2](t_arr).T
-        else:
-            out = np.empty((t_arr.size, self._y0.size), dtype=self._y0.dtype)
-            for a, b, sol in self.segments:
-                mask = (t_arr >= a - 1e-12) & (t_arr <= b + 1e-12)
-                if np.any(mask):
-                    out[mask] = sol(np.clip(t_arr[mask], a, b)).T
+        out = np.empty((t_arr.size, self._y0.size), dtype=self._y0.dtype)
+        for a, b, sol in self.segments:
+            mask = (t_arr >= a - 1e-12) & (t_arr <= b + 1e-12)
+            if np.any(mask):
+                out[mask] = sol(np.clip(t_arr[mask], a, b)).T
         return out[0] if np.ndim(t) == 0 else out
 
 
@@ -311,8 +315,16 @@ def _interior_breakpoints(profile, dense, ai):
 def _flow_sample(traj: Trajectory, t) -> tuple[Kinematics, np.ndarray, np.ndarray]:
     """Kinematics at the times t in array form, shape (N, ...), together
     with the potential derivatives V' and V'' at the flow points, shape
-    (N, 4).  V, V' and V'' come from one shape evaluation, so callers that
-    also need the Hessian or the self-force sample the flow once per point.
+    (N, 4): `_flow_at` on the trajectory's states."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    x, P = traj.state(t_arr)
+    return _flow_at(traj.profile, traj.mass, t_arr, x, P)
+
+
+def _flow_at(profile, m, t_arr, x, P) -> tuple[Kinematics, np.ndarray, np.ndarray]:
+    """Kinematics and V', V'' at the flow points (t, x, P), each (N, ...).
+    V, V' and V'' come from one shape evaluation, so callers that also need
+    the Hessian or the self-force sample the flow once per point.
 
     Closed forms: with w = P - V and sigma = sqrt(w^2 + m^2),
 
@@ -322,10 +334,6 @@ def _flow_sample(traj: Trajectory, t) -> tuple[Kinematics, np.ndarray, np.ndarra
     where dw/dt follows from Hamilton's equations and the potential
     derivatives along the relevant coordinate.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    x, P = traj.state(t_arr)
-
-    profile, m = traj.profile, traj.mass
     ai = axis_index(profile)
     s = t_arr if ai is None else x[:, ai]
 

@@ -9,13 +9,16 @@ with the Hessian of H = sqrt((P-V)^2 + m^2) + V^0 evaluated on the
 unperturbed flow and f an optional forcing (zero for Jacobi fields, the
 radiation-reaction force for the retarded perturbation).
 
-Both are solved through one right-hand side on a (6, m) state, rows dx and
-dP and one column per solution.  `jacobi_basis(traj, s)` solves the three
-unit kicks at s together, with data dx(s) = 0, dP^i(s) = delta^{ij}, and
-returns one basis: evaluated at times t it gives the position and momentum
-blocks X and K, each (N, 3, 3) with column j the kick in direction j.  X at
-fixed t is the momentum-to-position response matrix (dx^i/dp^j)_t used by
-the shift quadratures; the basis's step points are where X and K have kinks.
+Both are solved through one right-hand side on the state [x, P, Y]: the
+flow (x, P) rides along, so no dense interpolant is read, and Y is (6, m),
+rows dx and dP, one column per solution.  Both restart at acc_start, each
+breakpoint and acc_end, so no step straddles a join of the forcing.
+`jacobi_basis(traj, s)` solves the three unit kicks at s together, with
+data dx(s) = 0, dP^i(s) = delta^{ij}, and returns one basis: evaluated at
+times t it gives the position and momentum blocks X and K, each (N, 3, 3)
+with column j the kick in direction j.  X at fixed t is the
+momentum-to-position response matrix (dx^i/dp^j)_t used by the shift
+quadratures; the basis's step points are where X and K have kinks.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, _DenseSolution, _flow_sample
+from .dynamics import Trajectory, _DenseSolution, _flow_at, _flow_sample
 from .lorentz_dirac import _coordinate_force, ld_coordinate_force
 from .potentials import axis_index
 
@@ -82,19 +85,23 @@ def hamiltonian_hessian(traj: Trajectory, t: float) -> HessianSample:
 
 
 def _linear_rhs(traj, alpha_c=None):
-    """RHS of the variational system for a (6, m) state, flattened: rows dx
-    and dP, one column per solution.  With alpha_c the Lorentz-Dirac
-    coordinate force forces dP."""
+    """RHS of the variational system on the state [x, P, Y], flattened: the
+    flow (x, P) rides along and Y holds rows dx and dP, one column per
+    solution.  With alpha_c the Lorentz-Dirac coordinate force forces dP."""
+    ai = axis_index(traj.profile)
+    e_a = np.zeros(3) if ai is None else np.eye(3)[ai]
 
     def rhs(t, y):
-        Y = y.reshape(6, -1)
-        kin, V1, V2 = _flow_sample(traj, t)
+        Y = y[6:].reshape(6, -1)
+        kin, V1, V2 = _flow_at(traj.profile, traj.mass, np.atleast_1d(t), y[None, :3],
+                               y[None, 3:6])
         h_xx, h_xp, h_pp = (h[0] for h in _hessian_blocks(traj, kin, V1, V2))
         dX = h_xp.T @ Y[:3] + h_pp @ Y[3:]
         dK = -h_xx @ Y[:3] - h_xp @ Y[3:]
         if alpha_c is not None:
             dK += _coordinate_force(kin, alpha_c)[0][:, None]
-        return np.concatenate([dX, dK]).ravel()
+        dP = e_a * (kin.v[0] @ V1[0, 1:] - V1[0, 0])
+        return np.concatenate([kin.v[0], dP, dX.ravel(), dK.ravel()])
 
     return rhs
 
@@ -118,7 +125,7 @@ class JacobiBasis:
     def __call__(self, t):
         y = self._dense(t)
         shape = np.shape(t) + (3, 3)
-        return y[..., :9].reshape(shape), y[..., 9:].reshape(shape)
+        return y[..., 6:15].reshape(shape), y[..., 15:].reshape(shape)
 
 
 def jacobi_basis(traj: Trajectory, s: float, tol: float | None = None) -> JacobiBasis:
@@ -127,8 +134,9 @@ def jacobi_basis(traj: Trajectory, s: float, tol: float | None = None) -> Jacobi
     if not (traj.t_min - 1e-12 <= s <= 1e-12):
         raise ValueError(f"kick time {s} outside [{traj.t_min}, 0]")
     tol = traj.tol if tol is None else float(tol)
-    y0 = np.concatenate([np.zeros(9), np.eye(3).ravel()])
+    y0 = np.concatenate([*traj.state(s), np.zeros(9), np.eye(3).ravel()])
     dense = _DenseSolution(_linear_rhs(traj), s, y0, traj.t_min, 0.0, "variational",
+                           joins=(traj.acc_start, *traj.breakpoints, traj.acc_end),
                            rtol=tol, atol=tol)
     return JacobiBasis(traj, dense)
 
@@ -152,10 +160,10 @@ class Perturbation:
         self._dense = dense
 
     def delta_x(self, t):
-        return self._dense(t)[..., :3]
+        return self._dense(t)[..., 6:9]
 
     def delta_p(self, t):
-        return self._dense(t)[..., 3:]
+        return self._dense(t)[..., 9:]
 
     @property
     def final_shift(self) -> np.ndarray:
@@ -168,12 +176,15 @@ def retarded_perturbation(traj: Trajectory, alpha_c: float) -> Perturbation:
     Data dx = dP = 0 at t_min (retarded boundary condition: nothing before
     the force turns on); the value at t = 0 is the direct-route shift.
     """
-    # absolute tolerance tied to the forcing scale so the error control is
-    # effectively relative to the solution whatever alpha_c is
+    # dx, dP get an absolute tolerance tied to the forcing scale, so their error
+    # control is relative whatever alpha_c is; the carried flow keeps tol
     ts = np.linspace(traj.acc_start, traj.acc_end, 64)
     fscale = float(np.max(np.linalg.norm(ld_coordinate_force(traj, ts, alpha_c), axis=1)))
     scale = max(fscale * traj.acc_duration * max(-traj.t_min, 1.0), 1e-290)
 
-    dense = _DenseSolution(_linear_rhs(traj, alpha_c), traj.t_min, np.zeros(6), traj.t_min,
-                           0.0, "perturbation", rtol=traj.tol, atol=traj.tol * scale)
+    y0 = np.concatenate([*traj.state(traj.t_min), np.zeros(6)])
+    atol = np.repeat([traj.tol, traj.tol * scale], 6)
+    dense = _DenseSolution(_linear_rhs(traj, alpha_c), traj.t_min, y0, traj.t_min, 0.0,
+                           "perturbation", rtol=traj.tol, atol=atol,
+                           joins=(traj.acc_start, *traj.breakpoints, traj.acc_end))
     return Perturbation(traj, dense)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rrshift.shift
 from rrshift import ScenarioError, bundled_scenario, load_scenario, scenario_from_dict
 from rrshift.cli import main
 
@@ -121,7 +122,11 @@ def test_shift_passes_and_writes_report(tmp_path):
     assert report["shifts"]["quantum"] is None
 
 
-def test_shift_unreachable_threshold_exits_one(tmp_path):
+def test_shift_unreachable_threshold_exits_one(tmp_path, monkeypatch):
+    """A real failed comparison: the direct route is off by 1e-6 relative."""
+    true_direct = rrshift.shift.classical_shift_direct
+    monkeypatch.setattr(rrshift.shift, "classical_shift_direct",
+                        lambda traj, alpha_c: true_direct(traj, alpha_c) * (1 + 1e-6))
     scenario = write_scenario(tmp_path, {"tol": 1e-11, "residual_threshold": 1e-10})
     out = tmp_path / "report.json"
     code = main(["shift", "--scenario", scenario, "--routes", "direct,green",

@@ -7,12 +7,14 @@ from scipy.integrate import solve_ivp
 from rrshift import (angular_integrals, angular_integrals_quadrature, bundled_scenario,
                      classical_shift_direct, classical_shift_green, compare_routes,
                      hamiltonian_hessian, integrate_trajectory, jacobi_basis, kinematics,
-                     ld_coordinate_force, shift_quantum_closed, shift_quantum_quadrature,
-                     sphere_quadrature)
+                     ld_coordinate_force, scenario_from_dict, shift_quantum_closed,
+                     shift_quantum_quadrature, sphere_quadrature)
 from rrshift.shift import _frame_grid, _gauss_panels, _polar_frames, _support_integral
 from rrshift.variational import _linear_rhs
 
 ALPHA = 0.0071619724391352765  # e = 0.3
+BUNDLED = ("amplitude_shift", "collinear", "convergence", "energy", "oblique",
+           "pulse_single", "rest_pulse", "spatial", "weak")
 
 
 def test_sphere_quadrature_polynomial_moments():
@@ -112,13 +114,13 @@ def green_fresh(traj, alpha_c, n_nodes=96):
     """Route b without the swap identity: dx^i_(j)(0; s) from a new unit-kick
     solve at every Gauss-Legendre node s of the forcing support."""
     rhs = _linear_rhs(traj)
-    y0 = np.concatenate([np.zeros(9), np.eye(3).ravel()])
     edges = [traj.acc_start, *traj.breakpoints, traj.acc_end]
     total = np.zeros(3)
     for s, w in zip(*_gauss_panels(edges, n_nodes)):
+        y0 = np.concatenate([*traj.state(s), np.zeros(9), np.eye(3).ravel()])
         res = solve_ivp(rhs, (s, 0.0), y0, method="DOP853", rtol=traj.tol, atol=traj.tol)
         assert res.success, res.message
-        X0 = res.y[:9, -1].reshape(3, 3)  # dx^i_(j)(0; s)
+        X0 = res.y[6:15, -1].reshape(3, 3)  # dx^i_(j)(0; s)
         total += w * (X0 @ ld_coordinate_force(traj, float(s), alpha_c))
     return total
 
@@ -291,3 +293,26 @@ def test_compare_routes_report_shape(collinear_traj):
     assert rep.residuals.shape == (4, 4)
     assert np.array_equal(rep.residuals, rep.residuals.T)
     assert all(v >= 0 for v in rep.timings.values())
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_routes_agree_far_below_threshold(name):
+    """Every bundled scenario's four routes agree to 1e-7 at default resolution."""
+    sc = bundled_scenario(name)
+    rep = compare_routes(sc.build(), sc.alpha_c, threshold=sc.residual_threshold,
+                         n_polar=sc.n_polar, n_azimuth=sc.n_azimuth, n_time=sc.n_time,
+                         epsrel=sc.epsrel, serial=True)
+    assert rep.passed, rep.errors
+    assert rep.max_residual < 1e-7
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
+def test_direct_route_error_follows_tol(tol):
+    """The direct and green routes agree to 10 tol on the weak-field CLI scenario."""
+    sc = scenario_from_dict({
+        "name": "unit", "mass": 1.0, "charge": 0.3, "p_final": [0.05, 0.0, 0.6], "tol": tol,
+        "potential": {"axis": "time", "v_past": [0.0, 0.02, 0.0, 0.01], "x1": 2.0, "x2": 1.0},
+    })
+    rep = compare_routes(sc.build(), sc.alpha_c, epsrel=sc.epsrel, routes=("direct", "green"),
+                         serial=True)
+    assert rep.max_residual <= 10 * tol

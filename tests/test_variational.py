@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from rrshift import (classical_shift_green, hamiltonian_hessian, integrate_trajectory,
-                     jacobi_basis, kinematics, retarded_perturbation,
+from rrshift import (bundled_scenario, classical_shift_green, hamiltonian_hessian,
+                     integrate_trajectory, jacobi_basis, kinematics, retarded_perturbation,
                      symplectic_product)
 from rrshift.potentials import axis_index, eval_potential
 
@@ -165,3 +165,18 @@ def test_perturbation_matches_green_quadrature(time_traj):
     direct = retarded_perturbation(time_traj, ALPHA).final_shift
     green = classical_shift_green(time_traj, ALPHA)
     assert np.max(np.abs(direct - green)) < 1e-6 * np.linalg.norm(green)
+
+
+@pytest.mark.parametrize("name", ["pulse_single", "spatial"])
+def test_variational_solves_restart_at_joins_and_carry_the_flow(name):
+    """Basis and perturbation steps land on acc_start, every breakpoint and
+    acc_end; the basis's own (x, P) columns follow the trajectory."""
+    traj = bundled_scenario(name).build()
+    joins = [traj.acc_start, *traj.breakpoints, traj.acc_end]
+    basis = jacobi_basis(traj, 0.0)
+    pert = retarded_perturbation(traj, ALPHA)
+    assert np.isin(joins, basis.ts).all()
+    assert np.isin(joins, pert._dense.ts).all()
+    flow = basis._dense(basis.ts)[:, :6]
+    x, P = traj.state(basis.ts)
+    np.testing.assert_allclose(flow, np.hstack([x, P]), rtol=0, atol=1e-8)
