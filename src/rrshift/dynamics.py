@@ -60,14 +60,14 @@ class _DenseSolution:
     solve raises.  Each of the interior times `joins` met on the way (where
     the RHS is less smooth) ends one solve, and the next starts from its last
     state, so no step straddles a join.  A call checks t against the domain
-    to `slack`, clips it into the domain and then into each segment (a later
+    to 1e-12, clips it into the domain and then into each segment (a later
     segment wins at a join) and returns shape (N, len(y0)), or (len(y0),)
     for a scalar t.  `ts` holds the step points of every segment, joins
     included, `event_times` the times of the first event.
     """
 
-    def __init__(self, rhs, anchor, y0, lo, hi, what, slack=1e-12, joins=(), **options):
-        self.lo, self.hi, self.what, self.slack = lo, hi, what, slack
+    def __init__(self, rhs, anchor, y0, lo, hi, what, joins=(), **options):
+        self.lo, self.hi, self.what = lo, hi, what
         self._y0 = y0
         self.segments, self.event_times = [], []
         for end in [e for e, beyond in ((lo, lo < anchor), (hi, hi > anchor)) if beyond]:
@@ -89,7 +89,7 @@ class _DenseSolution:
 
     def __call__(self, t) -> np.ndarray:
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < self.lo - self.slack) or np.any(t_arr > self.hi + self.slack):
+        if np.any(t_arr < self.lo - 1e-12) or np.any(t_arr > self.hi + 1e-12):
             raise ValueError(f"t outside {self.what} domain [{self.lo}, {self.hi}]")
         t_arr = np.clip(t_arr, self.lo, self.hi)
         out = np.empty((t_arr.size, self._y0.size), dtype=self._y0.dtype)

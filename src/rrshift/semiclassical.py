@@ -24,8 +24,10 @@ e^{i(c_p + h x_j) xi} = E_p(xi) G_j(xi), so each transform is one matmul.
 From the amplitudes: the radiated-energy spectrum, the reduced emission
 probability in two independent evaluations (a Parseval pair), and the
 shift route that differentiates the amplitude with respect to the final
-momentum.  Mode functions for several momenta at one hbar are integrated
-as one stacked system.
+momentum.  Mode functions need no ODE stepping: V is constant outside the
+forcing, where they are plane waves in closed form, and inside it a stack
+of momenta at one hbar is collocated on Chebyshev panels in one batched
+linear solve.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .dynamics import Trajectory, _DenseSolution, integrate_trajectory, kinematics
+from .dynamics import _SHAPE_INTERIOR_JOINS, Trajectory, integrate_trajectory, kinematics
 from .potentials import PotentialProfile, _smoothstep7, eval_potential
 from .shift import _gauss_panels, _support_integral, sphere_quadrature
 
@@ -368,20 +370,125 @@ def _local_energy(profile, p, mass, t) -> np.ndarray:
     return np.sqrt(np.einsum("...ij,...ij->...i", w, w) + mass**2)
 
 
-class ModeFunction:
-    """Numerical solution of hbar^2 phi'' + sigma_p(t)^2 phi = 0 normalized
-    to the positive-frequency plane wave at t = 0.  `cols` picks phi and
-    dphi/dt out of a dense solution that may hold a stack of modes, and
-    `samples` is that solution on the uniform grid ts."""
+_CHEB_DEGREE = 32  # Chebyshev degree of a mode collocation panel
+_MAX_SPLITS = 4    # halvings of the panels whose coefficient tail misses rtol
 
-    def __init__(self, profile, p, hbar, mass, dense, cols, ts, samples):
+
+def _collocate(profile, stack, mass, hbar, edges, y):
+    """Chebyshev coefficients of (phi, dphi/dt) on the panels between edges,
+    (P, n + 1, 2M) with the phi columns first, each panel's worst relative
+    coefficient tail, and (phi, hbar dphi/dt) at edges[0].  One batched
+    solve gives, per panel and momentum, the fundamental solution of
+    (phi, hbar phi')' = [[0, 1], [-sigma^2, 0]] (phi, hbar phi') / hbar that
+    is the identity at the panel's right end; the panels are then chained
+    backward from the state y (2, M) at edges[-1]."""
+    # Chebyshev-Lobatto nodes x_j = cos(j pi / n), their differentiation
+    # matrix and the map from node values to Chebyshev coefficients
+    # (Trefethen, Spectral Methods in MATLAB, 2000)
+    n = _CHEB_DEGREE
+    j = np.arange(n + 1)
+    x = np.cos(np.pi * j / n)
+    half = np.where((j == 0) | (j == n), 0.5, 1.0)
+    D = np.outer(1.0 / ((-1.0) ** j * half), (-1.0) ** j * half) / (x[:, None] - x + np.eye(n + 1))
+    D -= np.diag(D.sum(axis=1))
+    to_coefs = (2.0 / n) * np.outer(half, half) * np.cos(np.pi * np.outer(j, j) / n)
+    a, b = edges[:-1], edges[1:]
+    n_pan, m, k = a.size, len(stack), n + 1
+    t = a[:, None] + 0.5 * (b - a)[:, None] * (x + 1.0)
+    sig2 = _local_energy(profile, stack, mass, t.ravel()).reshape(m, n_pan, k) ** 2
+    c = (0.5 * (b - a) / hbar)[:, None, None]
+    L = np.zeros((n_pan, m, 2 * k, 2 * k))
+    L[..., :k, :k] = L[..., k:, k:] = D
+    L[..., range(k), range(k, 2 * k)] = -c
+    L[..., range(k, 2 * k), range(k)] = c * np.swapaxes(sig2, 0, 1)
+    L[..., [0, k], :] = 0.0  # rows 0 and k pin the state at the node x = 1, t = b
+    L[..., [0, k], [0, k]] = 1.0
+    fund = np.linalg.solve(L, np.broadcast_to(np.eye(2 * k)[:, [0, k]], L.shape[:-1] + (2,)))
+    vals = np.empty((n_pan, 2 * k, m), dtype=complex)
+    for i in reversed(range(n_pan)):
+        vals[i] = np.einsum("mrc,cm->rm", fund[i], y)
+        y = vals[i, [k - 1, 2 * k - 1]]  # the state at the node x = -1, t = a
+    vals[:, k:] /= hbar
+    coefs = to_coefs @ vals.reshape(n_pan, 2, k, m).transpose(0, 2, 1, 3).reshape(n_pan, k, -1)
+    mags = np.abs(coefs)
+    return coefs, (mags[:, -2:].max(axis=1) / mags.max(axis=1)).max(axis=1), y
+
+
+class _CollocatedModes:
+    """phi and dphi/dt of M stacked modes at the times t, (N, 2M) with the
+    phi columns first.  V is constant outside the forcing [-x1, -x2], where
+    phi = A e^{-i sigma (t - t_c) / hbar} + B e^{i sigma (t - t_c) / hbar}:
+    the plane wave exp(-i p0 t / hbar) for t >= -x2, and the pair at sigma_in
+    matched at -x1 for t <= -x1.  Inside, Chebyshev panels cut at the shape's
+    joins and about one period 2 pi hbar / sigma_max long hold the collocated
+    solution; panels whose tail misses rtol are halved up to _MAX_SPLITS times."""
+
+    def __init__(self, profile, stack, hbar, mass, lo, hi, sigma_max, rtol):
+        self.lo, self.hi, self.hbar = lo, hi, hbar
+        p0 = np.sqrt(np.einsum("ij,ij->i", stack, stack) + mass**2)
+        joins = [-profile.x1 + u * profile.width for u in _SHAPE_INTERIOR_JOINS[profile.shape]]
+        cuts = [-profile.x1, *joins, -profile.x2]
+        per_period = sigma_max / (2.0 * np.pi * hbar)
+        edges = np.concatenate([np.linspace(a, b, int(np.ceil((b - a) * per_period)) + 1)[:-1]
+                                for a, b in zip(cuts, cuts[1:])] + [cuts[-1:]])
+        wave = np.exp(-1j * p0 * cuts[-1] / hbar)
+        for splits in range(_MAX_SPLITS + 1):
+            self.coefs, tails, y = _collocate(profile, stack, mass, hbar, edges,
+                                              np.stack([wave, -1j * p0 * wave]))
+            if np.all(tails <= rtol):
+                break
+            if splits == _MAX_SPLITS:
+                i = int(np.argmax(tails))
+                raise RuntimeError(
+                    f"mode collocation failed: panel {i} [{edges[i]:.6g}, {edges[i + 1]:.6g}] "
+                    f"keeps a relative Chebyshev tail {tails[i]:.3e} above rtol {rtol:.1e} "
+                    f"after {_MAX_SPLITS} halvings")
+            mids = 0.5 * (edges[:-1] + edges[1:])
+            edges = np.sort(np.concatenate([edges, mids[tails > rtol]]))
+        self.edges, self.panels, self.tail = edges, edges.size - 1, float(tails.max())
+        sigma_in = _local_energy(profile, stack, mass, np.array(cuts[:1]))[:, 0]
+        r = 1j * y[1] / sigma_in
+        # (t_c, sigma, A, B) after and before the forcing
+        self.closed = ((cuts[-1], p0, wave, 0.0),
+                       (cuts[0], sigma_in, 0.5 * (y[0] + r), 0.5 * (y[0] - r)))
+
+    def __call__(self, t) -> np.ndarray:
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        if np.any(t_arr < self.lo - 1e-9) or np.any(t_arr > self.hi + 1e-9):
+            raise ValueError(f"t outside mode domain [{self.lo}, {self.hi}]")
+        t_arr = np.clip(t_arr, self.lo, self.hi)
+        out = np.empty((t_arr.size, self.coefs.shape[2]), dtype=complex)
+        late, early = t_arr >= self.edges[-1], t_arr <= self.edges[0]
+        for side, (t_c, sigma, fwd, back) in zip((late, early), self.closed):
+            wave = np.exp(-1j * np.outer(t_arr[side] - t_c, sigma) / self.hbar)
+            fwd, back = fwd * wave, back * np.conj(wave)
+            out[side] = np.hstack([fwd + back, -1j * sigma / self.hbar * (fwd - back)])
+        inner = np.flatnonzero(~late & ~early)
+        panel = np.searchsorted(self.edges, t_arr[inner]) - 1
+        for i in np.unique(panel):  # Chebyshev sums T_j(x) = cos(j arccos x), panel by panel
+            rows = inner[panel == i]
+            a, b = self.edges[i], self.edges[i + 1]
+            theta = np.arccos(np.clip((2.0 * t_arr[rows] - a - b) / (b - a), -1.0, 1.0))
+            out[rows] = np.cos(np.outer(theta, np.arange(self.coefs.shape[1]))) @ self.coefs[i]
+        return out[0] if np.ndim(t) == 0 else out
+
+
+class ModeFunction:
+    """Solution of hbar^2 phi'' + sigma_p(t)^2 phi = 0 normalized to the
+    positive-frequency plane wave at t = 0.  `cols` picks phi and dphi/dt
+    out of a collocated stack that may hold several modes, `samples` is that
+    stack on the uniform grid ts, and `tail` and `panels` are its worst
+    relative Chebyshev tail and its number of collocation panels."""
+
+    def __init__(self, profile, p, hbar, mass, modes, cols, ts, samples):
         self.profile = profile
         self.p = np.asarray(p, dtype=float)
         self.hbar = float(hbar)
         self.mass = float(mass)
         self.p0 = float(np.sqrt(self.p @ self.p + self.mass**2))
-        self._dense = dense
+        self._modes = modes
         self._cols = list(cols)
+        self.tail, self.panels = modes.tail, modes.panels
         self.ts = ts                              # uniform sample grid
         self.values, self.dvalues = samples[:, self._cols].T   # phi and dphi/dt on ts
 
@@ -391,15 +498,12 @@ class ModeFunction:
         return float(out[0]) if np.ndim(t) == 0 else out
 
     def __call__(self, t):
-        """(phi, dphi/dt) interpolated from the dense solution."""
-        return tuple(self._dense(t)[..., self._cols].T)
+        """(phi, dphi/dt) at t."""
+        return tuple(self._modes(t)[..., self._cols].T)
 
-    def wronskian(self, t=None):
-        """i hbar (phi* dphi - dphi* phi); constant and equal to 2 p0."""
-        if t is None:
-            phi, dphi = self.values, self.dvalues
-        else:
-            phi, dphi = self(t)
+    def wronskian(self):
+        """i hbar (phi* dphi - dphi* phi) on ts; constant and equal to 2 p0."""
+        phi, dphi = self.values, self.dvalues
         return (1j * self.hbar * (np.conj(phi) * dphi - np.conj(dphi) * phi)).real
 
     def wronskian_residual(self) -> float:
@@ -409,16 +513,20 @@ class ModeFunction:
 def solve_mode_function(profile: PotentialProfile, p, hbar: float,
                         t_span: tuple[float, float], mass: float = 1.0,
                         num: int | None = None, rtol: float = 1e-11):
-    """Integrate the mode equation over t_span (t_span[0] < 0, where the
+    """Solve the mode equation over t_span (t_span[0] < 0, where the
     potential may act; plane-wave data is imposed at t = 0) and sample on a
-    uniform grid.
+    uniform grid.  Closed forms hold outside the forcing and Chebyshev
+    collocation inside it (_CollocatedModes).  rtol bounds each panel's
+    relative Chebyshev tail, the two highest coefficients of phi and of
+    dphi/dt against the largest, an estimate of its relative error; a panel
+    still above it after its halvings raises a RuntimeError.
 
     A momentum p of shape (3,) gives one ModeFunction.  A stack of shape
-    (M, 3) is integrated as one 2M-component system, V(t) sampled once per
-    right-hand-side call, and gives a list of M ModeFunctions sharing the
-    dense solution.  The grid must resolve the fastest oscillation: at
-    least 20 points per period 2 pi hbar / max sigma_p over all momenta,
-    else a resolution error is raised.
+    (M, 3) is collocated at once, V(t) sampled once for all panels, nodes
+    and momenta, and gives a list of M ModeFunctions sharing the solution.
+    The grid must resolve the fastest oscillation: at least 20 points per
+    period 2 pi hbar / max sigma_p over all momenta, else a resolution
+    error is raised.
     """
     if profile.axis != "time":
         raise ValueError("mode functions are defined for time-dependent potentials")
@@ -432,8 +540,9 @@ def solve_mode_function(profile: PotentialProfile, p, hbar: float,
     if t_lo >= 0.0:
         raise ValueError("t_span must start before t = 0")
 
-    sig = _local_energy(profile, stack, mass, np.linspace(t_lo, t_hi, 4097))
-    period = 2.0 * np.pi * hbar / float(np.max(sig))
+    sigma_max = float(np.max(_local_energy(profile, stack, mass,
+                                           np.linspace(t_lo, t_hi, 4097))))
+    period = 2.0 * np.pi * hbar / sigma_max
     needed = int(np.ceil((t_hi - t_lo) / period * 20.0)) + 1
     if num is None:
         num = max(1001, needed)
@@ -443,21 +552,12 @@ def solve_mode_function(profile: PotentialProfile, p, hbar: float,
             f"oscillation periods (need >= 20 per period, i.e. >= {needed})"
         )
 
-    m = len(stack)
-    p0 = np.sqrt(np.einsum("ij,ij->i", stack, stack) + mass**2)
-    h2 = hbar * hbar
-
-    def rhs(t, y):  # y = (phi_1..phi_M, dphi_1..dphi_M)
-        w = stack - eval_potential(profile, t)[1:]
-        return np.concatenate([y[m:], -((np.einsum("ij,ij->i", w, w) + mass**2) / h2) * y[:m]])
-
-    y0 = np.concatenate([np.ones(m, dtype=complex), -1j * p0 / hbar])
-    dense = _DenseSolution(rhs, 0.0, y0, t_lo, t_hi, "mode", slack=1e-9, rtol=rtol, atol=rtol)
+    modes = _CollocatedModes(profile, stack, hbar, mass, t_lo, t_hi, sigma_max, rtol)
     ts = np.linspace(t_lo, t_hi, num)
-    samples = dense(ts)
-    modes = [ModeFunction(profile, q, hbar, mass, dense, (i, m + i), ts, samples)
-             for i, q in enumerate(stack)]
-    return modes if p.ndim == 2 else modes[0]
+    samples = modes(ts)
+    out = [ModeFunction(profile, q, hbar, mass, modes, (i, len(stack) + i), ts, samples)
+           for i, q in enumerate(stack)]
+    return out if p.ndim == 2 else out[0]
 
 
 def amplitude_quantum(traj: Trajectory, window: CutoffWindow, mode_p: ModeFunction,
@@ -493,8 +593,11 @@ def amplitude_quantum(traj: Trajectory, window: CutoffWindow, mode_p: ModeFuncti
     edges = _phase_edges(max(t_lo, dom_lo), min(t_hi, dom_hi), rate)
     ts, w = _gauss_panels(edges, _PANEL_ORDER)
 
-    phi_p, dphi_p = mode_p(ts)
-    phi_P, dphi_P = mode_P(ts)
+    # one interpolation serves both modes when they share a stack
+    vals = mode_p._modes(ts)
+    vals_P = vals if mode_P._modes is mode_p._modes else mode_P._modes(ts)
+    phi_p, dphi_p = vals[:, mode_p._cols].T
+    phi_P, dphi_P = vals_P[:, mode_P._cols].T
     gate = window.chi(traj.xi(n, ts)) * w * np.exp(1j * k * ts)
 
     V = eval_potential(traj.profile, ts)[:, 1:]

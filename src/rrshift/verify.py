@@ -301,7 +301,8 @@ def hbar_convergence(sc: Scenario, hbars=None) -> dict:
     The expected decay is first order: halving hbar should halve the error
     of every amplitude component; a ratio passes at 85 percent of its step
     factor (1.7 for halvings).  Components that are identically zero in
-    both routes are skipped.
+    both routes are skipped.  Per hbar the mode stack reports its Wronskian
+    residual, its worst relative Chebyshev tail and its panel count.
     """
     if sc.profile.axis != "time":
         raise ScenarioError(["hbar convergence requires a time-axis potential"])
@@ -324,7 +325,7 @@ def hbar_convergence(sc: Scenario, hbars=None) -> dict:
               max(max(hi for _, hi in ranges), 0.0) + 0.05 * dur)
 
     comp_errors = []
-    wronskians = []
+    stacks = []
     for hbar in hbars:
         # p and every P = p - hbar k n in one solve, on one shared grid
         stack = [sc.p_final] + [sc.p_final - hbar * k * n for k, n in samples]
@@ -334,7 +335,7 @@ def hbar_convergence(sc: Scenario, hbars=None) -> dict:
                         - amplitude_classical(traj, k, n, window, sc.charge).a) ** 2
                  for (k, n), mode_P in zip(samples, mode_Ps)]
         comp_errors.append(np.sqrt(np.sum(errs2, axis=0)))
-        wronskians.append(mode_p.wronskian_residual())
+        stacks.append(mode_p)
 
     comp_errors = np.array(comp_errors)                   # (n_hbar, 4)
     live = comp_errors[0] > 1e-14 * float(comp_errors[0].max())
@@ -360,7 +361,9 @@ def hbar_convergence(sc: Scenario, hbars=None) -> dict:
         "component_errors": comp_errors.tolist(),
         "component_ratios": comp_ratios,
         "expected_ratios": expected,
-        "wronskian_residuals": wronskians,
+        "wronskian_residuals": [mode.wronskian_residual() for mode in stacks],
+        "mode_tails": [mode.tail for mode in stacks],
+        "mode_panels": [mode.panels for mode in stacks],
         "samples": [{"k": k, "n": n.tolist()} for k, n in samples],
         "passed": passed,
     }

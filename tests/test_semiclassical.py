@@ -14,7 +14,11 @@ from rrshift.semiclassical import (_8PI3, _PANEL_ORDER, _direction_grid,
                                    _phase_edges, _phase_transform, _radiative_amplitudes,
                                    _taper_amplitudes, _taper_transforms, _windowed_nodes,
                                    acceleration_xi_bounds)
+from rrshift import semiclassical
+from rrshift.dynamics import _SHAPE_INTERIOR_JOINS, _DenseSolution
+from rrshift.potentials import eval_potential
 from rrshift.shift import _gauss_panels
+from rrshift.verify import hbar_convergence
 
 CHARGE = 0.3
 NVEC = np.array([0.3, 0.4, np.sqrt(1 - 0.25)])
@@ -339,6 +343,110 @@ def test_mode_stack_resolution_guard_takes_the_fastest_momentum(time_profile):
         solve_mode_function(time_profile, [slow, fast], 0.1, (-3.0, 0.2), num=200)
     with pytest.raises(ValueError, match=r"shape \(3,\) or \(M, 3\)"):
         solve_mode_function(time_profile, [[slow]], 0.1, (-3.0, 0.2))
+
+
+# The stacked DOP853 solve that the collocated mode functions replaced, kept
+# as their oracle: one 2M-component system stepped from the plane wave at
+# acc_end back into the past, restarting at every join of the shape.
+MODE_PROFILES = {
+    "smoothstep7": PotentialProfile(axis="time", v_past=[0.0, 0.2, 0.0, 0.3], x1=2.0, x2=1.0),
+    "bump": bundled_scenario("pulse_single").profile,
+    "double_bump": PotentialProfile(axis="time", v_past=np.zeros(4), x1=2.0, x2=1.0,
+                                    shape="double_bump", amplitude=[0.0, 0.1, 0.05, 0.3]),
+}
+
+
+def dop853_mode_stack(profile, stack, hbar, t_lo, mass=1.0, rtol=1e-12):
+    """(phi, dphi/dt) of each momentum in the stack on [t_lo, -x2], shape (N, 2M)."""
+    m = len(stack)
+    p0 = np.sqrt(np.einsum("ij,ij->i", stack, stack) + mass**2)
+    h2 = hbar * hbar
+
+    def rhs(t, y):  # y = (phi_1..phi_M, dphi_1..dphi_M)
+        w = stack - eval_potential(profile, t)[1:]
+        return np.concatenate([y[m:], -((np.einsum("ij,ij->i", w, w) + mass**2) / h2) * y[:m]])
+
+    t_end = -profile.x2
+    joins = [-profile.x1 + u * profile.width for u in (0.0, *_SHAPE_INTERIOR_JOINS[profile.shape])]
+    wave = np.exp(-1j * p0 * t_end / hbar)
+    return _DenseSolution(rhs, t_end, np.concatenate([wave, -1j * p0 / hbar * wave]), t_lo,
+                          t_end, "oracle", joins=joins, rtol=rtol, atol=rtol)
+
+
+def mode_test_stack(p, hbar):
+    ns = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [-0.48, 0.6, -0.64]])
+    return np.vstack([p, p - hbar * np.array([0.5, 2.0, 4.4])[:, None] * ns])
+
+
+@pytest.mark.parametrize("hbar", [0.1, 0.05, 0.0125])
+@pytest.mark.parametrize("shape", list(MODE_PROFILES))
+def test_mode_stack_matches_dop853_oracle(shape, hbar):
+    """Across the forcing and 0.3 into the past, every collocated column is
+    the DOP853 oracle's (rtol 1e-13) to 1e-9 in phi, and in dphi/dt relative
+    to max |dphi/dt|."""
+    prof = MODE_PROFILES[shape]
+    stack = mode_test_stack(np.array([0.0, 0.1, 0.8]), hbar)
+    t_lo = -prof.x1 - 0.3
+    modes = solve_mode_function(prof, stack, hbar, (t_lo, 0.2))
+    ts = np.linspace(t_lo, -prof.x2, 2001)
+    ref = dop853_mode_stack(prof, stack, hbar, t_lo)(ts)
+    for i, mode in enumerate(modes):
+        phi, dphi = mode(ts)
+        assert np.max(np.abs(phi - ref[:, i])) < 1e-9
+        scale = np.max(np.abs(ref[:, len(stack) + i]))
+        assert np.max(np.abs(dphi - ref[:, len(stack) + i])) < 1e-9 * scale
+        # every join is a panel cut, so each panel is analytic and its tail
+        # sits at rounding level (about 2e-15), far below rtol
+        assert mode.tail < 1e-13 and mode.wronskian_residual() < 1e-11
+
+
+@pytest.mark.parametrize("shape", list(MODE_PROFILES))
+def test_mode_closed_forms_outside_the_forcing(shape):
+    """For t >= -x2 phi is the plane wave exp(-i p0 t / hbar); for t <= -x1
+    it is the pair of plane waves at sigma_in = sqrt((p - V_past)^2 + m^2)
+    matched to (phi, dphi/dt) at -x1."""
+    prof = MODE_PROFILES[shape]
+    hbar = 0.05
+    p = np.array([0.0, 0.1, 0.8])
+    mode = solve_mode_function(prof, p, hbar, (-prof.x1 - 1.5, 0.2))
+    late = np.linspace(-prof.x2, 0.2, 301)
+    phi, dphi = mode(late)
+    wave = np.exp(-1j * mode.p0 * late / hbar)
+    assert np.max(np.abs(phi - wave)) < 1e-13
+    assert np.max(np.abs(dphi + 1j * mode.p0 / hbar * wave)) < 1e-13 * mode.p0 / hbar
+
+    mech = p - prof.v_past[1:]
+    sigma_in = np.sqrt(mech @ mech + 1.0)
+    phi_s, dphi_s = mode(-prof.x1)
+    fwd = 0.5 * (phi_s + 1j * hbar * dphi_s / sigma_in)
+    back = 0.5 * (phi_s - 1j * hbar * dphi_s / sigma_in)
+    early = np.linspace(-prof.x1 - 1.5, -prof.x1, 301)
+    turn = np.exp(-1j * sigma_in * (early + prof.x1) / hbar)
+    phi, dphi = mode(early)
+    assert np.max(np.abs(phi - (fwd * turn + back / turn))) < 1e-12
+    assert np.max(np.abs(dphi + 1j * sigma_in / hbar * (fwd * turn - back / turn))) < 1e-12 / hbar
+
+
+def test_mode_collocation_fails_loudly_when_unresolved(time_profile, monkeypatch):
+    """Degree-4 panels cannot meet rtol even after every halving: the solve
+    raises and names the panel and its tail instead of returning."""
+    monkeypatch.setattr(semiclassical, "_CHEB_DEGREE", 4)
+    with pytest.raises(RuntimeError, match=r"panel \d+ \[.*\] keeps a relative Chebyshev tail"):
+        solve_mode_function(time_profile, [0.0, 0.1, 0.8], 0.05, (-3.5, 0.2))
+
+
+def test_hbar_convergence_reaches_first_order_limit():
+    """On `convergence`, halving hbar from 0.05 to 0.00625 brings every live
+    component ratio to within 2% of 2 at the last step, the minimum ratio
+    never falls, and every mode stack meets its Chebyshev tail bound."""
+    out = hbar_convergence(bundled_scenario("convergence"), hbars=(0.05, 0.025, 0.0125, 0.00625))
+    rows = [[r for r in row if r is not None] for row in out["component_ratios"]]
+    assert all(abs(r - 2.0) < 0.04 for r in rows[-1])
+    mins = [min(row) for row in rows]
+    assert all(coarse <= fine for coarse, fine in zip(mins, mins[1:]))
+    assert len(out["mode_tails"]) == len(out["mode_panels"]) == 4
+    assert all(tail < 1e-11 for tail in out["mode_tails"])
+    assert all(panels > 0 for panels in out["mode_panels"])
 
 
 def test_mode_pair_grid_mismatch(time_traj):
