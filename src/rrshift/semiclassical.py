@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dynamics import _SHAPE_INTERIOR_JOINS, Trajectory, integrate_trajectory, kinematics
 from .potentials import PotentialProfile, _smoothstep7, eval_potential
@@ -149,33 +148,25 @@ def default_window(traj: Trajectory, pad_fraction: float = 0.5,
                         width_fraction * dur)
 
 
-def _xi_root(traj: Trajectory, n, target: float) -> float:
-    # xi(n, t) is strictly increasing (d xi/dt = 1 - n.v > 0), so a simple
-    # expanding bracket always terminates
-    f = lambda t: float(traj.xi(n, t)) - target
-    a = min(traj.t_min, -1.0)
-    b = 1.0
-    for _ in range(200):
-        if f(a) <= 0.0:
-            break
-        a *= 2.0
-    for _ in range(200):
-        if f(b) >= 0.0:
-            break
-        b *= 2.0
-    return brentq(f, a, b, xtol=1e-12)
-
-
-def window_time_range(traj: Trajectory, n, window: CutoffWindow) -> tuple[float, float]:
-    """Times between which chi(xi(n, t)) can be nonzero."""
-    lo, hi = window.support
-    return _xi_root(traj, n, lo), _xi_root(traj, n, hi)
+def window_time_range(traj: Trajectory, n, window: CutoffWindow):
+    """Times between which chi(xi(n, t)) can be nonzero: (t_lo, t_hi) for n of
+    shape (3,), (D, 2) for a stack (D, 3).  The support ends lie beyond the
+    acceleration xi-image, on the coasting lines through acc_start and acc_end,
+    so each is one division; a support that ends inside the image raises."""
+    dirs = np.atleast_2d(np.asarray(n, dtype=float))
+    ends = np.array([traj.acc_start, traj.acc_end])
+    # elementwise n.x and n.v, so a stack rounds exactly as its directions one by one
+    img = ends - np.einsum("dj,ej->de", dirs, traj.position(ends))
+    slope = 1.0 - np.einsum("dj,ej->de", dirs, traj.velocity(ends))
+    t = ends + (np.array(window.support) - img) / slope
+    if np.any(t[:, 0] > ends[0]) or np.any(t[:, 1] < ends[1]):
+        raise ValueError(f"window support {window.support} does not reach past the "
+                         f"acceleration xi-image [{img[:, 0].min():.6g}, {img[:, 1].max():.6g}]")
+    return (float(t[0, 0]), float(t[0, 1])) if np.ndim(n) == 1 else t
 
 
 def _require_plateau_covers(traj: Trajectory, n, window: CutoffWindow):
-    img_lo = float(traj.xi(n, traj.acc_start))
-    img_hi = float(traj.xi(n, traj.acc_end))
-    window.require_covers(img_lo, img_hi, "the acceleration interval")
+    window.require_covers(*traj.xi(n, [traj.acc_start, traj.acc_end]), "the acceleration interval")
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +177,7 @@ def _require_plateau_covers(traj: Trajectory, n, window: CutoffWindow):
 # one 12-point Gauss-Legendre panel per oscillation period keeps the
 # quadrature error far below 1e-10
 _PANEL_ORDER = 12
+_PAIR_BLOCK = 96  # rows and columns of one block of the double-xi pair kernel
 
 
 def _phase_edges(a: float, b: float, rate: float, base_panels: int = 48) -> np.ndarray:
@@ -195,8 +187,9 @@ def _phase_edges(a: float, b: float, rate: float, base_panels: int = 48) -> np.n
     return np.linspace(a, b, n_panels + 1)
 
 
-def _max_speed(traj: Trajectory, t_lo: float, t_hi: float, num: int = 129) -> float:
-    ts = np.linspace(t_lo, t_hi, num)
+def _max_speed(traj: Trajectory) -> float:
+    """Largest sampled speed; it is constant outside the acceleration interval."""
+    ts = np.linspace(traj.acc_start, traj.acc_end, 129)
     return float(np.max(np.linalg.norm(traj.velocity(ts), axis=1)))
 
 
@@ -217,16 +210,21 @@ def _octaves(span: float, k_cap: float = np.inf):
         k_lo, k_hi = k_hi, min(2.0 * k_hi, k_cap)
 
 
-def _windowed_nodes(traj: Trajectory, n, window: CutoffWindow, k_max: float):
-    """Time nodes over the window support at direction n, one panel per
-    period up to k_max: xi, the gated weights chi(xi) w, and (1, v)."""
-    t_lo, t_hi = window_time_range(traj, n, window)
-    rate = k_max * (1.0 + _max_speed(traj, t_lo, t_hi))
-    ts, w = _gauss_panels(_phase_edges(t_lo, t_hi, rate), _PANEL_ORDER)
-    xi = traj.xi(n, ts)
-    u = np.ones((ts.size, 4))
-    u[:, 1:] = traj.velocity(ts)
-    return xi, window.chi(xi) * w, u
+def _windowed_nodes(traj: Trajectory, dirs, window: CutoffWindow, k_max: float):
+    """Time nodes over the window support, one panel per period up to k_max,
+    for each direction of dirs (D, 3): yields (xi, the gated weights
+    chi(xi) w, (1, v)).  One panel rate (_max_speed) serves every direction,
+    and the trajectory is sampled once on the concatenated nodes; each
+    direction's values equal those of a one-direction call bit for bit."""
+    rate = k_max * (1.0 + _max_speed(traj))
+    nodes = [_gauss_panels(_phase_edges(a, b, rate), _PANEL_ORDER)
+             for a, b in window_time_range(traj, dirs, window)]
+    ts = np.concatenate([t for t, _ in nodes])
+    cuts = np.cumsum([t.size for t, _ in nodes])[:-1]
+    for n, (t, w), x, v in zip(dirs, nodes, np.split(traj.position(ts), cuts),
+                               np.split(traj.velocity(ts), cuts)):
+        xi = t - np.einsum("ij,j->i", x, n)
+        yield xi, window.chi(xi) * w, np.column_stack([np.ones(t.size), v])
 
 
 def _k_panels(k_lo: float, k_hi: float, rate: float):
@@ -259,8 +257,7 @@ def _radiative_amplitudes(traj: Trajectory, ks: np.ndarray, dirs, charge: float,
     The trajectory is sampled once; one (P J, 4) array is yielded per
     direction in dirs."""
     if rate is None:
-        rate = float(np.max(np.abs(ks))) * (
-            1.0 + _max_speed(traj, traj.acc_start, traj.acc_end))
+        rate = float(np.max(np.abs(ks))) * (1.0 + _max_speed(traj))
     edges = _phase_edges(traj.acc_start, traj.acc_end, rate, base_panels=24)
     ts, w = _gauss_panels(edges, _PANEL_ORDER)
     kin = kinematics(traj, ts)
@@ -333,7 +330,7 @@ def amplitude_classical(traj: Trajectory, k: float, n, window: CutoffWindow,
     """
     n = _check_direction(n)
     _require_plateau_covers(traj, n, window)
-    xi, gate, u = _windowed_nodes(traj, n, window, abs(float(k)))
+    [(xi, gate, u)] = _windowed_nodes(traj, n[None], window, abs(float(k)))
     a = -charge * _phase_transform(np.array([[float(k)]]), xi, u * gate[:, None])[0]
     return EmissionAmplitude(p=traj.p_final.copy(), k=float(k), n=n, a=a)
 
@@ -648,9 +645,8 @@ def radiated_energy(traj: Trajectory, window: CutoffWindow, charge: float,
     img_lo, img_hi = acceleration_xi_bounds(traj)
     window.require_covers(img_lo, img_hi, "the acceleration interval")
     dirs, wd = _direction_grid(traj, n_polar, n_azimuth)
-    s_lo, s_hi = window.support
-    span = s_hi - s_lo
-    vmax = _max_speed(traj, traj.acc_start, traj.acc_end)
+    span = window.support[1] - window.support[0]
+    vmax = _max_speed(traj)
 
     total = 0.0
     base = 0.0
@@ -716,9 +712,8 @@ class ProbabilityReport:
 def _assembled_probability(traj: Trajectory, window: CutoffWindow, k_max: float,
                            dirs: np.ndarray, wd: np.ndarray) -> tuple[float, float]:
     """(total, taper-only) reduced probability cut at k_max, per unit e^2."""
-    s_lo, s_hi = window.support
-    span = s_hi - s_lo
-    vmax_acc = _max_speed(traj, traj.acc_start, traj.acc_end)
+    span = window.support[1] - window.support[0]
+    vmax_acc = _max_speed(traj)
 
     total = 0.0
     base = 0.0
@@ -738,24 +733,32 @@ def _double_xi_probability(traj: Trajectory, window: CutoffWindow, k_max: float,
                            dirs: np.ndarray, wd: np.ndarray) -> float:
     """Per direction, -sum_ij g_i g_j (u_i . u_j) K(xi_i - xi_j) for the gated
     four-velocity currents g u, with the Minkowski product (+, -, -, -) and
-    the pair kernel K(d) = int_0^K k cos(k d) dk = (cos(Kd) - 1 + Kd sin(Kd)) / d^2.
-    cos and sin of K(xi_i - xi_j) come from per-node values by angle
-    addition; |Kd| < 1e-2 takes the small-argument series."""
+    the pair kernel K(d) = int_0^K k cos(k d) dk = (cos(Kd) - 1 + Kd sin(Kd)) / d^2,
+    on the nodes of one _windowed_nodes call.  cos and sin of K(xi_i - xi_j)
+    come from per-node values by angle addition; |Kd| < 1e-2 takes the
+    small-argument series.  K is even, so it is evaluated in blocks of
+    _PAIR_BLOCK nodes over the upper triangle, off-diagonal blocks twice."""
     sign = np.array([1.0, -1.0, -1.0, -1.0])
     out = 0.0
-    for n, wdir in zip(dirs, wd):
-        xi, gate, u = _windowed_nodes(traj, n, window, k_max)
+    for (xi, gate, u), wdir in zip(_windowed_nodes(traj, dirs, window, k_max), wd):
         cs = np.stack([np.cos(k_max * xi), np.sin(k_max * xi)], axis=1)
-        d = xi[:, None] - xi[None, :]
-        x = k_max * d
-        # cos(x) - 1 + x sin(x), with sin(x) = s_i c_j - c_i s_j
-        kern = cs @ cs.T - 1.0 + x * ((cs[:, ::-1] * [1.0, -1.0]) @ cs.T)
-        small = np.abs(x) < 1e-2
-        kern /= np.where(small, 1.0, d * d)
-        x2 = x[small] ** 2
-        kern[small] = k_max**2 * (0.5 - x2 / 8.0 + x2 * x2 / 144.0)
+        sc = cs[:, ::-1] * [1.0, -1.0]
         current = gate[:, None] * u
-        out += wdir * (-(np.sum(current * (kern @ current), axis=0) @ sign)) / _8PI3
+        form = np.zeros(4)
+        for i in range(0, xi.size, _PAIR_BLOCK):
+            r = slice(i, i + _PAIR_BLOCK)
+            for j in range(i, xi.size, _PAIR_BLOCK):
+                c = slice(j, j + _PAIR_BLOCK)
+                d = xi[r, None] - xi[None, c]
+                x = k_max * d
+                # cos(x) - 1 + x sin(x), with sin(x) = s_i c_j - c_i s_j
+                kern = cs[r] @ cs[c].T - 1.0 + x * (sc[r] @ cs[c].T)
+                small = np.abs(x) < 1e-2
+                kern /= np.where(small, 1.0, d * d)
+                x2 = x[small] ** 2
+                kern[small] = k_max**2 * (0.5 - x2 / 8.0 + x2 * x2 / 144.0)
+                form += (1.0 if i == j else 2.0) * np.sum(current[r] * (kern @ current[c]), axis=0)
+        out += wdir * (-(form @ sign)) / _8PI3
     return out
 
 
@@ -775,9 +778,7 @@ def emission_probability_reduced(traj: Trajectory, window: CutoffWindow,
     same nodes is reported as the baseline; assembled minus baseline is the
     window-artifact-free physical value.
     """
-    if k_max is None:
-        k_max = 24.0 * np.pi / window.width
-    k_max = float(k_max)
+    k_max = float(24.0 * np.pi / window.width if k_max is None else k_max)
     window.require_covers(*acceleration_xi_bounds(traj), "the acceleration interval")
     dirs, wd = _direction_grid(traj, n_polar, n_azimuth)
     assembled, base = _assembled_probability(traj, window, k_max, dirs, wd)
@@ -849,9 +850,8 @@ def shift_from_amplitudes(family: TrajectoryFamily, window: CutoffWindow, charge
     for tr in trajs:
         window.require_covers(*acceleration_xi_bounds(tr), "the acceleration interval")
     dirs, wd = _direction_grid(center, n_polar, n_azimuth)
-    s_lo, s_hi = window.support
-    span = s_hi - s_lo
-    vmax = max(_max_speed(tr, tr.acc_start, tr.acc_end) for tr in trajs)
+    span = window.support[1] - window.support[0]
+    vmax = max(_max_speed(tr) for tr in trajs)
 
     total = np.zeros(3)
     rich_num = 0.0

@@ -324,6 +324,7 @@ def hbar_convergence(sc: Scenario, hbars=None) -> dict:
     t_span = (min(lo for lo, _ in ranges) - 0.05 * dur,
               max(max(hi for _, hi in ranges), 0.0) + 0.05 * dur)
 
+    classical = [amplitude_classical(traj, k, n, window, sc.charge).a for k, n in samples]
     comp_errors = []
     stacks = []
     for hbar in hbars:
@@ -332,8 +333,8 @@ def hbar_convergence(sc: Scenario, hbars=None) -> dict:
         mode_p, *mode_Ps = solve_mode_function(sc.profile, np.array(stack), hbar, t_span,
                                                mass=sc.mass)
         errs2 = [np.abs(amplitude_quantum(traj, window, mode_p, mode_P, k, n, sc.charge).a
-                        - amplitude_classical(traj, k, n, window, sc.charge).a) ** 2
-                 for (k, n), mode_P in zip(samples, mode_Ps)]
+                        - a_cl) ** 2
+                 for (k, n), mode_P, a_cl in zip(samples, mode_Ps, classical)]
         comp_errors.append(np.sqrt(np.sum(errs2, axis=0)))
         stacks.append(mode_p)
 

@@ -1,7 +1,10 @@
 """Emission amplitudes, mode functions, energy and probability accounting."""
 
+from functools import cache
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from rrshift import (CutoffWindow, PotentialProfile, amplitude_classical,
                      amplitude_quantum, build_trajectory_family, bundled_scenario,
@@ -9,12 +12,12 @@ from rrshift import (CutoffWindow, PotentialProfile, amplitude_classical,
                      integrate_trajectory, kinematics, radiated_energy, radiative_amplitude,
                      shift_from_amplitudes, solve_mode_function, sphere_quadrature,
                      taper_amplitude, window_time_range)
-from rrshift.semiclassical import (_8PI3, _PANEL_ORDER, _direction_grid,
+from rrshift.semiclassical import (_8PI3, _PAIR_BLOCK, _PANEL_ORDER, _direction_grid,
                                    _double_xi_probability, _k_panels, _max_speed, _octaves,
                                    _phase_edges, _phase_transform, _radiative_amplitudes,
                                    _taper_amplitudes, _taper_transforms, _windowed_nodes,
                                    acceleration_xi_bounds)
-from rrshift import semiclassical
+from rrshift import semiclassical, verify
 from rrshift.dynamics import _SHAPE_INTERIOR_JOINS, _DenseSolution
 from rrshift.potentials import eval_potential
 from rrshift.shift import _gauss_panels
@@ -22,6 +25,33 @@ from rrshift.verify import hbar_convergence
 
 CHARGE = 0.3
 NVEC = np.array([0.3, 0.4, np.sqrt(1 - 0.25)])
+BUNDLED = ["amplitude_shift", "collinear", "convergence", "energy", "oblique", "pulse_single",
+           "rest_pulse", "spatial", "weak"]
+
+
+@cache
+def built(name):
+    """A bundled scenario and its trajectory, built once per test session."""
+    sc = bundled_scenario(name)
+    return sc, sc.build()
+
+
+def xi_root(traj, n, target):
+    """The time at which xi(n, t) = target, by a scalar bracketed root solve:
+    xi is strictly increasing (d xi/dt = 1 - n.v > 0), so an expanding
+    bracket always terminates."""
+    f = lambda t: float(traj.xi(n, t)) - target
+    a = min(traj.t_min, -1.0)
+    b = 1.0
+    for _ in range(200):
+        if f(a) <= 0.0:
+            break
+        a *= 2.0
+    for _ in range(200):
+        if f(b) >= 0.0:
+            break
+        b *= 2.0
+    return brentq(f, a, b, xtol=1e-12)
 
 
 def riemann_amplitude(traj, k, n, window, charge, num=1_000_000):
@@ -45,8 +75,7 @@ def radiative_per_direction(traj, kp, n, charge, rate=None):
     """The radiative piece for one direction, sampling the trajectory anew."""
     n = np.asarray(n, dtype=float)
     if rate is None:
-        rate = float(np.max(np.abs(kp))) * (
-            1.0 + _max_speed(traj, traj.acc_start, traj.acc_end))
+        rate = float(np.max(np.abs(kp))) * (1.0 + _max_speed(traj))
     edges = _phase_edges(traj.acc_start, traj.acc_end, rate, base_panels=24)
     ts, w = _gauss_panels(edges, _PANEL_ORDER)
     kin = kinematics(traj, ts)
@@ -231,7 +260,7 @@ def test_factorized_transforms_match_dense_oracle(name, octaves):
     traj = sc.build()
     window = sc.window(traj)
     span = window.support[1] - window.support[0]
-    vmax = _max_speed(traj, traj.acc_start, traj.acc_end)
+    vmax = _max_speed(traj)
     dirs, _ = sphere_quadrature(2, 4, axis=traj.velocity(0.0))
     grids = [edges for _, edges in zip(range(octaves), _octaves(span))]
     rad_err = tap_err = rad_peak = tap_peak = 0.0
@@ -256,14 +285,53 @@ def test_factorized_transforms_match_dense_oracle(name, octaves):
     assert tap_err < 1e-13 * tap_peak
 
 
-@pytest.mark.parametrize("name", ["amplitude_shift", "collinear", "convergence", "energy",
-                                  "oblique", "pulse_single", "rest_pulse", "spatial", "weak"])
+@pytest.mark.parametrize("name", BUNDLED)
 def test_acceleration_xi_bounds_are_the_interval_ends(name):
     """The two-point bounds equal the min/max of t -/+ |x(t)| over 513 samples."""
-    traj = bundled_scenario(name).build()
+    _, traj = built(name)
     ts = np.linspace(traj.acc_start, traj.acc_end, 513)
     r = np.linalg.norm(traj.position(ts), axis=1)
     assert acceleration_xi_bounds(traj) == (float(np.min(ts - r)), float(np.max(ts + r)))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_window_time_range_matches_root_oracle(name):
+    """On an 8x16 direction grid the closed-form ends on the coasting lines
+    equal the scalar root solves of xi(n, t) = support end to 1e-7, one
+    direction at a time and as a stack."""
+    sc, traj = built(name)
+    window = sc.window(traj)
+    dirs, _ = _direction_grid(traj, 8, 16)
+    ref = np.array([[xi_root(traj, n, end) for end in window.support] for n in dirs])
+    stacked = window_time_range(traj, dirs, window)
+    assert stacked.shape == (len(dirs), 2)
+    assert np.max(np.abs(stacked - ref)) < 1e-7
+    for n, row in zip(dirs[::17], stacked[::17]):
+        assert window_time_range(traj, n, window) == tuple(row)
+
+
+def test_window_time_range_rejects_support_inside_the_image(time_traj):
+    """A support that ends inside the acceleration xi-image, at either end,
+    has no coasting-line solution and raises."""
+    lo, hi = (float(x) for x in time_traj.xi(NVEC, [time_traj.acc_start, time_traj.acc_end]))
+    for window in (CutoffWindow(lo - 1.0, hi - 0.3, 0.1), CutoffWindow(lo + 0.3, hi + 1.0, 0.1)):
+        with pytest.raises(ValueError, match="does not reach past the acceleration xi-image"):
+            window_time_range(time_traj, NVEC, window)
+    window_time_range(time_traj, NVEC, CutoffWindow(lo - 0.1, hi, 0.1))  # ends past the image
+
+
+@pytest.mark.parametrize("name", ["time_traj", "spatial_traj"])
+def test_stacked_nodes_equal_one_direction_calls(name, request):
+    """One trajectory sample on the concatenated nodes of a stack of
+    directions gives, for each, exactly the nodes of its own call."""
+    traj = request.getfixturevalue(name)
+    window = default_window(traj)
+    dirs, _ = _direction_grid(traj, 3, 4)
+    stacked = list(_windowed_nodes(traj, dirs, window, 9.0))
+    assert len(stacked) == len(dirs)
+    for n, got in zip(dirs, stacked):
+        [one] = _windowed_nodes(traj, n[None], window, 9.0)
+        assert all(np.array_equal(a, b) for a, b in zip(got, one))
 
 
 # ------------------------------------------------------------- mode functions
@@ -449,6 +517,20 @@ def test_hbar_convergence_reaches_first_order_limit():
     assert all(panels > 0 for panels in out["mode_panels"])
 
 
+def test_hbar_convergence_computes_each_classical_amplitude_once(monkeypatch):
+    """The classical amplitude does not depend on hbar: three hbar values
+    make 5 calls, one per (k, n) sample."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return amplitude_classical(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "amplitude_classical", counting)
+    out = hbar_convergence(bundled_scenario("convergence"), hbars=(0.1, 0.05, 0.025))
+    assert len(calls) == len(out["samples"]) == 5
+
+
 def test_mode_pair_grid_mismatch(time_traj):
     w = default_window(time_traj)
     m1 = solve_mode_function(time_traj.profile, [0.0, 0.1, 0.8], 0.1, (-9.0, 1.5))
@@ -557,10 +639,40 @@ def test_double_xi_matches_pair_kernel_oracle():
     dirs, wd = _direction_grid(traj, 4, 8)
     ref = 0.0
     for n, wdir in zip(dirs, wd):
-        xi, gate, u = _windowed_nodes(traj, n, window, k_max)
+        [(xi, gate, u)] = _windowed_nodes(traj, n[None], window, k_max)
         c_mink = np.outer(u[:, 0], u[:, 0]) - u[:, 1:] @ u[:, 1:].T
         kern = pair_kernel(xi[:, None] - xi[None, :], k_max)
         ref += wdir * (-(gate @ (c_mink * kern) @ gate)) / _8PI3
+    got = _double_xi_probability(traj, window, k_max, dirs, wd)
+    assert abs(got - ref) < 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("k_max, keep", [(20.0, None), (12.0, 250), (12.0, 50)])
+def test_double_xi_blocks_match_pair_kernel_oracle(k_max, keep, monkeypatch):
+    """Node counts that are not a multiple of the block size (k_max 20, and
+    the first 250 nodes of each direction) and fewer nodes than one block
+    (the first 50): partial and single blocks of the upper-triangle kernel
+    equal the nt x nt pair-kernel form to 1e-13."""
+    sc, traj = built("pulse_single")
+    window = sc.window(traj)
+    full_nodes = semiclassical._windowed_nodes
+
+    def nodes(*args):
+        return ((xi[:keep], gate[:keep], u[:keep]) for xi, gate, u in full_nodes(*args))
+
+    monkeypatch.setattr(semiclassical, "_windowed_nodes", nodes)
+    dirs, wd = _direction_grid(traj, 4, 8)
+    ref = 0.0
+    counts = set()
+    for (xi, gate, u), wdir in zip(nodes(traj, dirs, window, k_max), wd):
+        counts.add(xi.size)
+        c_mink = np.outer(u[:, 0], u[:, 0]) - u[:, 1:] @ u[:, 1:].T
+        kern = pair_kernel(xi[:, None] - xi[None, :], k_max)
+        ref += wdir * (-(gate @ (c_mink * kern) @ gate)) / _8PI3
+    if keep == 50:
+        assert max(counts) < _PAIR_BLOCK
+    else:
+        assert all(c > _PAIR_BLOCK for c in counts) and any(c % _PAIR_BLOCK for c in counts)
     got = _double_xi_probability(traj, window, k_max, dirs, wd)
     assert abs(got - ref) < 1e-13 * abs(ref)
 
