@@ -1,16 +1,16 @@
 """Unperturbed relativistic motion through a one-coordinate potential.
 
 Hamiltonian flow of H = sqrt((P - V(s))^2 + m^2) + V^0(s) with s either
-coordinate time or one spatial coordinate.  The trajectory is anchored at
-the origin with prescribed final canonical momentum,
-
-    x(0) = 0,   P(0) = p_final,
-
-and integrated backward to a time t_min at which the particle sits strictly
-in the constant-potential past region (margin of at least 10% of the
-acceleration duration).  Velocity, acceleration, and jerk come from closed
-chain-rule expressions through the potential derivatives — no numerical
-differencing anywhere on this path.
+coordinate time or one spatial coordinate, anchored at x(0) = 0 with final
+canonical momentum P(0) = p_final, on [t_min, 0] with t_min in the constant
+past region (a margin of at least 10% of the acceleration duration).  V
+depends on s alone, so P (time axis), or H and the transverse P (spatial
+axis), are first integrals: they give u = (sigma, P - V) at each s in closed
+form, and Y = (t, x) is the quadrature dY/ds = u / u_s, held as integrated
+piecewise Chebyshev series on the forcing (Trefethen, Approximation Theory
+and Approximation Practice, 2013, ch. 19) and exact coasting lines outside
+it.  Velocity, acceleration, and jerk come from closed chain-rule
+expressions through the potential derivatives — no numerical differencing.
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebint, chebinterpolate, chebval
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
-from .potentials import (PotentialProfile, _derivatives, axis_index, eval_derivative,
-                         validate_profile)
+from .potentials import PotentialProfile, _derivatives, axis_index, validate_profile
 
 __all__ = [
     "Trajectory",
@@ -56,20 +55,19 @@ class _DenseSolution:
     """Dense DOP853 solution of y' = rhs(t, y) on [lo, hi] with y(anchor) = y0.
 
     Solves run from the anchor out to each end that lies beyond it, with
-    `options` (tolerances, max_step, events) passed to `solve_ivp`; a failed
-    solve raises.  Each of the interior times `joins` met on the way (where
-    the RHS is less smooth) ends one solve, and the next starts from its last
-    state, so no step straddles a join.  A call checks t against the domain
-    to 1e-12, clips it into the domain and then into each segment (a later
-    segment wins at a join) and returns shape (N, len(y0)), or (len(y0),)
-    for a scalar t.  `ts` holds the step points of every segment, joins
-    included, `event_times` the times of the first event.
+    `options` (tolerances) passed to `solve_ivp`; a failed solve raises.
+    Each of the interior times `joins` met on the way (where the RHS is less
+    smooth) ends one solve, and the next starts from its last state, so no
+    step straddles a join.  A call checks t against the domain to 1e-12,
+    clips it into the domain and then into each segment (a later segment
+    wins at a join) and returns shape (N, len(y0)), or (len(y0),) for a
+    scalar t.  `ts` holds the step points of every segment, joins included.
     """
 
     def __init__(self, rhs, anchor, y0, lo, hi, what, joins=(), **options):
         self.lo, self.hi, self.what = lo, hi, what
         self._y0 = y0
-        self.segments, self.event_times = [], []
+        self.segments = []
         for end in [e for e, beyond in ((lo, lo < anchor), (hi, hi > anchor)) if beyond]:
             inner = sorted((j for j in joins if min(anchor, end) < j < max(anchor, end)),
                            reverse=end < anchor)
@@ -80,8 +78,6 @@ class _DenseSolution:
                 if not res.success:
                     raise RuntimeError(f"{what} integration failed: {res.message}")
                 self.segments.append((min(start, stop), max(start, stop), res.sol))
-                if res.t_events:
-                    self.event_times.extend(res.t_events[0])
                 start, y = stop, res.y[:, -1]
         if not self.segments:
             raise ValueError(f"empty {what} domain")
@@ -100,66 +96,168 @@ class _DenseSolution:
         return out[0] if np.ndim(t) == 0 else out
 
 
+_SHAPE_INTERIOR_JOINS = {
+    "smoothstep7": (),
+    "raised_cosine": (),
+    "bump": (0.5,),
+    "double_bump": (0.125, 0.25, 0.75, 0.875),
+}
+_CHEB_DEGREE = 32   # Chebyshev degree of a trajectory or mode-collocation panel
+_MAX_SPLITS = 4     # halvings of the panels whose coefficient tail misses rtol
+_NEWTON_STEPS = 6   # on t(s); a fixed count, so no point's s depends on its batch
+
+
+def _transition_cuts(profile) -> np.ndarray:
+    """Panel cuts of the forcing in s: -x1, the shape's joins, -x2."""
+    joins = [-profile.x1 + u * profile.width for u in _SHAPE_INTERIOR_JOINS[profile.shape]]
+    return np.array([-profile.x1, *joins, -profile.x2])
+
+
+def _refine_panels(fit, edges, rtol, what):
+    """(edges, fit(edges)), where fit(edges)[0] holds each panel's relative
+    Chebyshev tail: panels whose tail misses rtol are halved up to
+    _MAX_SPLITS times, then a RuntimeError names the worst one."""
+    for splits in range(_MAX_SPLITS + 1):
+        out = fit(edges)
+        tails = out[0]
+        if np.all(tails <= rtol):
+            return edges, out
+        if splits < _MAX_SPLITS:  # a NaN tail counts as missed
+            edges = np.sort(np.append(edges, 0.5 * (edges[:-1] + edges[1:])[~(tails <= rtol)]))
+    i = int(np.argmax(tails))
+    raise RuntimeError(f"{what} failed: panel {i} [{edges[i]:.6g}, {edges[i + 1]:.6g}] keeps a "
+                       f"relative Chebyshev tail {tails[i]:.3e} above rtol {rtol:.1e} "
+                       f"after {_MAX_SPLITS} halvings")
+
+
+def _first_integrals(profile, p, m, s):
+    """Mechanical four-momentum u = (sigma, P - V), (N, 4), and canonical
+    momentum P, (N, 3), at the coordinates s (N,) of the flow with P = p at
+    s = 0, where V = 0.  Time axis: P = p.  Spatial axis a: H = sqrt(p^2 +
+    m^2) and P_perp = p_perp hold, so sigma = H - V^0 and u_a follows from
+    the mass shell; ReflectedTrajectoryError where u_a^2 <= 0."""
+    ai = axis_index(profile)
+    V = _derivatives(profile, s, (0,))[0]
+    P = np.tile(p, (len(V), 1))
+    w = P - V[:, 1:]
+    if ai is None:
+        sigma = np.sqrt(np.einsum("ij,ij->i", w, w) + m * m)
+    else:
+        sigma = np.sqrt(p @ p + m * m) - V[:, 0]
+        w[:, ai] = 0.0
+        wa2 = sigma * sigma - m * m - np.einsum("ij,ij->i", w, w)
+        if np.any(wa2 <= 0.0):
+            raise ReflectedTrajectoryError(f"traversal fails: dx^{profile.axis}/dt reaches zero "
+                                           f"at {profile.axis}={s[np.argmax(wa2 <= 0.0)]:.6g}")
+        w[:, ai] = np.sqrt(wa2)
+        P[:, ai] = V[:, 1 + ai] + w[:, ai]
+    return np.column_stack([sigma, w]), P
+
+
+def _fit_panels(profile, p, m, k, edges, y_end):
+    """Each panel's relative coefficient tail, the Chebyshev coefficients of
+    the degree-_CHEB_DEGREE interpolants of dY/ds = u / u_k on the panels
+    between edges and of their integrals Y = (t, x), chained backward from
+    y_end at edges[-1] (each (P, ., 4), in local coordinates), Y at edges."""
+    def slope(s):
+        u = _first_integrals(profile, p, m, s)[0]
+        return u / u[:, k:k + 1]
+
+    centers, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    slopes = np.stack([chebinterpolate(lambda z: slope(c + h * z), _CHEB_DEGREE)
+                       for c, h in zip(centers, halves)])
+    mags = np.abs(slopes)
+    coefs = np.stack([chebint(c, lbnd=1, scl=h) for c, h in zip(slopes, halves)])
+    y_edges = [y_end]
+    for i in reversed(range(len(coefs))):  # each integral vanishes at its panel's right end
+        coefs[i, 0] += y_edges[0]
+        y_edges.insert(0, chebval(-1.0, coefs[i]))
+    return mags[:, -2:].max(axis=(1, 2)) / mags.max(axis=(1, 2)), coefs, slopes, np.array(y_edges)
+
+
+def _panel_sums(z, panel, coefs):
+    """Sums of the series coefs[panel] (P, n, k) at local points z, (N, k),
+    by Clenshaw's recurrence: elementwise, so batch-independent."""
+    out = np.empty((z.size, coefs.shape[2]))
+    for i in np.unique(panel):
+        rows = panel == i
+        out[rows] = chebval(z[rows, None], coefs[i][:, None, :], tensor=False)
+    return out
+
+
 class Trajectory:
-    """Dense backward-anchored solution plus exact coasting asymptotes."""
+    """The flow anchored at x(0) = 0, P(0) = p_final, with Y = (t, x) a
+    function of the potential's coordinate s: integrated Chebyshev series on
+    the panels of the forcing [-x1, -x2], exact coasting lines outside it.
+    `ts` are the panel edges in t (exactly the s values on the time axis),
+    `breakpoints` those at the shape's joins.  tol bounds every panel's
+    relative coefficient tail and is the variational solves' tolerance."""
 
-    def __init__(self, profile, p_final, mass, tol, dense, acc_start, acc_end, breakpoints):
-        self.profile = profile
+    def __init__(self, profile, p_final, mass, tol, t_min=None):
+        self.profile, self.mass, self.tol = profile, float(mass), float(tol)
         self.p_final = np.asarray(p_final, dtype=float)
-        self.mass = float(mass)
-        self.tol = float(tol)
-        self._dense = dense
-        self.t_min = float(dense.lo)
-        self.acc_start = float(acc_start)   # earliest accelerated time
-        self.acc_end = float(acc_end)       # latest accelerated time
-        self.breakpoints = tuple(breakpoints)  # interior C^3 joins, in t
-        x_in, _ = self.state(self.t_min)
-        self._x_in = x_in
-        self._v_in = kinematics(self, self.t_min).v
-        self._v_out = kinematics(self, 0.0).v
+        ai = self._ai = axis_index(profile)
+        cuts = _transition_cuts(profile)
+        u_in, u_out = _first_integrals(profile, self.p_final, mass, cuts)[0][[0, -1]]
+        k = 0 if ai is None else 1 + ai
+        y_end = cuts[-1] * (u_out / u_out[k])  # on the coasting line through the origin
+        self._edges, (_, self._coefs, self._slopes, y_edges) = _refine_panels(
+            lambda e: _fit_panels(profile, self.p_final, mass, k, e, y_end), cuts, tol,
+            "trajectory series")
+        self.ts = self._edges if ai is None else y_edges[:, 0]
+        self.acc_start, self.acc_end = float(self.ts[0]), float(self.ts[-1])
+        self.breakpoints = tuple(self.ts[np.isin(self._edges, cuts[1:-1])])  # C^3 joins in t
+        self._v_in, self._v_out = u_in[1:] / u_in[0], u_out[1:] / u_out[0]
+        self._x_in = y_edges[0, 1:]
+        if ai is not None:
+            self._x_in[ai] = cuts[0]
+        auto_t_min = self.acc_start - 0.1 * self.acc_duration
+        if t_min is not None and t_min > auto_t_min:
+            raise ValueError(f"explicit t_min={t_min} leaves less than the 10% past margin")
+        self.t_min = float(auto_t_min if t_min is None else t_min)
 
-    # -- state access ---------------------------------------------------
-
-    @property
-    def ts(self) -> np.ndarray:
-        """Step points of the integrator, where the dense solution has kinks."""
-        return self._dense.ts
+    def _locate(self, t):
+        """s and x at the times t, (N,) and (N, 3): the coasting lines before
+        acc_start and after acc_end; between them the series, reached on a
+        spatial axis by _NEWTON_STEPS Newton steps on t(s) in each time's panel."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        early, late = t <= self.acc_start, t >= self.acc_end
+        x = np.where(early[:, None], self._x_in + np.outer(t - self.acc_start, self._v_in),
+                     np.outer(t, self._v_out))
+        inner = ~early & ~late
+        t_in = t[inner]
+        panel = np.searchsorted(self.ts, t_in) - 1
+        a, b = self._edges[panel], self._edges[panel + 1]
+        s = t_in if self._ai is None else np.interp(t_in, self.ts, self._edges)
+        for _ in range(0 if self._ai is None else _NEWTON_STEPS):
+            z = (2.0 * s - a - b) / (b - a)
+            dt = _panel_sums(z, panel, self._coefs[..., :1]) - t_in[:, None]
+            s = np.clip(s - (dt / _panel_sums(z, panel, self._slopes[..., :1]))[:, 0], a, b)
+        x[inner] = _panel_sums((2.0 * s - a - b) / (b - a), panel, self._coefs)[:, 1:]
+        if self._ai is None:
+            return t, x
+        x[inner, self._ai] = s
+        return x[:, self._ai], x
 
     def state(self, t):
-        """(x, P) on the integrated domain [t_min, 0]."""
-        y = self._dense(t)
-        return y[..., :3], y[..., 3:]
+        """(x, P) on the domain [t_min, 0]."""
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        if np.any(t_arr < self.t_min - 1e-12) or np.any(t_arr > 1e-12):
+            raise ValueError(f"t outside trajectory domain [{self.t_min}, 0.0]")
+        s, x = self._locate(np.clip(t_arr, self.t_min, 0.0))
+        P = _first_integrals(self.profile, self.p_final, self.mass, s)[1]
+        return (x[0], P[0]) if np.ndim(t) == 0 else (x, P)
 
     def position(self, t):
-        """x(t) for any t; outside [t_min, 0] the exact coasting line is used
-        (valid because the potential is constant there)."""
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        out = np.empty(t_arr.shape + (3,))
-        inside = (t_arr >= self.t_min) & (t_arr <= 0.0)
-        if np.any(inside):
-            out[inside] = self.state(t_arr[inside])[0]
-        before = t_arr < self.t_min
-        if np.any(before):
-            out[before] = self._x_in + np.outer(t_arr[before] - self.t_min, self._v_in)
-        after = t_arr > 0.0
-        if np.any(after):
-            out[after] = np.outer(t_arr[after], self._v_out)
-        return out[0] if scalar else out
+        """x(t) for any t."""
+        x = self._locate(t)[1]
+        return x[0] if np.ndim(t) == 0 else x
 
     def velocity(self, t):
-        """dx/dt for any t (constant outside the integrated domain)."""
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        t_arr = np.atleast_1d(t_arr)
-        out = np.empty(t_arr.shape + (3,))
-        inside = (t_arr >= self.t_min) & (t_arr <= 0.0)
-        if np.any(inside):
-            out[inside] = kinematics(self, t_arr[inside]).v
-        out[t_arr < self.t_min] = self._v_in
-        out[t_arr > 0.0] = self._v_out
-        return out[0] if scalar else out
+        """dx/dt = (P - V) / sigma for any t (constant outside the forcing)."""
+        u = _first_integrals(self.profile, self.p_final, self.mass, self._locate(t)[0])[0]
+        v = u[:, 1:] / u[:, :1]
+        return v[0] if np.ndim(t) == 0 else v
 
     def xi(self, n, t):
         """Retarded phase coordinate xi = t - n.x(t) for unit direction n."""
@@ -171,27 +269,6 @@ class Trajectory:
         return self.acc_end - self.acc_start
 
 
-def _rhs_factory(profile, mass, ai):
-    e_a = None if ai is None else np.eye(3)[ai]
-    orders = (0,) if ai is None else (0, 1)
-
-    def rhs(t, y):
-        x, P = y[:3], y[3:]
-        s = t if ai is None else x[ai]
-        derivs = _derivatives(profile, s, orders)
-        w = P - derivs[0][0, 1:]
-        sigma = np.sqrt(w @ w + mass * mass)
-        v = w / sigma
-        if ai is None:
-            dP = np.zeros(3)
-        else:
-            dV = derivs[1][0]
-            dP = e_a * (v @ dV[1:] - dV[0])
-        return np.concatenate([v, dP])
-
-    return rhs
-
-
 def integrate_trajectory(
     profile: PotentialProfile,
     p_final,
@@ -201,7 +278,8 @@ def integrate_trajectory(
 ) -> Trajectory:
     """Build the unperturbed trajectory anchored at x(0)=0, P(0)=p_final.
 
-    tol is applied as both rtol and atol of the adaptive integrator.
+    tol bounds the relative coefficient tail of every series panel; a panel
+    that misses it is halved, and RuntimeError follows four vain halvings.
     An explicit t_min (used to share a common domain across a family of
     re-anchored trajectories) must lie at or before the automatic choice.
     """
@@ -210,106 +288,12 @@ def integrate_trajectory(
         raise ValueError("invalid profile: " + "; ".join(report.failures))
     if mass <= 0.0:
         raise ValueError("mass must be positive")
-    p_final = np.asarray(p_final, dtype=float)
     ai = axis_index(profile)
-
-    if ai is not None and p_final[ai] <= 0.0:
+    if ai is not None and np.asarray(p_final, dtype=float)[ai] <= 0.0:
         raise ReflectedTrajectoryError(
             "p_final component along the profile axis must be positive for traversal"
         )
-
-    y0 = np.concatenate([np.zeros(3), p_final])
-    rhs = _rhs_factory(profile, mass, ai)
-    max_step = 0.5 * profile.width
-
-    if ai is None:
-        t_start, t_end = -profile.x1, -profile.x2
-    else:
-        t_start, t_end = _locate_crossings(profile, mass, rhs, y0, ai, tol, max_step)
-
-    duration = t_end - t_start
-    auto_t_min = t_start - 0.1 * duration
-    if t_min is None:
-        t_min = auto_t_min
-    elif t_min > auto_t_min:
-        raise ValueError(f"explicit t_min={t_min} leaves less than the 10% past margin")
-
-    events = None if ai is None else [_reflection_event(profile, ai)]
-    dense = _DenseSolution(rhs, 0.0, y0, t_min, 0.0, "trajectory",
-                           rtol=tol, atol=tol, max_step=max_step, events=events)
-    if dense.event_times:
-        raise ReflectedTrajectoryError(
-            f"traversal fails: dx^{profile.axis}/dt reaches zero at t={dense.event_times[0]:.6g}"
-        )
-
-    breakpoints = _interior_breakpoints(profile, dense, ai)
-    return Trajectory(profile, p_final, mass, tol, dense, t_start, t_end, breakpoints)
-
-
-def _reflection_event(profile, ai):
-    """Terminal event: the mechanical momentum along the profile axis
-    reaches zero, so the particle turns back."""
-
-    def reflect(t, y):
-        V = eval_derivative(profile, y[ai], 0)
-        return (y[3:] - V[1:])[ai]
-
-    reflect.terminal = True
-    return reflect
-
-
-def _locate_crossings(profile, mass, rhs, y0, ai, tol, max_step):
-    """Backward event search for the times at which x^a crosses -x2, -x1."""
-
-    def cross_hi(t, y):
-        return y[ai] + profile.x2
-
-    def cross_lo(t, y):
-        return y[ai] + profile.x1
-
-    cross_lo.terminal = True
-
-    p_final = y0[3:]
-    v0 = p_final[ai] / np.sqrt(p_final @ p_final + mass * mass)
-    span = 4.0 * (profile.x1 + 1.0) / v0
-    for _ in range(8):
-        res = solve_ivp(
-            rhs, (0.0, -span), y0, method="DOP853",
-            rtol=tol, atol=tol, max_step=max_step,
-            events=[cross_hi, cross_lo, _reflection_event(profile, ai)],
-        )
-        if not res.success:
-            raise RuntimeError(f"trajectory probe failed: {res.message}")
-        if res.t_events[2].size:
-            raise ReflectedTrajectoryError(
-                f"traversal fails: dx^{profile.axis}/dt reaches zero at t={res.t_events[2][0]:.6g}"
-            )
-        if res.t_events[0].size and res.t_events[1].size:
-            return float(res.t_events[1][0]), float(res.t_events[0][0])
-        span *= 2.0
-    raise ReflectedTrajectoryError("particle never leaves the transition region")
-
-
-_SHAPE_INTERIOR_JOINS = {
-    "smoothstep7": (),
-    "raised_cosine": (),
-    "bump": (0.5,),
-    "double_bump": (0.125, 0.25, 0.75, 0.875),
-}
-
-
-def _interior_breakpoints(profile, dense, ai):
-    joins_u = _SHAPE_INTERIOR_JOINS.get(profile.shape, ())
-    s_vals = [-profile.x1 + u * profile.width for u in joins_u]
-    out = []
-    for s in s_vals:
-        if ai is None:
-            out.append(s)
-        else:
-            f = lambda t: dense(t)[ai] - s
-            if f(dense.lo) * f(dense.hi) < 0:
-                out.append(brentq(f, dense.lo, dense.hi, xtol=1e-13))
-    return sorted(out)
+    return Trajectory(profile, p_final, mass, tol, t_min)
 
 
 def _flow_sample(traj: Trajectory, t) -> tuple[Kinematics, np.ndarray, np.ndarray]:
@@ -349,8 +333,7 @@ def _flow_at(profile, m, t_arr, x, P) -> tuple[Kinematics, np.ndarray, np.ndarra
         wdot = -V1s
         wddot = -V2s
     else:
-        e_a = np.zeros(3)
-        e_a[ai] = 1.0
+        e_a = np.eye(3)[ai]
         v_a = v[:, ai]
         vdV1 = np.einsum("ij,ij->i", v, V1s)
         Pdot = (vdV1 - V1_0)[:, None] * e_a
@@ -363,7 +346,6 @@ def _flow_at(profile, m, t_arr, x, P) -> tuple[Kinematics, np.ndarray, np.ndarra
         a_a = acc[:, ai]
         vdV2 = np.einsum("ij,ij->i", v, V2s)
         adV1 = np.einsum("ij,ij->i", acc, V1s)
-        v_a = v[:, ai]
         wddot = (
             (adV1 + vdV2 * v_a - V2_0 * v_a)[:, None] * e_a
             - V2s * (v_a * v_a)[:, None]

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _SHAPE_INTERIOR_JOINS, Trajectory, integrate_trajectory, kinematics
+from .dynamics import (_CHEB_DEGREE, Trajectory, _refine_panels, _transition_cuts,
+                       integrate_trajectory, kinematics)
 from .potentials import PotentialProfile, _smoothstep7, eval_potential
 from .shift import _gauss_panels, _support_integral, sphere_quadrature
 
@@ -367,18 +368,14 @@ def _local_energy(profile, p, mass, t) -> np.ndarray:
     return np.sqrt(np.einsum("...ij,...ij->...i", w, w) + mass**2)
 
 
-_CHEB_DEGREE = 32  # Chebyshev degree of a mode collocation panel
-_MAX_SPLITS = 4    # halvings of the panels whose coefficient tail misses rtol
-
-
 def _collocate(profile, stack, mass, hbar, edges, y):
-    """Chebyshev coefficients of (phi, dphi/dt) on the panels between edges,
-    (P, n + 1, 2M) with the phi columns first, each panel's worst relative
-    coefficient tail, and (phi, hbar dphi/dt) at edges[0].  One batched
-    solve gives, per panel and momentum, the fundamental solution of
-    (phi, hbar phi')' = [[0, 1], [-sigma^2, 0]] (phi, hbar phi') / hbar that
-    is the identity at the panel's right end; the panels are then chained
-    backward from the state y (2, M) at edges[-1]."""
+    """Each panel's worst relative coefficient tail, the Chebyshev
+    coefficients of (phi, dphi/dt) on the panels between edges, (P, n + 1,
+    2M) with the phi columns first, and (phi, hbar dphi/dt) at edges[0].
+    One batched solve gives, per panel and momentum, the fundamental
+    solution of (phi, hbar phi')' = [[0, 1], [-sigma^2, 0]] (phi, hbar phi')
+    / hbar that is the identity at the panel's right end; the panels are
+    then chained backward from the state y (2, M) at edges[-1]."""
     # Chebyshev-Lobatto nodes x_j = cos(j pi / n), their differentiation
     # matrix and the map from node values to Chebyshev coefficients
     # (Trefethen, Spectral Methods in MATLAB, 2000)
@@ -408,7 +405,7 @@ def _collocate(profile, stack, mass, hbar, edges, y):
     vals[:, k:] /= hbar
     coefs = to_coefs @ vals.reshape(n_pan, 2, k, m).transpose(0, 2, 1, 3).reshape(n_pan, k, -1)
     mags = np.abs(coefs)
-    return coefs, (mags[:, -2:].max(axis=1) / mags.max(axis=1)).max(axis=1), y
+    return (mags[:, -2:].max(axis=1) / mags.max(axis=1)).max(axis=1), coefs, y
 
 
 class _CollocatedModes:
@@ -423,25 +420,15 @@ class _CollocatedModes:
     def __init__(self, profile, stack, hbar, mass, lo, hi, sigma_max, rtol):
         self.lo, self.hi, self.hbar = lo, hi, hbar
         p0 = np.sqrt(np.einsum("ij,ij->i", stack, stack) + mass**2)
-        joins = [-profile.x1 + u * profile.width for u in _SHAPE_INTERIOR_JOINS[profile.shape]]
-        cuts = [-profile.x1, *joins, -profile.x2]
+        cuts = _transition_cuts(profile)
         per_period = sigma_max / (2.0 * np.pi * hbar)
         edges = np.concatenate([np.linspace(a, b, int(np.ceil((b - a) * per_period)) + 1)[:-1]
                                 for a, b in zip(cuts, cuts[1:])] + [cuts[-1:]])
         wave = np.exp(-1j * p0 * cuts[-1] / hbar)
-        for splits in range(_MAX_SPLITS + 1):
-            self.coefs, tails, y = _collocate(profile, stack, mass, hbar, edges,
-                                              np.stack([wave, -1j * p0 * wave]))
-            if np.all(tails <= rtol):
-                break
-            if splits == _MAX_SPLITS:
-                i = int(np.argmax(tails))
-                raise RuntimeError(
-                    f"mode collocation failed: panel {i} [{edges[i]:.6g}, {edges[i + 1]:.6g}] "
-                    f"keeps a relative Chebyshev tail {tails[i]:.3e} above rtol {rtol:.1e} "
-                    f"after {_MAX_SPLITS} halvings")
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            edges = np.sort(np.concatenate([edges, mids[tails > rtol]]))
+        y_end = np.stack([wave, -1j * p0 * wave])
+        edges, (tails, self.coefs, y) = _refine_panels(
+            lambda e: _collocate(profile, stack, mass, hbar, e, y_end), edges, rtol,
+            "mode collocation")
         self.edges, self.panels, self.tail = edges, edges.size - 1, float(tails.max())
         sigma_in = _local_energy(profile, stack, mass, np.array(cuts[:1]))[:, 0]
         r = 1j * y[1] / sigma_in

@@ -19,7 +19,8 @@ caused by the radiation-reaction force along the trajectory:
              of azimuthal pre-sums in the frame whose polar axis is v(t).
 
 The green and quantum time integrals use `_support_integral`: Gauss-Legendre
-panels cut where the dense solutions have kinks, 16 points checked against 8.
+panels cut where the trajectory's series and the Jacobi basis's dense solution
+have kinks, 16 points checked against 8.
 
 Agreement of all four at the configured threshold is the verification
 target; the closed-form angular moments used on the way are checked
@@ -175,11 +176,12 @@ def angular_integrals_quadrature(v, n_polar: int = 64, n_azimuth: int = 128) -> 
 def _support_integral(f, traj, basis=None, epsrel=1e-11):
     """Integral over [acc_start, acc_end] of the batched integrand
     f(ts) -> (N, ...): 16-point Gauss-Legendre on panels cut at the
-    breakpoints and at the step points of the trajectory and of the Jacobi
-    `basis`, where the dense interpolants f reads have kinks.  RuntimeError
-    unless the 8-point sum on the same panels agrees to epsrel relative."""
+    trajectory's panel edges (its joins among them) and at the step points
+    of the Jacobi `basis`, where the piecewise forms f reads have kinks.
+    RuntimeError unless the 8-point sum on the same panels agrees to epsrel
+    relative."""
     lo, hi = traj.acc_start, traj.acc_end
-    steps = np.concatenate([traj.breakpoints, traj.ts, [] if basis is None else basis.ts])
+    steps = np.concatenate([traj.ts, [] if basis is None else basis.ts])
     cuts = np.unique(np.concatenate([[lo, hi], steps[(steps > lo) & (steps < hi)]]))
     (t16, w16), (t8, w8) = _gauss_panels(cuts, 16), _gauss_panels(cuts, 8)
     values = f(np.concatenate([t16, t8]))
@@ -282,8 +284,7 @@ def shift_quantum_quadrature(
     if basis is None:
         basis = jacobi_basis(traj, 0.0)
 
-    lo, hi = traj.acc_start, traj.acc_end
-    cuts = [lo] + [c for c in sorted(traj.breakpoints) if lo < c < hi] + [hi]
+    cuts = [traj.acc_start, *traj.breakpoints, traj.acc_end]
     t_nodes, t_w = _gauss_panels(cuts, max(n_time // (len(cuts) - 1), 6))
 
     kin, X, Xdot = _response_sample(traj, basis, t_nodes)

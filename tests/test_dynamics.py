@@ -2,12 +2,20 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from test_flow_sample import AXES, FLOW_SHAPES, P_FINAL, make_profile
 
-from rrshift import (PotentialProfile, ReflectedTrajectoryError, integrate_trajectory,
-                     jacobi_basis, kinematics, retarded_perturbation, solve_mode_function)
-from rrshift.potentials import eval_potential
+from rrshift import (PotentialProfile, ReflectedTrajectoryError, bundled_scenario,
+                     integrate_trajectory, jacobi_basis, kinematics, retarded_perturbation,
+                     solve_mode_function)
+from rrshift import dynamics
+from rrshift.dynamics import _transition_cuts
+from rrshift.potentials import _derivatives, axis_index, eval_potential
 
-# every dense ODE solution over the trajectory domain [t_min, 0], as an evaluator
+BUNDLED_SCENARIOS = ("amplitude_shift", "collinear", "convergence", "energy", "oblique",
+                     "pulse_single", "rest_pulse", "spatial", "weak")
+
+# every dense solution over the trajectory domain [t_min, 0], as an evaluator
 DENSE_SOLUTIONS = {
     "trajectory_state": lambda traj: traj.state,
     "jacobi_basis": lambda traj: jacobi_basis(traj, 0.5 * traj.t_min),
@@ -153,3 +161,118 @@ def test_dense_solutions_reject_times_outside_domain(kind, time_traj):
     for t in (lo - 1e-8, hi + 1e-8):
         with pytest.raises(ValueError, match="outside"):
             evaluate(t)
+
+
+# Hamilton's equations, x' = v and P' = e_a (v . dV/ds - dV^0/ds), stepped by
+# DOP853 from the anchor back to t_min: the oracle of the series built from
+# the first integrals.  A terminal event on the join coordinate (t, or x^a on
+# a spatial axis) ends each solve at a cut of the forcing, so no step
+# straddles a join.
+def hamilton_oracle(profile, p_final, mass, t_min, tol=1e-13):
+    """Evaluator ts -> (x, P) stacked as (N, 6), from the restarted DOP853 solves."""
+    ai = axis_index(profile)
+
+    def rhs(t, y):
+        V, dV = _derivatives(profile, t if ai is None else y[ai], (0, 1))
+        w = y[3:] - V[0, 1:]
+        v = w / np.sqrt(w @ w + mass * mass)
+        dP = np.zeros(3) if ai is None else np.eye(3)[ai] * (v @ dV[0, 1:] - dV[0, 0])
+        return np.concatenate([v, dP])
+
+    cuts = list(_transition_cuts(profile))
+    t, y, segments = 0.0, np.concatenate([np.zeros(3), p_final]), []
+    while True:
+        event = (lambda t, y, c=cuts[-1]: (t if ai is None else y[ai]) - c) if cuts else None
+        if event:
+            event.terminal = True
+        res = solve_ivp(rhs, (t, t_min), y, method="DOP853", rtol=tol, atol=tol,
+                        dense_output=True, events=event)
+        assert res.success, res.message
+        segments.append((res.t[-1], t, res.sol))
+        if res.status != 1:
+            break
+        t, y = res.t_events[0][0], res.y_events[0][0]
+        cuts.pop()
+
+    def evaluate(ts):
+        out = np.empty((ts.size, 6))
+        for lo, hi, sol in segments:
+            inside = (ts >= lo) & (ts <= hi)
+            out[inside] = sol(ts[inside]).T
+        return out
+
+    return evaluate
+
+
+# the case where a DOP853 trajectory stepped across the joins at tol 1e-10
+# was 2.3e-7 off in x and 8.6e-7 in P
+FOUND_PROFILE = PotentialProfile(axis="z", v_past=np.zeros(4), x1=2.0, x2=1.0,
+                                 shape="double_bump", amplitude=[0.1, 0.05, 0.1, 0.0])
+FOUND_P = [0.1, 0.0, 0.6]
+ORACLE_CASES = {"found": (FOUND_PROFILE, FOUND_P)} | {
+    f"{axis}-{shape}": (make_profile(shape, axis), P_FINAL[axis])
+    for axis in AXES for shape in FLOW_SHAPES}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_trajectory_matches_hamilton_oracle(case):
+    """At tol 1e-10 the series lie within 1e-10 in x and 1e-9 in P of the
+    DOP853 oracle at tol 1e-13, over the whole domain."""
+    profile, p_final = ORACLE_CASES[case]
+    traj = integrate_trajectory(profile, p_final, 1.0)
+    ts = np.concatenate([np.linspace(traj.t_min, 0.0, 801), traj.ts])
+    ref = hamilton_oracle(profile, np.asarray(p_final, dtype=float), 1.0, traj.t_min)(ts)
+    x, P = traj.state(ts)
+    assert np.max(np.abs(x - ref[:, :3])) < 1e-10
+    assert np.max(np.abs(P - ref[:, 3:])) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["found", *BUNDLED_SCENARIOS])
+def test_doubling_the_degree_moves_state_below_1e_12(case, monkeypatch):
+    """Every panel is resolved: degree-64 series move x and P by at most 1e-12."""
+    if case == "found":
+        profile, p_final, mass, tol = FOUND_PROFILE, FOUND_P, 1.0, 1e-10
+    else:
+        sc = bundled_scenario(case)
+        profile, p_final, mass, tol = sc.profile, sc.p_final, sc.mass, sc.tol
+    traj = integrate_trajectory(profile, p_final, mass, tol)
+    ts = np.linspace(traj.t_min, 0.0, 401)
+    monkeypatch.setattr(dynamics, "_CHEB_DEGREE", 2 * dynamics._CHEB_DEGREE)
+    fine = integrate_trajectory(profile, p_final, mass, tol)
+    for coarse_part, fine_part in zip(traj.state(ts), fine.state(ts)):
+        assert np.max(np.abs(coarse_part - fine_part)) < 1e-12
+
+
+# a z-axis scalar barrier of height a meets a particle of kinetic energy
+# sqrt(0.75^2 + 1) - 1 = 0.25 at its peak, the bump's u = 0.5 join
+def barrier(a):
+    return PotentialProfile(axis="z", v_past=np.zeros(4), x1=2.0, x2=1.0, shape="bump",
+                            amplitude=[a, 0.0, 0.0, 0.0])
+
+
+def test_turning_point_at_the_peak_raises():
+    with pytest.raises(ReflectedTrajectoryError, match="reaches zero at z=-1.5"):
+        integrate_trajectory(barrier(0.25), [0.0, 0.0, 0.75], 1.0)
+
+
+def test_barrier_just_below_the_kinetic_energy_is_traversed():
+    """At 99% of the kinetic energy the particle crawls over the peak (the
+    panels beside it are halved) and keeps H and P_perp."""
+    traj = integrate_trajectory(barrier(0.99 * 0.25), [0.0, 0.0, 0.75], 1.0)
+    assert len(traj.ts) > 3
+    ts = np.linspace(traj.t_min, 0.0, 301)
+    x, P = traj.state(ts)
+    sigma = np.sqrt(np.einsum("ij,ij->i", P, P) + 1.0)
+    h = sigma + eval_potential(traj.profile, x[:, 2])[:, 0]
+    np.testing.assert_allclose(h, 1.25, rtol=1e-13)
+    assert np.array_equal(P[:, :2], np.zeros((ts.size, 2)))
+    assert np.all(traj.velocity(ts)[:, 2] > 0.0)
+
+
+def test_trajectory_series_fails_loudly_when_unresolved(time_profile, monkeypatch):
+    """Degree-4 panels cannot meet tol even after every halving: the build
+    raises and names the panel and its tail instead of returning."""
+    monkeypatch.setattr(dynamics, "_CHEB_DEGREE", 4)
+    with pytest.raises(RuntimeError, match=r"trajectory series failed: panel \d+ \[.*\] keeps "
+                                           r"a relative Chebyshev tail"):
+        integrate_trajectory(time_profile, [0.0, 0.1, 0.8], 1.0)
