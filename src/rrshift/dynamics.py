@@ -254,9 +254,15 @@ class Trajectory:
         return x[0] if np.ndim(t) == 0 else x
 
     def velocity(self, t):
-        """dx/dt = (P - V) / sigma for any t (constant outside the forcing)."""
-        u = _first_integrals(self.profile, self.p_final, self.mass, self._locate(t)[0])[0]
-        v = u[:, 1:] / u[:, :1]
+        """dx/dt = (P - V) / sigma for any t; outside the forcing, the stored
+        coasting velocities, with V sampled only at the inner times."""
+        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        early, late = t_arr <= self.acc_start, t_arr >= self.acc_end
+        v = np.where(early[:, None], self._v_in, self._v_out)
+        inner = ~early & ~late
+        s = self._locate(t_arr[inner])[0]
+        u = _first_integrals(self.profile, self.p_final, self.mass, s)[0]
+        v[inner] = u[:, 1:] / u[:, :1]
         return v[0] if np.ndim(t) == 0 else v
 
     def xi(self, n, t):

@@ -239,11 +239,19 @@ def _phase_transform(ks: np.ndarray, xi: np.ndarray, weights: np.ndarray) -> np.
     """sum_t e^{i k xi_t} weights[t] at the nodes ks (P, J) of equal-width k
     panels with symmetric nodes, flat (p-major) of shape (P J, m) for
     weights (nt, m).  With k_pj = c_p + o_j, e^{i k xi} = E_p(xi) G_j(xi),
-    so this is one matmul E @ (G * weights) taking (P + J) nt exponentials
-    instead of P J nt."""
+    so this is one matmul E @ (G * weights).  E splits in blocks of
+    B = ceil(sqrt(P)) centers, c_{bB+q} = c_{bB} + (c_q - c_0), and G of the
+    antisymmetric offsets is the conjugate mirror of its o_j >= 0 half: about
+    2 sqrt(P) + J/2 exponentials per node and P products, instead of P J."""
+    n_p, n_j = ks.shape
     centers = 0.5 * (ks[:, 0] + ks[:, -1])
-    gw = np.exp(1j * np.outer(xi, ks[0] - centers[0]))[:, :, None] * weights[:, None, :]
-    e = np.exp(1j * np.outer(centers, xi))
+    block = int(np.ceil(np.sqrt(n_p)))
+    heads = np.exp(1j * np.outer(centers[::block], xi))
+    subs = np.exp(1j * np.outer(centers[:block] - centers[0], xi))
+    e = (heads[:, None, :] * subs[None, :, :]).reshape(-1, xi.size)[:n_p]
+    g = np.exp(1j * np.outer(xi, ks[0, n_j // 2:] - centers[0]))
+    g = np.concatenate([np.conj(g[:, ::-1][:, :n_j // 2]), g], axis=1)  # o = 0 kept once
+    gw = g[:, :, None] * weights[:, None, :]
     return (e @ gw.reshape(xi.size, -1)).reshape(-1, weights.shape[1])
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,11 +57,21 @@ __all__ = [
 ROUTE_NAMES = ("direct", "green", "quantum", "quantum_quadrature")
 
 
+@lru_cache(maxsize=None)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `order`-point Gauss-Legendre rule on [-1, 1], computed once per
+    order and shared, so its arrays are read-only."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _gauss_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights, `order` points on each
     panel between consecutive `edges`."""
     edges = np.asarray(edges, dtype=float)
-    base_x, base_w = np.polynomial.legendre.leggauss(order)
+    base_x, base_w = _leggauss(order)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     return (mid[:, None] + half[:, None] * base_x).ravel(), (half[:, None] * base_w).ravel()
@@ -69,7 +80,7 @@ def _gauss_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
 def _sphere_grid(n_polar: int, n_azimuth: int):
     """Gauss-Legendre nodes mu = cos(theta) and their weights, the uniform
     azimuth nodes phi and their common weight."""
-    mu, wmu = np.polynomial.legendre.leggauss(int(n_polar))
+    mu, wmu = _leggauss(int(n_polar))
     phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
     return mu, wmu, phi, 2.0 * np.pi / n_azimuth
 

@@ -127,6 +127,20 @@ def test_coasting_extensions_are_linear(time_traj):
                                rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS + ("spatial_traj",))
+def test_velocity_equals_the_per_node_first_integrals(name, request):
+    """Stored coasting velocities outside the forcing and the first integrals
+    inside it equal (P - V) / sigma sampled at every node, bit for bit."""
+    traj = (request.getfixturevalue(name) if name == "spatial_traj"
+            else bundled_scenario(name).build())
+    ts = np.concatenate([np.linspace(traj.t_min - 2.0, 1.0, 301),
+                         [traj.acc_start, traj.acc_end], traj.ts])
+    u = dynamics._first_integrals(traj.profile, traj.p_final, traj.mass, traj._locate(ts)[0])[0]
+    v = traj.velocity(ts)
+    assert np.array_equal(v, u[:, 1:] / u[:, :1])
+    assert np.array_equal(traj.velocity(traj.acc_end), v[302])
+
+
 def test_reflected_trajectory_raises():
     """A scalar barrier taller than the kinetic energy turns the particle around."""
     barrier = PotentialProfile(axis="z", v_past=[0.5, 0.0, 0.0, 0.0], x1=2.0, x2=1.0)

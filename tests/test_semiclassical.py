@@ -249,6 +249,21 @@ def test_samplers_match_per_direction_evaluation(name, request):
             assert np.array_equal(a, taper_per_direction(traj, kp, n, window, CHARGE))
 
 
+@pytest.mark.parametrize("n_j", [1, 12, 13])
+@pytest.mark.parametrize("n_p", [1, 2, 3, 7, 64, 101])
+def test_phase_transform_matches_dense_oracle(n_p, n_j):
+    """The block-split centers and mirrored offsets equal the dense e^{i k xi}
+    product to 1e-13 of the peak, for square and non-square P (a short last
+    block) and for even and odd J (a zero offset, kept once)."""
+    xi, wx = _gauss_panels(np.linspace(-2.0, 3.0, 41), _PANEL_ORDER)
+    weights = wx[:, None] * np.column_stack([np.exp(-xi**2), np.cos(3.0 * xi), xi])
+    ks = _gauss_panels(np.linspace(0.0, 0.5 * n_p + 1.0, n_p + 1), n_j)[0].reshape(n_p, n_j)
+    got = _phase_transform(ks, xi, weights)
+    ref = dense_transform(ks.ravel(), xi, weights)
+    assert got.shape == ref.shape == (n_p * n_j, 3)
+    assert np.max(np.abs(got - ref)) < 1e-13 * np.max(np.abs(ref))
+
+
 # octaves the energy loop (criterion 6, 16x32 directions) and the
 # amplitude-derivative loop (criterion 8, 8x16) climb before they stop
 @pytest.mark.parametrize("name, octaves", [("energy", 10), ("amplitude_shift", 8)])

@@ -9,7 +9,8 @@ from rrshift import (angular_integrals, angular_integrals_quadrature, bundled_sc
                      hamiltonian_hessian, integrate_trajectory, jacobi_basis, kinematics,
                      ld_coordinate_force, scenario_from_dict, shift_quantum_closed,
                      shift_quantum_quadrature, sphere_quadrature)
-from rrshift.shift import _frame_grid, _gauss_panels, _polar_frames, _support_integral
+from rrshift.shift import (_frame_grid, _gauss_panels, _leggauss, _polar_frames,
+                           _support_integral)
 from rrshift.variational import _linear_rhs
 
 ALPHA = 0.0071619724391352765  # e = 0.3
@@ -24,6 +25,22 @@ def test_sphere_quadrature_polynomial_moments():
     np.testing.assert_allclose(weights @ dirs, np.zeros(3), rtol=0, atol=1e-13)
     second = (weights[:, None, None] * dirs[:, :, None] * dirs[:, None, :]).sum(axis=0)
     np.testing.assert_allclose(second, (4 * np.pi / 3) * np.eye(3), rtol=0, atol=1e-12)
+
+
+def test_gauss_legendre_rules_are_cached_read_only():
+    """One shared rule per order: repeated calls agree, and no caller can
+    write into the shared arrays."""
+    x, w = _leggauss(12)
+    assert _leggauss(12)[0] is x
+    x_ref, w_ref = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
+    for a in (x, w):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    nodes, weights = _gauss_panels([0.0, 1.0, 3.0], 12)
+    assert np.array_equal(_gauss_panels([0.0, 1.0, 3.0], 12)[0], nodes)
+    nodes[0] = weights[0] = -1.0  # the composite arrays are the caller's own
+    assert np.array_equal(_leggauss(12)[0], x_ref)
 
 
 def test_sphere_quadrature_axis_alignment():
