@@ -16,9 +16,10 @@ expressions through the potential derivatives — no numerical differencing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebint, chebinterpolate, chebval
+from numpy.polynomial.chebyshev import chebint, chebval
 from scipy.integrate import solve_ivp
 
 from .potentials import PotentialProfile, _derivatives, axis_index, validate_profile
@@ -113,6 +114,51 @@ def _transition_cuts(profile) -> np.ndarray:
     return np.array([-profile.x1, *joins, -profile.x2])
 
 
+@lru_cache(maxsize=None)
+def _cheb_operators(n):
+    """Chebyshev-Lobatto nodes x_j = cos(j pi / n), their differentiation
+    matrix D and the map from node values to coefficients, once per degree n
+    and read-only (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6-8): the
+    panel engine that the trajectory series and the mode collocation share."""
+    j = np.arange(n + 1)
+    x = np.cos(np.pi * j / n)
+    half = np.where((j == 0) | (j == n), 0.5, 1.0)
+    D = np.outer(1.0 / ((-1.0) ** j * half), (-1.0) ** j * half) / (x[:, None] - x + np.eye(n + 1))
+    D -= np.diag(D.sum(axis=1))
+    ops = x, D, (2.0 / n) * np.outer(half, half) * np.cos(np.pi * np.outer(j, j) / n)
+    for op in ops:
+        op.flags.writeable = False
+    return ops
+
+
+def _panel_nodes(edges):
+    """The Lobatto nodes of degree _CHEB_DEGREE on each panel between edges,
+    (P, _CHEB_DEGREE + 1), from the right end (x = 1) to the left (x = -1)."""
+    a, b = edges[:-1, None], edges[1:, None]
+    return a + 0.5 * (b - a) * (_cheb_operators(_CHEB_DEGREE)[0] + 1.0)
+
+
+def _panel_tails(coefs):
+    """Each panel's relative Chebyshev tail in coefs (P, n + 1, ..., k), its
+    two highest coefficients against its largest: jointly over the last axis
+    (the components of one vector) and the worst over the axes between."""
+    mags = np.abs(coefs)
+    tails = mags[:, -2:].max(axis=(1, -1)) / mags.max(axis=(1, -1))
+    return tails.reshape(len(coefs), -1).max(axis=1)
+
+
+def _panel_eval(coefs, edges, t, panel):
+    """Sums of the series coefs[panel] (P, n + 1, k) at the points t (N,) of
+    the panels between edges, (N, k), by Clenshaw's recurrence: elementwise,
+    so batch-independent."""
+    z = (2.0 * t - edges[panel] - edges[panel + 1]) / (edges[panel + 1] - edges[panel])
+    out = np.empty((t.size, coefs.shape[2]), dtype=coefs.dtype)
+    for i in np.unique(panel):
+        rows = panel == i
+        out[rows] = chebval(z[rows, None], coefs[i][:, None, :], tensor=False)
+    return out
+
+
 def _refine_panels(fit, edges, rtol, what):
     """(edges, fit(edges)), where fit(edges)[0] holds each panel's relative
     Chebyshev tail: panels whose tail misses rtol are halved up to
@@ -156,33 +202,18 @@ def _first_integrals(profile, p, m, s):
 
 def _fit_panels(profile, p, m, k, edges, y_end):
     """Each panel's relative coefficient tail, the Chebyshev coefficients of
-    the degree-_CHEB_DEGREE interpolants of dY/ds = u / u_k on the panels
-    between edges and of their integrals Y = (t, x), chained backward from
-    y_end at edges[-1] (each (P, ., 4), in local coordinates), Y at edges."""
-    def slope(s):
-        u = _first_integrals(profile, p, m, s)[0]
-        return u / u[:, k:k + 1]
-
-    centers, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    slopes = np.stack([chebinterpolate(lambda z: slope(c + h * z), _CHEB_DEGREE)
-                       for c, h in zip(centers, halves)])
-    mags = np.abs(slopes)
-    coefs = np.stack([chebint(c, lbnd=1, scl=h) for c, h in zip(slopes, halves)])
+    the interpolants of dY/ds = u / u_k at the panel nodes between edges and
+    of their integrals Y = (t, x), chained backward from y_end at edges[-1]
+    (each (P, ., 4), in local coordinates), Y at edges."""
+    s = _panel_nodes(edges)
+    u = _first_integrals(profile, p, m, s.ravel())[0].reshape(*s.shape, 4)
+    slopes = _cheb_operators(s.shape[1] - 1)[2] @ (u / u[..., k:k + 1])
+    coefs = chebint(slopes * (0.5 * (edges[1:] - edges[:-1]))[:, None, None], lbnd=1, axis=1)
     y_edges = [y_end]
     for i in reversed(range(len(coefs))):  # each integral vanishes at its panel's right end
         coefs[i, 0] += y_edges[0]
         y_edges.insert(0, chebval(-1.0, coefs[i]))
-    return mags[:, -2:].max(axis=(1, 2)) / mags.max(axis=(1, 2)), coefs, slopes, np.array(y_edges)
-
-
-def _panel_sums(z, panel, coefs):
-    """Sums of the series coefs[panel] (P, n, k) at local points z, (N, k),
-    by Clenshaw's recurrence: elementwise, so batch-independent."""
-    out = np.empty((z.size, coefs.shape[2]))
-    for i in np.unique(panel):
-        rows = panel == i
-        out[rows] = chebval(z[rows, None], coefs[i][:, None, :], tensor=False)
-    return out
+    return _panel_tails(slopes), coefs, slopes, np.array(y_edges)
 
 
 class Trajectory:
@@ -230,10 +261,10 @@ class Trajectory:
         a, b = self._edges[panel], self._edges[panel + 1]
         s = t_in if self._ai is None else np.interp(t_in, self.ts, self._edges)
         for _ in range(0 if self._ai is None else _NEWTON_STEPS):
-            z = (2.0 * s - a - b) / (b - a)
-            dt = _panel_sums(z, panel, self._coefs[..., :1]) - t_in[:, None]
-            s = np.clip(s - (dt / _panel_sums(z, panel, self._slopes[..., :1]))[:, 0], a, b)
-        x[inner] = _panel_sums((2.0 * s - a - b) / (b - a), panel, self._coefs)[:, 1:]
+            dt = _panel_eval(self._coefs[..., :1], self._edges, s, panel) - t_in[:, None]
+            ds = dt / _panel_eval(self._slopes[..., :1], self._edges, s, panel)
+            s = np.clip(s - ds[:, 0], a, b)
+        x[inner] = _panel_eval(self._coefs, self._edges, s, panel)[:, 1:]
         if self._ai is None:
             return t, x
         x[inner, self._ai] = s

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (_CHEB_DEGREE, Trajectory, _refine_panels, _transition_cuts,
-                       integrate_trajectory, kinematics)
+from .dynamics import (Trajectory, _cheb_operators, _panel_eval, _panel_nodes, _panel_tails,
+                       _refine_panels, _transition_cuts, integrate_trajectory, kinematics)
 from .potentials import PotentialProfile, _smoothstep7, eval_potential
 from .shift import _gauss_panels, _support_integral, sphere_quadrature
 
@@ -384,21 +384,11 @@ def _collocate(profile, stack, mass, hbar, edges, y):
     solution of (phi, hbar phi')' = [[0, 1], [-sigma^2, 0]] (phi, hbar phi')
     / hbar that is the identity at the panel's right end; the panels are
     then chained backward from the state y (2, M) at edges[-1]."""
-    # Chebyshev-Lobatto nodes x_j = cos(j pi / n), their differentiation
-    # matrix and the map from node values to Chebyshev coefficients
-    # (Trefethen, Spectral Methods in MATLAB, 2000)
-    n = _CHEB_DEGREE
-    j = np.arange(n + 1)
-    x = np.cos(np.pi * j / n)
-    half = np.where((j == 0) | (j == n), 0.5, 1.0)
-    D = np.outer(1.0 / ((-1.0) ** j * half), (-1.0) ** j * half) / (x[:, None] - x + np.eye(n + 1))
-    D -= np.diag(D.sum(axis=1))
-    to_coefs = (2.0 / n) * np.outer(half, half) * np.cos(np.pi * np.outer(j, j) / n)
-    a, b = edges[:-1], edges[1:]
-    n_pan, m, k = a.size, len(stack), n + 1
-    t = a[:, None] + 0.5 * (b - a)[:, None] * (x + 1.0)
+    t = _panel_nodes(edges)
+    (n_pan, k), m = t.shape, len(stack)
+    _, D, to_coefs = _cheb_operators(k - 1)
     sig2 = _local_energy(profile, stack, mass, t.ravel()).reshape(m, n_pan, k) ** 2
-    c = (0.5 * (b - a) / hbar)[:, None, None]
+    c = (0.5 * (edges[1:] - edges[:-1]) / hbar)[:, None, None]
     L = np.zeros((n_pan, m, 2 * k, 2 * k))
     L[..., :k, :k] = L[..., k:, k:] = D
     L[..., range(k), range(k, 2 * k)] = -c
@@ -412,8 +402,7 @@ def _collocate(profile, stack, mass, hbar, edges, y):
         y = vals[i, [k - 1, 2 * k - 1]]  # the state at the node x = -1, t = a
     vals[:, k:] /= hbar
     coefs = to_coefs @ vals.reshape(n_pan, 2, k, m).transpose(0, 2, 1, 3).reshape(n_pan, k, -1)
-    mags = np.abs(coefs)
-    return (mags[:, -2:].max(axis=1) / mags.max(axis=1)).max(axis=1), coefs, y
+    return _panel_tails(coefs[..., None]), coefs, y
 
 
 class _CollocatedModes:
@@ -422,13 +411,15 @@ class _CollocatedModes:
     phi = A e^{-i sigma (t - t_c) / hbar} + B e^{i sigma (t - t_c) / hbar}:
     the plane wave exp(-i p0 t / hbar) for t >= -x2, and the pair at sigma_in
     matched at -x1 for t <= -x1.  Inside, Chebyshev panels cut at the shape's
-    joins and about one period 2 pi hbar / sigma_max long hold the collocated
-    solution; panels whose tail misses rtol are halved up to _MAX_SPLITS times."""
+    joins and about one period 2 pi hbar / max sigma long hold the collocated
+    solution on `edges`, refined by `_refine_panels` until each panel's tail
+    meets rtol."""
 
-    def __init__(self, profile, stack, hbar, mass, lo, hi, sigma_max, rtol):
+    def __init__(self, profile, stack, hbar, mass, lo, hi, rtol):
         self.lo, self.hi, self.hbar = lo, hi, hbar
         p0 = np.sqrt(np.einsum("ij,ij->i", stack, stack) + mass**2)
         cuts = _transition_cuts(profile)
+        sigma_max = np.max(_local_energy(profile, stack, mass, np.linspace(lo, hi, 4097)))
         per_period = sigma_max / (2.0 * np.pi * hbar)
         edges = np.concatenate([np.linspace(a, b, int(np.ceil((b - a) * per_period)) + 1)[:-1]
                                 for a, b in zip(cuts, cuts[1:])] + [cuts[-1:]])
@@ -455,24 +446,20 @@ class _CollocatedModes:
             wave = np.exp(-1j * np.outer(t_arr[side] - t_c, sigma) / self.hbar)
             fwd, back = fwd * wave, back * np.conj(wave)
             out[side] = np.hstack([fwd + back, -1j * sigma / self.hbar * (fwd - back)])
-        inner = np.flatnonzero(~late & ~early)
-        panel = np.searchsorted(self.edges, t_arr[inner]) - 1
-        for i in np.unique(panel):  # Chebyshev sums T_j(x) = cos(j arccos x), panel by panel
-            rows = inner[panel == i]
-            a, b = self.edges[i], self.edges[i + 1]
-            theta = np.arccos(np.clip((2.0 * t_arr[rows] - a - b) / (b - a), -1.0, 1.0))
-            out[rows] = np.cos(np.outer(theta, np.arange(self.coefs.shape[1]))) @ self.coefs[i]
+        inner = ~late & ~early
+        out[inner] = _panel_eval(self.coefs, self.edges, t_arr[inner],
+                                 np.searchsorted(self.edges, t_arr[inner]) - 1)
         return out[0] if np.ndim(t) == 0 else out
 
 
 class ModeFunction:
     """Solution of hbar^2 phi'' + sigma_p(t)^2 phi = 0 normalized to the
     positive-frequency plane wave at t = 0.  `cols` picks phi and dphi/dt
-    out of a collocated stack that may hold several modes, `samples` is that
-    stack on the uniform grid ts, and `tail` and `panels` are its worst
+    out of a collocated stack that may hold several modes and is exact at
+    any time of its domain; `tail` and `panels` are the stack's worst
     relative Chebyshev tail and its number of collocation panels."""
 
-    def __init__(self, profile, p, hbar, mass, modes, cols, ts, samples):
+    def __init__(self, profile, p, hbar, mass, modes, cols):
         self.profile = profile
         self.p = np.asarray(p, dtype=float)
         self.hbar = float(hbar)
@@ -481,8 +468,6 @@ class ModeFunction:
         self._modes = modes
         self._cols = list(cols)
         self.tail, self.panels = modes.tail, modes.panels
-        self.ts = ts                              # uniform sample grid
-        self.values, self.dvalues = samples[:, self._cols].T   # phi and dphi/dt on ts
 
     def sigma(self, t):
         """Local energy sqrt((p - V(t))^2 + m^2)."""
@@ -494,8 +479,8 @@ class ModeFunction:
         return tuple(self._modes(t)[..., self._cols].T)
 
     def wronskian(self):
-        """i hbar (phi* dphi - dphi* phi) on ts; constant and equal to 2 p0."""
-        phi, dphi = self.values, self.dvalues
+        """i hbar (phi* dphi - dphi* phi) at the collocation nodes, equal to 2 p0."""
+        phi, dphi = self(_panel_nodes(self._modes.edges).ravel())
         return (1j * self.hbar * (np.conj(phi) * dphi - np.conj(dphi) * phi)).real
 
     def wronskian_residual(self) -> float:
@@ -504,21 +489,19 @@ class ModeFunction:
 
 def solve_mode_function(profile: PotentialProfile, p, hbar: float,
                         t_span: tuple[float, float], mass: float = 1.0,
-                        num: int | None = None, rtol: float = 1e-11):
+                        rtol: float = 1e-11):
     """Solve the mode equation over t_span (t_span[0] < 0, where the
-    potential may act; plane-wave data is imposed at t = 0) and sample on a
-    uniform grid.  Closed forms hold outside the forcing and Chebyshev
-    collocation inside it (_CollocatedModes).  rtol bounds each panel's
-    relative Chebyshev tail, the two highest coefficients of phi and of
-    dphi/dt against the largest, an estimate of its relative error; a panel
-    still above it after its halvings raises a RuntimeError.
+    potential may act; plane-wave data is imposed at t = 0).  Closed forms
+    hold outside the forcing and Chebyshev collocation inside it
+    (_CollocatedModes), so a ModeFunction is exact at any time of t_span.
+    rtol bounds each panel's relative Chebyshev tail, the two highest
+    coefficients of phi and of dphi/dt against the largest, an estimate of
+    its relative error; a panel still above it after its halvings raises a
+    RuntimeError.
 
     A momentum p of shape (3,) gives one ModeFunction.  A stack of shape
     (M, 3) is collocated at once, V(t) sampled once for all panels, nodes
     and momenta, and gives a list of M ModeFunctions sharing the solution.
-    The grid must resolve the fastest oscillation: at least 20 points per
-    period 2 pi hbar / max sigma_p over all momenta, else a resolution
-    error is raised.
     """
     if profile.axis != "time":
         raise ValueError("mode functions are defined for time-dependent potentials")
@@ -531,23 +514,8 @@ def solve_mode_function(profile: PotentialProfile, p, hbar: float,
     t_lo, t_hi = float(t_span[0]), max(float(t_span[1]), 0.0)
     if t_lo >= 0.0:
         raise ValueError("t_span must start before t = 0")
-
-    sigma_max = float(np.max(_local_energy(profile, stack, mass,
-                                           np.linspace(t_lo, t_hi, 4097))))
-    period = 2.0 * np.pi * hbar / sigma_max
-    needed = int(np.ceil((t_hi - t_lo) / period * 20.0)) + 1
-    if num is None:
-        num = max(1001, needed)
-    elif num < needed:
-        raise ValueError(
-            f"mode grid under-resolved: {num} points for {(t_hi - t_lo) / period:.1f} "
-            f"oscillation periods (need >= 20 per period, i.e. >= {needed})"
-        )
-
-    modes = _CollocatedModes(profile, stack, hbar, mass, t_lo, t_hi, sigma_max, rtol)
-    ts = np.linspace(t_lo, t_hi, num)
-    samples = modes(ts)
-    out = [ModeFunction(profile, q, hbar, mass, modes, (i, len(stack) + i), ts, samples)
+    modes = _CollocatedModes(profile, stack, hbar, mass, t_lo, t_hi, rtol)
+    out = [ModeFunction(profile, q, hbar, mass, modes, (i, len(stack) + i))
            for i, q in enumerate(stack)]
     return out if p.ndim == 2 else out[0]
 
@@ -566,15 +534,15 @@ def amplitude_quantum(traj: Trajectory, window: CutoffWindow, mode_p: ModeFuncti
     k = float(k)
     if abs(mode_p.hbar - mode_P.hbar) > 1e-15:
         raise ValueError("mode pair mismatch: different hbar")
-    if mode_p.ts.shape != mode_P.ts.shape or not np.allclose(mode_p.ts, mode_P.ts):
-        raise ValueError("mode pair mismatch: modes solved on different grids")
+    dom_lo, dom_hi = mode_p._modes.lo, mode_p._modes.hi
+    if not np.allclose((dom_lo, dom_hi), (mode_P._modes.lo, mode_P._modes.hi)):
+        raise ValueError("mode pair mismatch: modes solved on different domains")
     expected = mode_p.p - mode_p.hbar * k * n
     if np.linalg.norm(mode_P.p - expected) > 1e-9 * max(1.0, np.linalg.norm(mode_p.p)):
         raise ValueError("mode pair mismatch: P must equal p - hbar k n")
     _require_plateau_covers(traj, n, window)
 
     t_lo, t_hi = window_time_range(traj, n, window)
-    dom_lo, dom_hi = float(mode_p.ts[0]), float(mode_p.ts[-1])
     if t_lo < dom_lo - 1e-9 or t_hi > dom_hi + 1e-9:
         raise ValueError("mode functions do not cover the window support in t")
 

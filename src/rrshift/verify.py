@@ -328,7 +328,7 @@ def hbar_convergence(sc: Scenario, hbars=None) -> dict:
     comp_errors = []
     stacks = []
     for hbar in hbars:
-        # p and every P = p - hbar k n in one solve, on one shared grid
+        # p and every P = p - hbar k n in one collocated solve
         stack = [sc.p_final] + [sc.p_final - hbar * k * n for k, n in samples]
         mode_p, *mode_Ps = solve_mode_function(sc.profile, np.array(stack), hbar, t_span,
                                                mass=sc.mass)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from test_flow_sample import AXES, FLOW_SHAPES, P_FINAL, make_profile
+from test_semiclassical import MODE_PROFILES, mode_test_stack
 
 from rrshift import (PotentialProfile, ReflectedTrajectoryError, bundled_scenario,
                      integrate_trajectory, jacobi_basis, kinematics, retarded_perturbation,
@@ -255,6 +256,41 @@ def test_doubling_the_degree_moves_state_below_1e_12(case, monkeypatch):
     fine = integrate_trajectory(profile, p_final, mass, tol)
     for coarse_part, fine_part in zip(traj.state(ts), fine.state(ts)):
         assert np.max(np.abs(coarse_part - fine_part)) < 1e-12
+
+
+@pytest.mark.parametrize("hbar", [0.1, 0.05, 0.0125])
+@pytest.mark.parametrize("shape", list(MODE_PROFILES))
+def test_doubling_the_degree_moves_modes_below_1e_11(shape, hbar, monkeypatch):
+    """The one degree reaches the mode collocation too: degree-64 panels (65
+    coefficient rows) move each phi by less than 1e-11 and each dphi/dt by
+    less than 1e-11 of its largest value."""
+    profile = MODE_PROFILES[shape]
+    stack = mode_test_stack(np.array([0.0, 0.1, 0.8]), hbar)
+    span = (-profile.x1 - 0.3, 0.2)
+    ts = np.linspace(*span, 2001)
+    coarse = solve_mode_function(profile, stack, hbar, span)
+    monkeypatch.setattr(dynamics, "_CHEB_DEGREE", 2 * dynamics._CHEB_DEGREE)
+    fine = solve_mode_function(profile, stack, hbar, span)
+    assert fine[0]._modes.coefs.shape[1] == 65
+    for coarse_mode, fine_mode in zip(coarse, fine):
+        (phi, dphi), (phi_fine, dphi_fine) = coarse_mode(ts), fine_mode(ts)
+        assert np.max(np.abs(phi - phi_fine)) < 1e-11
+        assert np.max(np.abs(dphi - dphi_fine)) < 1e-11 * np.max(np.abs(dphi_fine))
+
+
+def test_series_values_do_not_depend_on_the_batch():
+    """1001 times in one call give, bit for bit, their values one by one:
+    the mode stack on `convergence` at hbar = 0.05 and the position on the
+    spatial-axis `spatial` trajectory."""
+    sc = bundled_scenario("convergence")
+    traj = sc.build()
+    modes = solve_mode_function(sc.profile, mode_test_stack(sc.p_final, 0.05), 0.05,
+                                (traj.t_min, 0.2), mass=sc.mass)[0]._modes
+    ts = np.linspace(traj.t_min, 0.2, 1001)
+    assert np.array_equal(modes(ts), np.array([modes(t) for t in ts]))
+    spatial = bundled_scenario("spatial").build()
+    ts = np.linspace(spatial.t_min, 0.0, 1001)
+    assert np.array_equal(spatial.position(ts), np.array([spatial.position(t) for t in ts]))
 
 
 # a z-axis scalar barrier of height a meets a particle of kinetic energy

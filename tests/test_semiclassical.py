@@ -17,7 +17,7 @@ from rrshift.semiclassical import (_8PI3, _PAIR_BLOCK, _PANEL_ORDER, _direction_
                                    _phase_edges, _phase_transform, _radiative_amplitudes,
                                    _taper_amplitudes, _taper_transforms, _windowed_nodes,
                                    acceleration_xi_bounds)
-from rrshift import semiclassical, verify
+from rrshift import dynamics, semiclassical, verify
 from rrshift.dynamics import _SHAPE_INTERIOR_JOINS, _DenseSolution
 from rrshift.potentials import eval_potential
 from rrshift.shift import _gauss_panels
@@ -364,7 +364,7 @@ def test_free_mode_is_plane_wave():
 
 
 def test_mode_wronskian_constancy(time_profile):
-    """The Wronskian stays at 2 p0 across the grid, 1e-8 relative."""
+    """The Wronskian stays at 2 p0 at the collocation nodes, 1e-8 relative."""
     mode = solve_mode_function(time_profile, [0.0, 0.1, 0.8], 0.05, (-3.5, 0.2))
     assert mode.wronskian_residual() < 1e-8
     np.testing.assert_allclose(mode.wronskian(), 2 * mode.p0, rtol=1e-8)
@@ -394,38 +394,29 @@ def test_mode_envelope_error_is_second_order(time_profile):
         assert 3.0 < coarse / fine < 5.0
 
 
-def test_mode_grid_resolution_guard(time_profile):
-    with pytest.raises(ValueError, match="under-resolved"):
-        solve_mode_function(time_profile, [0.0, 0.1, 0.8], 0.1, (-3.0, 0.2), num=10)
-
-
 def test_mode_stack_columns_match_single_solves(time_profile):
-    """Six momenta solved as one stack: each column is its own M = 1 solve
-    to 1e-9 on the uniform grid, with its own Wronskian to 1e-8."""
+    """Six momenta solved as one stack: on a uniform grid of 4001 times each
+    column is its own M = 1 solve to 1e-9, with its own Wronskian to 1e-8."""
     p = np.array([0.0, 0.1, 0.8])
-    hbar, num = 0.05, 4001
+    hbar = 0.05
     ns = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8], [0.0, -0.6, 0.8], [1.0, 0.0, 0.0],
                    [-0.48, 0.6, -0.64]])
     stack = np.vstack([p, p - hbar * np.array([0.5, 1.3, 2.0, 3.1, 4.4])[:, None] * ns])
-    modes = solve_mode_function(time_profile, stack, hbar, (-3.5, 0.2), num=num)
+    modes = solve_mode_function(time_profile, stack, hbar, (-3.5, 0.2))
     assert len(modes) == len(stack)
+    ts = np.linspace(-3.5, 0.2, 4001)
     for q, mode in zip(stack, modes):
-        one = solve_mode_function(time_profile, q, hbar, (-3.5, 0.2), num=num)
-        assert np.array_equal(mode.p, q) and np.array_equal(mode.ts, one.ts)
-        assert np.max(np.abs(mode.values - one.values)) < 1e-9
-        assert np.max(np.abs(mode.dvalues - one.dvalues)) < 1e-9 * np.max(np.abs(one.dvalues))
+        one = solve_mode_function(time_profile, q, hbar, (-3.5, 0.2))
+        assert np.array_equal(mode.p, q)
+        (phi, dphi), (phi_one, dphi_one) = mode(ts), one(ts)
+        assert np.max(np.abs(phi - phi_one)) < 1e-9
+        assert np.max(np.abs(dphi - dphi_one)) < 1e-9 * np.max(np.abs(dphi_one))
         assert mode.wronskian_residual() < 1e-8
 
 
-def test_mode_stack_resolution_guard_takes_the_fastest_momentum(time_profile):
-    """200 points resolve the slow momentum alone (about 132 needed) but not
-    a stack holding the fast one (about 324 needed)."""
-    slow, fast = [0.0, 0.1, 0.8], [0.0, 0.1, 3.0]
-    solve_mode_function(time_profile, slow, 0.1, (-3.0, 0.2), num=200)
-    with pytest.raises(ValueError, match="under-resolved"):
-        solve_mode_function(time_profile, [slow, fast], 0.1, (-3.0, 0.2), num=200)
+def test_mode_momentum_is_a_vector_or_a_stack(time_profile):
     with pytest.raises(ValueError, match=r"shape \(3,\) or \(M, 3\)"):
-        solve_mode_function(time_profile, [[slow]], 0.1, (-3.0, 0.2))
+        solve_mode_function(time_profile, [[[0.0, 0.1, 0.8]]], 0.1, (-3.0, 0.2))
 
 
 # The stacked DOP853 solve that the collocated mode functions replaced, kept
@@ -513,7 +504,7 @@ def test_mode_closed_forms_outside_the_forcing(shape):
 def test_mode_collocation_fails_loudly_when_unresolved(time_profile, monkeypatch):
     """Degree-4 panels cannot meet rtol even after every halving: the solve
     raises and names the panel and its tail instead of returning."""
-    monkeypatch.setattr(semiclassical, "_CHEB_DEGREE", 4)
+    monkeypatch.setattr(dynamics, "_CHEB_DEGREE", 4)
     with pytest.raises(RuntimeError, match=r"panel \d+ \[.*\] keeps a relative Chebyshev tail"):
         solve_mode_function(time_profile, [0.0, 0.1, 0.8], 0.05, (-3.5, 0.2))
 
