@@ -8,7 +8,7 @@ routes and cross-verified:
     (Jacobi) fields,
   * two closed forms derived from the emission amplitude, plus an explicit
     solid-angle quadrature of the same integrand,
-  * momentum derivatives of the emission amplitudes themselves.
+  * exact momentum derivatives of the emission amplitudes themselves.
 
 Units: c = 1, Heaviside-Lorentz charge, alpha_c = e^2 / 4 pi, metric +---.
 """
@@ -36,10 +36,8 @@ from .semiclassical import (
     EnergyReport,
     ModeFunction,
     ProbabilityReport,
-    TrajectoryFamily,
     amplitude_classical,
     amplitude_quantum,
-    build_trajectory_family,
     default_window,
     emission_probability_reduced,
     free_twin,
@@ -102,8 +100,7 @@ __all__ = [
     "shift_quantum_quadrature", "sphere_quadrature",
     # emission
     "CutoffWindow", "EmissionAmplitude", "EnergyReport", "ModeFunction",
-    "ProbabilityReport", "TrajectoryFamily", "amplitude_classical",
-    "amplitude_quantum", "build_trajectory_family", "default_window",
+    "ProbabilityReport", "amplitude_classical", "amplitude_quantum", "default_window",
     "emission_probability_reduced", "free_twin", "larmor_radiated_energy",
     "radiated_energy", "radiative_amplitude", "shift_from_amplitudes",
     "solve_mode_function", "taper_amplitude", "window_time_range",

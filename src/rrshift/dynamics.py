@@ -317,8 +317,8 @@ def integrate_trajectory(
 
     tol bounds the relative coefficient tail of every series panel; a panel
     that misses it is halved, and RuntimeError follows four vain halvings.
-    An explicit t_min (used to share a common domain across a family of
-    re-anchored trajectories) must lie at or before the automatic choice.
+    An explicit t_min (to put trajectories with different momenta on one
+    common domain) must lie at or before the automatic choice.
     """
     report = validate_profile(profile)
     if not report.ok:
@@ -400,6 +400,30 @@ def _flow_at(profile, m, t_arr, x, P) -> tuple[Kinematics, np.ndarray, np.ndarra
 
     kin = Kinematics(t=t_arr, x=x, P=P, w=w, sigma=sigma, v=v, a=acc, adot=adot, gamma=gamma)
     return kin, V1, V2
+
+
+def _flow_tangent(profile, kin, V1, V2, dx, dP) -> tuple[np.ndarray, np.ndarray]:
+    """Forward mode of `_flow_at`'s closed forms for v and a: dv and da, each
+    (N, 3, k), along k tangents (dx, dP), each (N, 3, k), of the flow points
+    of kin, whose V' and V'' are V1 and V2.  With ds the axis row of dx (zero
+    on the time axis): dw = dP - V' ds, dsigma = v.dw, dv = (dw - v dsigma) /
+    sigma and da = (d(dw/dt) - dv dsigma/dt - v d(dsigma/dt) - a dsigma) / sigma."""
+    ai = axis_index(profile)
+    v, acc, sigma = kin.v[:, :, None], kin.a[:, :, None], kin.sigma[:, None, None]
+    vT, V1s, V2s = kin.v[:, None, :], V1[:, 1:, None], V2[:, 1:, None]  # row dots: vT @ q
+    ds = 0.0 if ai is None else dx[:, ai:ai + 1]
+    dw = dP - V1s * ds
+    dsig = vT @ dw
+    dv = (dw - v * dsig) / sigma
+    if ai is None:  # dw/dt = -V'(t) does not move
+        wdot, dwdot = -V1s, np.zeros_like(dv)
+    else:
+        e_a, v_a, dv_a = np.eye(3)[:, ai:ai + 1], v[:, ai:ai + 1], dv[:, ai:ai + 1]
+        wdot = (vT @ V1s - V1[:, :1, None]) * e_a - V1s * v_a
+        dwdot = ((V1[:, None, 1:] @ dv + (vT @ V2s - V2[:, :1, None]) * ds) * e_a
+                 - V2s * v_a * ds - V1s * dv_a)
+    sigdot, dsigdot = vT @ wdot, np.swapaxes(wdot, 1, 2) @ dv + vT @ dwdot
+    return dv, (dwdot - dv * sigdot - v * dsigdot - acc * dsig) / sigma
 
 
 def kinematics(traj: Trajectory, t) -> Kinematics:

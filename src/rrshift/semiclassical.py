@@ -23,11 +23,11 @@ directions of the sphere grid.  On the equal-width k panels
 e^{i(c_p + h x_j) xi} = E_p(xi) G_j(xi), so each transform is one matmul.
 From the amplitudes: the radiated-energy spectrum, the reduced emission
 probability in two independent evaluations (a Parseval pair), and the
-shift route that differentiates the amplitude with respect to the final
-momentum.  Mode functions need no ODE stepping: V is constant outside the
-forcing, where they are plane waves in closed form, and inside it a stack
-of momenta at one hbar is collocated on Chebyshev panels in one batched
-linear solve.
+shift route that differentiates the amplitude exactly with respect to the
+final momentum, along one trajectory.  Mode functions need no ODE
+stepping: V is constant outside the forcing, where they are plane waves
+in closed form, and inside it a stack of momenta at one hbar is
+collocated on Chebyshev panels in one batched linear solve.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (Trajectory, _cheb_operators, _panel_eval, _panel_nodes, _panel_tails,
-                       _refine_panels, _transition_cuts, integrate_trajectory, kinematics)
+from .dynamics import (Trajectory, _cheb_operators, _flow_sample, _flow_tangent, _panel_eval,
+                       _panel_nodes, _panel_tails, _refine_panels, _transition_cuts,
+                       integrate_trajectory, kinematics)
 from .potentials import PotentialProfile, _smoothstep7, eval_potential
 from .shift import _gauss_panels, _support_integral, sphere_quadrature
 
@@ -47,7 +48,6 @@ __all__ = [
     "EmissionAmplitude",
     "EnergyReport",
     "ProbabilityReport",
-    "TrajectoryFamily",
     "acceleration_xi_bounds",
     "default_window",
     "window_time_range",
@@ -59,12 +59,12 @@ __all__ = [
     "radiated_energy",
     "larmor_radiated_energy",
     "emission_probability_reduced",
-    "build_trajectory_family",
     "shift_from_amplitudes",
     "free_twin",
 ]
 
 _8PI3 = 2.0 * (2.0 * np.pi) ** 3  # the 2(2pi)^3 of the k-space measure
+_METRIC = np.array([1.0, -1.0, -1.0, -1.0])  # (+, -, -, -)
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +701,6 @@ def _double_xi_probability(traj: Trajectory, window: CutoffWindow, k_max: float,
     come from per-node values by angle addition; |Kd| < 1e-2 takes the
     small-argument series.  K is even, so it is evaluated in blocks of
     _PAIR_BLOCK nodes over the upper triangle, off-diagonal blocks twice."""
-    sign = np.array([1.0, -1.0, -1.0, -1.0])
     out = 0.0
     for (xi, gate, u), wdir in zip(_windowed_nodes(traj, dirs, window, k_max), wd):
         cs = np.stack([np.cos(k_max * xi), np.sin(k_max * xi)], axis=1)
@@ -721,7 +720,7 @@ def _double_xi_probability(traj: Trajectory, window: CutoffWindow, k_max: float,
                 x2 = x[small] ** 2
                 kern[small] = k_max**2 * (0.5 - x2 / 8.0 + x2 * x2 / 144.0)
                 form += (1.0 if i == j else 2.0) * np.sum(current[r] * (kern @ current[c]), axis=0)
-        out += wdir * (-(form @ sign)) / _8PI3
+        out += wdir * (-(form @ _METRIC)) / _8PI3
     return out
 
 
@@ -765,101 +764,82 @@ def free_twin(traj: Trajectory) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrajectoryFamily:
-    """Center trajectory plus the six momentum-displaced re-anchored ones,
-    all integrated over one common time domain."""
+def _amplitude_tangents(traj: Trajectory, basis, ks: np.ndarray, dirs, transforms,
+                        charge: float):
+    """The windowed amplitude A = A_rad + A_taper, (P J, 4), and dA/dp_final,
+    (P J, 4, 3) with column j for p_final^j, per direction in dirs, exactly
+    along traj: X and K of its kick-time-0 `basis` give dv, da
+    (`_flow_tangent`) and dxi = -n.X.  With R the integrand of
+    `_radiative_amplitudes` times the node weights, W = (1, v)/(1 - n.v) as
+    in `_taper_amplitudes` and T the phase transform,
 
-    center: Trajectory
-    plus: tuple
-    minus: tuple
-    eps: float
+        dA_rad = (e/ik) T[dR] + e T[R dxi],   dA_taper = (e/ik) [dW_in T_left + dW_out T_right];
 
-    def all(self):
-        return (self.center,) + tuple(self.plus) + tuple(self.minus)
+    one transform per direction carries R, dR and R dxi (4 + 12 + 12 columns).
+    The acceleration vanishes at the interval's ends, so their motion adds nothing."""
+    rate = float(np.max(np.abs(ks))) * (1.0 + _max_speed(traj))
+    ts, w = _gauss_panels(_phase_edges(traj.acc_start, traj.acc_end, rate, base_panels=24),
+                          _PANEL_ORDER)
+    kin, V1, V2 = _flow_sample(traj, np.concatenate([ts, [traj.acc_start, traj.acc_end]]))
+    X, K = basis(kin.t)
+    dv, da = _flow_tangent(traj.profile, kin, V1, V2, X, K)
+    u_ends = np.column_stack([np.ones(2), kin.v[-2:]])                 # (1, v) in and out
+    du_ends = np.concatenate([np.zeros((2, 1, 3)), dv[-2:]], axis=1)
+    v, a, x, X, dv, da = kin.v[:-2], kin.a[:-2], kin.x[:-2], X[:-2], dv[:-2], da[:-2]
+    pref = (charge / (1j * ks.ravel()))[:, None]
+    for n in dirs:
+        xd, na = 1.0 - v @ n, a @ n
+        dxd, dna = -n @ dv, n @ da                                     # (N, 3)
+        # R = (n.a, xd a + (n.a) v) w / xd^2, and dR by the product rule
+        R = np.column_stack([na, a * xd[:, None] + na[:, None] * v]) * (w / xd**2)[:, None]
+        dR = np.concatenate([dna[:, None], da * xd[:, None, None] + a[:, :, None] * dxd[:, None]
+                             + v[:, :, None] * dna[:, None] + na[:, None, None] * dv], axis=1)
+        dR = dR * (w / xd**2)[:, None, None] - 2.0 * R[:, :, None] * (dxd / xd[:, None])[:, None]
+        tr = _phase_transform(ks, ts - x @ n, np.hstack(
+            [R, dR.reshape(-1, 12), (R[:, :, None] * (-n @ X)[:, None]).reshape(-1, 12)]))
+        xd_ends = 1.0 - u_ends[:, 1:] @ n
+        dW = du_ends + u_ends[:, :, None] * (n @ du_ends[:, 1:] / xd_ends[:, None])[:, None]
+        W = np.hstack([u_ends, dW.reshape(2, 12)]) / xd_ends[:, None]  # W and dW, in and out
+        full = tr[:, :16] + np.outer(transforms[0], W[0]) + np.outer(transforms[1], W[1])
+        yield pref * full[:, :4], (pref * full[:, 4:] + charge * tr[:, 16:]).reshape(-1, 4, 3)
 
 
-def build_trajectory_family(profile: PotentialProfile, p_final, mass: float,
-                            tol: float = 1e-10, eps_rel: float = 1e-4) -> TrajectoryFamily:
-    p = np.asarray(p_final, dtype=float)
-    eps = eps_rel * float(np.linalg.norm(p))
-    if eps <= 0.0:
-        raise ValueError("p_final must be nonzero to set the derivative step")
-    momenta = [p] + [p + eps * e for e in np.eye(3)] + [p - eps * e for e in np.eye(3)]
-    first = [integrate_trajectory(profile, q, mass, tol) for q in momenta]
-    t_min = min(tr.t_min for tr in first)
-    rebuilt = [integrate_trajectory(profile, q, mass, tol, t_min=t_min) for q in momenta]
-    return TrajectoryFamily(center=rebuilt[0], plus=tuple(rebuilt[1:4]),
-                            minus=tuple(rebuilt[4:7]), eps=eps)
-
-
-def shift_from_amplitudes(family: TrajectoryFamily, window: CutoffWindow, charge: float,
+def shift_from_amplitudes(traj: Trajectory, basis, window: CutoffWindow, charge: float,
                           n_polar: int = 16, n_azimuth: int = 32,
-                          octave_tol: float = 1e-6, max_octaves: int = 40,
-                          step_ratio_limit: float = 0.01) -> np.ndarray:
+                          octave_tol: float = 1e-6, max_octaves: int = 40) -> np.ndarray:
     """Shift from the momentum derivative of the emission amplitude,
 
         dx^i = (1/(2 (2pi)^3)) int dOmega int k dk Im[ A*^0 dA^0/dp^i
                                                        - A*_vec . dA_vec/dp^i ],
 
-    with central differences over the re-anchored trajectory family sharing
-    one window.  The k integral climbs octaves until two consecutive
-    octaves move the running total by less than octave_tol relative; a
-    3-point Richardson ratio above step_ratio_limit (quadratic term
-    contaminating the central difference) raises a step error.
+    with dA/dp taken exactly along traj (`_amplitude_tangents`) from its
+    kick-time-0 Jacobi `basis`.  The k integral climbs octaves until two
+    consecutive octaves move the running total by less than octave_tol
+    relative.
     """
-    center = family.center
-    trajs = family.all()
-    for tr in trajs:
-        window.require_covers(*acceleration_xi_bounds(tr), "the acceleration interval")
-    dirs, wd = _direction_grid(center, n_polar, n_azimuth)
+    if basis.traj is not traj:
+        raise ValueError("basis belongs to a different trajectory")
+    window.require_covers(*acceleration_xi_bounds(traj), "the acceleration interval")
+    dirs, wd = _direction_grid(traj, n_polar, n_azimuth)
     span = window.support[1] - window.support[0]
-    vmax = max(_max_speed(tr) for tr in trajs)
-
-    total = np.zeros(3)
-    rich_num = 0.0
-    rich_den = 0.0
-    small_streak = 0
+    total, small_streak = np.zeros(3), 0
     contrib, k_hi = np.zeros(3), 0.0  # named in the stop-rule error, even with no octave run
     for octave, (k_lo, k_hi) in zip(range(max_octaves), _octaves(span)):
         kp, wk = _k_panels(k_lo, k_hi, span)
-        t_rate = k_hi * (1.0 + vmax)
         wk_k = wk * kp.ravel()
-        contrib = np.zeros(3)
-        taper = _taper_transforms(window, kp)  # window-only: one for the whole family
-        samplers = [zip(_radiative_amplitudes(tr, kp, dirs, charge, t_rate),
-                        _taper_amplitudes(tr, kp, dirs, taper, charge)) for tr in trajs]
-        for wdir, *pairs in zip(wd, *samplers):
-            amps = np.stack([a_rad + a_tap for a_rad, a_tap in pairs])  # (7, nk, 4)
-            a0 = amps[0]
-            for i in range(3):
-                da = (amps[1 + i] - amps[4 + i]) / (2.0 * family.eps)
-                im = np.imag(np.conj(a0[:, 0]) * da[:, 0]
-                             - np.einsum("kj,kj->k", np.conj(a0[:, 1:]), da[:, 1:]))
-                contrib[i] += wdir * (wk_k @ im) / _8PI3
-                curv = amps[1 + i] + amps[4 + i] - 2.0 * a0
-                diff = amps[1 + i] - amps[4 + i]
-                rich_num += wdir * (wk_k @ np.linalg.norm(curv, axis=1))
-                rich_den += wdir * (wk_k @ np.linalg.norm(diff, axis=1))
+        tangents = _amplitude_tangents(traj, basis, kp, dirs, _taper_transforms(window, kp), charge)
+        contrib = sum(wdir * (wk_k @ np.imag(np.einsum("km,kmi->ki", np.conj(a) * _METRIC, da)))
+                      for wdir, (a, da) in zip(wd, tangents)) / _8PI3
         total += contrib
         if np.linalg.norm(contrib) < octave_tol * np.linalg.norm(total):
             small_streak += 1
             if octave >= 5 and small_streak >= 2:
-                break
+                return total
         else:
             small_streak = 0
-    else:
-        raise RuntimeError(
-            f"amplitude-derivative shift failed to converge in k: {max_octaves} octaves up to "
-            f"k_hi = {k_hi:.6g}, last contribution / total = "
-            f"{np.linalg.norm(contrib) / max(np.linalg.norm(total), 1e-300):.3e} "
-            f"against octave_tol {octave_tol:.1e}"
-        )
-
-    ratio = rich_num / max(rich_den, 1e-300)
-    if ratio > step_ratio_limit:
-        raise ValueError(
-            f"momentum step too large: quadratic-to-linear Richardson ratio "
-            f"{ratio:.3e} exceeds {step_ratio_limit:.0e}"
-        )
-    return total
+    raise RuntimeError(
+        f"amplitude-derivative shift failed to converge in k: {max_octaves} octaves up to "
+        f"k_hi = {k_hi:.6g}, last contribution / total = "
+        f"{np.linalg.norm(contrib) / max(np.linalg.norm(total), 1e-300):.3e} "
+        f"against octave_tol {octave_tol:.1e}"
+    )

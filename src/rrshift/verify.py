@@ -15,15 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .dynamics import _flow_sample
+from .dynamics import _flow_sample, integrate_trajectory
 from .lorentz_dirac import _coordinate_force, _four_force
 from .parallel import parallel_map
 from .scenario import Scenario, ScenarioError, bundled_scenario
 from .semiclassical import (
     amplitude_classical,
     amplitude_quantum,
-    build_trajectory_family,
-    default_window,
     emission_probability_reduced,
     larmor_radiated_energy,
     radiated_energy,
@@ -203,26 +201,27 @@ def _criterion_3(full: bool, serial: bool) -> CriterionResult:
                            details=details)
 
 
-# --- criterion 4: kick-response fields vs trajectory-family differences ----
+# --- criterion 4: the Jacobi basis, which route-d (8) also reads, vs displaced trajectories
 
 
 def _criterion_4(full: bool, serial: bool) -> CriterionResult:
     threshold = 1e-5
     sc = bundled_scenario("oblique")
-    p_norm = float(np.linalg.norm(sc.p_final))
-    # absolute momentum step 1e-5; tighter trajectories keep the solver
-    # noise well under the differencing scale
-    family = build_trajectory_family(sc.profile, sc.p_final, sc.mass,
-                                     tol=1e-12, eps_rel=1e-5 / p_norm)
-    center = family.center
+    # absolute momentum step 1e-5 (rows: center, +e_j, -e_j); tighter trajectories
+    # keep the solver noise well under the differencing scale
+    eps = 1e-5
+    momenta = sc.p_final + eps * np.vstack([np.zeros(3), np.eye(3), -np.eye(3)])
+    # one common domain: the earliest automatic t_min of the seven
+    t_min = min(integrate_trajectory(sc.profile, q, sc.mass, 1e-12).t_min for q in momenta)
+    center, *shifted = (integrate_trajectory(sc.profile, q, sc.mass, 1e-12, t_min=t_min)
+                        for q in momenta)
     basis = jacobi_basis(center, 0.0)
     rng = np.random.default_rng(44)
     ts = rng.uniform(center.t_min, -0.02 * abs(center.t_min), size=50)
 
     fd = np.empty((ts.size, 3, 3))  # [t, component, kick]
     for j in range(3):
-        fd[:, :, j] = (family.plus[j].position(ts)
-                       - family.minus[j].position(ts)) / (2.0 * family.eps)
+        fd[:, :, j] = (shifted[j].position(ts) - shifted[3 + j].position(ts)) / (2.0 * eps)
     jac = basis(ts)[0]
     scale = float(np.max(np.abs(fd)))
     rel = float(np.max(np.abs(jac - fd))) / scale
@@ -393,20 +392,17 @@ def _criterion_7(full: bool, serial: bool) -> CriterionResult:
 def _criterion_8(full: bool, serial: bool) -> CriterionResult:
     threshold = 1e-3
     sc = bundled_scenario("amplitude_shift")
-    family = build_trajectory_family(sc.profile, sc.p_final, sc.mass, tol=sc.tol)
-    center = family.center
-    window = default_window(center, pad_fraction=sc.pad_fraction,
-                            width_fraction=sc.width_fraction)
-    basis = jacobi_basis(center, 0.0)
-    closed = shift_quantum_closed(center, basis, sc.alpha_c)
+    traj = sc.build()
+    window = sc.window(traj)
+    basis = jacobi_basis(traj, 0.0)
+    closed = shift_quantum_closed(traj, basis, sc.alpha_c)
     scale = float(np.linalg.norm(closed))
 
     # 8x16 angles: the moment integrands at |v| <= 0.6 are resolved far
     # below the 1e-3 contract by Gauss-Legendre 8 in cos(theta)
     windows = [window, window.with_width(2.0 * window.width)]
     shifts = parallel_map(
-        lambda w: shift_from_amplitudes(family, w, sc.charge,
-                                        n_polar=8, n_azimuth=16),
+        lambda w: shift_from_amplitudes(traj, basis, w, sc.charge, n_polar=8, n_azimuth=16),
         windows, serial=serial)
 
     rel = float(np.linalg.norm(shifts[0] - closed)) / scale

@@ -10,8 +10,9 @@ from rrshift import (PotentialProfile, ReflectedTrajectoryError, bundled_scenari
                      integrate_trajectory, jacobi_basis, kinematics, retarded_perturbation,
                      solve_mode_function)
 from rrshift import dynamics
-from rrshift.dynamics import _transition_cuts
+from rrshift.dynamics import _flow_sample, _flow_tangent, _transition_cuts
 from rrshift.potentials import _derivatives, axis_index, eval_potential
+from rrshift.shift import _response_sample
 
 BUNDLED_SCENARIOS = ("amplitude_shift", "collinear", "convergence", "energy", "oblique",
                      "pulse_single", "rest_pulse", "spatial", "weak")
@@ -114,6 +115,33 @@ def test_acceleration_matches_velocity_differences(time_traj):
         fd_adot = (np.asarray(kinematics(time_traj, t + h).a)
                    - kinematics(time_traj, t - h).a) / (2 * h)
         np.testing.assert_allclose(kin.adot, fd_adot, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("name", ["spatial", "oblique", "rest_pulse"])
+def test_flow_tangent_matches_central_differences(name):
+    """dv and da along the kick-time-0 Jacobi basis (X, K) equal central
+    differences of `kinematics` over trajectories re-anchored at p_final
+    +- 1e-5 e_i, at times across the forcing, to 1e-8 of their scale; dv
+    is the basis's own dX/dt to rounding.  `spatial` (z axis) exercises
+    the coordinate's tangent, the time-axis scenarios its absence."""
+    sc = bundled_scenario(name)
+    traj = sc.build()
+    basis = jacobi_basis(traj, 0.0)
+    ts = np.linspace(traj.acc_start, traj.acc_end, 41)
+    kin, V1, V2 = _flow_sample(traj, ts)
+    dv, da = _flow_tangent(traj.profile, kin, V1, V2, *basis(ts))
+    h = 1e-5
+    fd_v, fd_a = np.empty_like(dv), np.empty_like(da)
+    for j in range(3):
+        plus, minus = (kinematics(integrate_trajectory(sc.profile, sc.p_final + sign * h * e,
+                                                       sc.mass, sc.tol), ts)
+                       for sign, e in ((1.0, np.eye(3)[j]), (-1.0, np.eye(3)[j])))
+        fd_v[..., j] = (plus.v - minus.v) / (2.0 * h)
+        fd_a[..., j] = (plus.a - minus.a) / (2.0 * h)
+    assert np.max(np.abs(dv - fd_v)) < 1e-8 * np.max(np.abs(fd_v))
+    assert np.max(np.abs(da - fd_a)) < 1e-8 * np.max(np.abs(fd_a))
+    xdot = _response_sample(traj, basis, ts)[2]
+    assert np.max(np.abs(dv - xdot)) < 1e-14 * np.max(np.abs(xdot))
 
 
 def test_coasting_extensions_are_linear(time_traj):

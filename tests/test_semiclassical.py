@@ -7,9 +7,9 @@ import pytest
 from scipy.optimize import brentq
 
 from rrshift import (CutoffWindow, PotentialProfile, amplitude_classical,
-                     amplitude_quantum, build_trajectory_family, bundled_scenario,
-                     default_window, emission_probability_reduced, free_twin,
-                     integrate_trajectory, kinematics, radiated_energy, radiative_amplitude,
+                     amplitude_quantum, bundled_scenario, default_window,
+                     emission_probability_reduced, free_twin, integrate_trajectory,
+                     jacobi_basis, kinematics, radiated_energy, radiative_amplitude,
                      shift_from_amplitudes, solve_mode_function, sphere_quadrature,
                      taper_amplitude, window_time_range)
 from rrshift.semiclassical import (_8PI3, _PAIR_BLOCK, _PANEL_ORDER, _direction_grid,
@@ -686,10 +686,52 @@ def test_double_xi_blocks_match_pair_kernel_oracle(k_max, keep, monkeypatch):
 def test_amplitude_shift_vanishes_without_acceleration():
     """Zero acceleration: the amplitude-derivative route returns ~0."""
     prof = PotentialProfile(axis="time", v_past=[0.0, 0.0, 0.0, 0.0], x1=2.0, x2=1.0)
-    family = build_trajectory_family(prof, [0.0, 0.0, 0.35], 1.0)
-    w = default_window(family.center, pad_fraction=1.5, width_fraction=1.0)
-    shift = shift_from_amplitudes(family, w, CHARGE, n_polar=4, n_azimuth=8)
+    traj = integrate_trajectory(prof, [0.0, 0.0, 0.35], 1.0)
+    w = default_window(traj, pad_fraction=1.5, width_fraction=1.0)
+    shift = shift_from_amplitudes(traj, jacobi_basis(traj, 0.0), w, CHARGE, n_polar=4, n_azimuth=8)
     assert np.max(np.abs(shift)) < 1e-8
+
+
+def _central_difference_tangents(family, eps):
+    """A stand-in for `_amplitude_tangents` that differences the amplitudes of
+    the trajectories re-anchored at p_final + eps e_i and - eps e_i (family,
+    in that order) centrally, on the center's nodes and the same window."""
+    def tangents(traj, basis, ks, dirs, transforms, charge):
+        rate = float(np.max(np.abs(ks))) * (1.0 + _max_speed(traj))
+        streams = [zip(_radiative_amplitudes(tr, ks, dirs, charge, rate),
+                       _taper_amplitudes(tr, ks, dirs, transforms, charge))
+                   for tr in (traj, *family)]
+        for pairs in zip(*streams):
+            amps = [a_rad + a_tap for a_rad, a_tap in pairs]
+            yield amps[0], np.stack([(amps[1 + i] - amps[4 + i]) / (2.0 * eps)
+                                     for i in range(3)], axis=-1)
+    return tangents
+
+
+@pytest.mark.parametrize("name", ["amplitude_shift", "spatial"])
+def test_amplitude_shift_matches_central_differences(name, monkeypatch):
+    """The exact amplitude derivative and central differences over six
+    re-anchored trajectories (step 1e-4 |p_final|) give one shift to 1e-6,
+    on the time axis and on the z axis, at 2 x 4 directions."""
+    sc = bundled_scenario(name)
+    traj = sc.build()
+    window = sc.window(traj)
+    basis = jacobi_basis(traj, 0.0)
+    grid = dict(n_polar=2, n_azimuth=4)
+    exact = shift_from_amplitudes(traj, basis, window, sc.charge, **grid)
+    eps = 1e-4 * float(np.linalg.norm(sc.p_final))
+    family = [integrate_trajectory(sc.profile, sc.p_final + sign * eps * e, sc.mass, sc.tol)
+              for sign in (1.0, -1.0) for e in np.eye(3)]
+    monkeypatch.setattr(semiclassical, "_amplitude_tangents",
+                        _central_difference_tangents(family, eps))
+    differenced = shift_from_amplitudes(traj, basis, window, sc.charge, **grid)
+    assert np.linalg.norm(exact - differenced) < 1e-6 * np.linalg.norm(differenced)
+
+
+def test_amplitude_shift_rejects_a_foreign_basis(time_traj, free_traj):
+    with pytest.raises(ValueError, match="basis belongs to a different trajectory"):
+        shift_from_amplitudes(time_traj, jacobi_basis(free_traj, 0.0), default_window(time_traj),
+                              CHARGE, n_polar=2, n_azimuth=4)
 
 
 # ------------------------------------------------- octaves and stop rules
@@ -711,18 +753,15 @@ def test_radiated_energy_octave_budget():
 
 
 def test_amplitude_shift_stop_rules_fail_loudly():
-    """Five octaves cannot satisfy the two-octave streak after octave 5, and
-    a zero Richardson limit rejects any curvature in the momentum step."""
+    """Five octaves cannot satisfy the two-octave streak after octave 5."""
     prof = PotentialProfile(axis="time", v_past=[0.0, 0.0, 0.0, 0.0], x1=2.0, x2=1.0)
-    family = build_trajectory_family(prof, [0.0, 0.0, 0.35], 1.0)
-    w = default_window(family.center, pad_fraction=1.5, width_fraction=1.0)
+    traj = integrate_trajectory(prof, [0.0, 0.0, 0.35], 1.0)
+    w = default_window(traj, pad_fraction=1.5, width_fraction=1.0)
     match = (r"failed to converge in k: 5 octaves up to k_hi = \S+, "
              r"last contribution / total = \S+ against octave_tol 1\.0e-06")
     with pytest.raises(RuntimeError, match=match):
-        shift_from_amplitudes(family, w, CHARGE, n_polar=2, n_azimuth=4, max_octaves=5)
-    with pytest.raises(ValueError, match="momentum step too large"):
-        shift_from_amplitudes(family, w, CHARGE, n_polar=2, n_azimuth=4, octave_tol=1e-2,
-                              step_ratio_limit=0.0)
+        shift_from_amplitudes(traj, jacobi_basis(traj, 0.0), w, CHARGE, n_polar=2, n_azimuth=4,
+                              max_octaves=5)
 
 
 def test_probability_cut_below_first_octave(time_traj):
