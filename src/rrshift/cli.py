@@ -96,8 +96,7 @@ def _cmd_shift(args) -> int:
             return _fail("--routes must name at least one route")
     traj = sc.build()
     rep = compare_routes(traj, sc.alpha_c, threshold=sc.residual_threshold,
-                         n_polar=sc.n_polar, n_azimuth=sc.n_azimuth,
-                         n_time=sc.n_time, epsrel=sc.epsrel,
+                         n_polar=sc.n_polar, n_azimuth=sc.n_azimuth, epsrel=sc.epsrel,
                          routes=routes, serial=args.serial)
     payload = {
         "scenario": sc.raw,

@@ -40,7 +40,6 @@ _DEFAULTS = {
     "residual_threshold": 1e-4,
     "n_polar": 64,
     "n_azimuth": 128,
-    "n_time": 320,
     "epsrel": 1e-11,
     "hbars": (0.1, 0.05, 0.025),
     "seed": 0,
@@ -63,7 +62,6 @@ class Scenario:
     residual_threshold: float = 1e-4
     n_polar: int = 64
     n_azimuth: int = 128
-    n_time: int = 320
     epsrel: float = 1e-11
     hbars: tuple = (0.1, 0.05, 0.025)
     seed: int = 0
@@ -179,8 +177,6 @@ def scenario_from_dict(data: dict) -> Scenario:
                     "an integer >= 4"),
         "n_azimuth": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 4,
                       "an integer >= 4"),
-        "n_time": (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 16,
-                   "an integer >= 16"),
         "epsrel": (lambda v: _is_number(v) and 0.0 < v <= 1e-6, "a number in (0, 1e-6]"),
         "hbars": (lambda v: isinstance(v, (list, tuple)) and len(v) >= 2
                   and all(_is_number(h) and h > 0.0 for h in v),

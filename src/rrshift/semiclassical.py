@@ -196,9 +196,7 @@ def _max_speed(traj: Trajectory) -> float:
 
 def _direction_grid(traj: Trajectory, n_polar: int, n_azimuth: int):
     """Sphere nodes and weights with the polar axis along the final velocity."""
-    v_axis = traj.velocity(0.0)
-    return sphere_quadrature(n_polar, n_azimuth,
-                             axis=v_axis if v_axis @ v_axis > 0 else None)
+    return sphere_quadrature(n_polar, n_azimuth, axis=traj.velocity(0.0))
 
 
 def _octaves(span: float, k_cap: float = np.inf):
@@ -270,14 +268,13 @@ def _radiative_amplitudes(traj: Trajectory, ks: np.ndarray, dirs, charge: float,
     edges = _phase_edges(traj.acc_start, traj.acc_end, rate, base_panels=24)
     ts, w = _gauss_panels(edges, _PANEL_ORDER)
     kin = kinematics(traj, ts)
-    x = traj.position(ts)
     pref = (charge / (1j * ks.ravel()))[:, None]
     for n in dirs:
         xd = 1.0 - kin.v @ n
         na = kin.a @ n
         weights = np.column_stack([na, kin.a * xd[:, None] + na[:, None] * kin.v])
         weights *= (w / xd**2)[:, None]
-        yield pref * _phase_transform(ks, ts - x @ n, weights)
+        yield pref * _phase_transform(ks, ts - kin.x @ n, weights)
 
 
 def _taper_transforms(window: CutoffWindow, ks: np.ndarray):

@@ -14,17 +14,18 @@ caused by the radiation-reaction force along the trajectory:
   quantum_quadrature — the same quantity before the solid-angle integrals
              are done in closed form: a numerical sphere quadrature of the
              retarded-phase integrand built from d^2x^mu/dxi^2 and the
-             fixed-xi momentum partials.  The sphere sum uses the same
-             64 x 128 nodes as `sphere_quadrature`, grouped as polar sums
-             of azimuthal pre-sums in the frame whose polar axis is v(t).
+             fixed-xi momentum partials.  The sphere sum is `_moments`:
+             the `sphere_quadrature` grid (64 x 128 nodes by default) in the
+             frame whose polar axis is v(t), as polar sums of azimuthal
+             pre-sums.
 
-The green and quantum time integrals use `_support_integral`: Gauss-Legendre
-panels cut where the trajectory's series and the Jacobi basis's dense solution
-have kinks, 16 points checked against 8.
+The green, quantum and quantum_quadrature time integrals all use
+`_support_integral`: Gauss-Legendre panels cut where the trajectory's series
+and the Jacobi basis's dense solution have kinks, 16 points checked against 8.
 
 Agreement of all four at the configured threshold is the verification
 target; the closed-form angular moments used on the way are checked
-against their own sphere quadrature.
+against `_moments`, the sphere sum route c' runs.
 """
 
 from __future__ import annotations
@@ -77,14 +78,6 @@ def _gauss_panels(edges, order: int) -> tuple[np.ndarray, np.ndarray]:
     return (mid[:, None] + half[:, None] * base_x).ravel(), (half[:, None] * base_w).ravel()
 
 
-def _sphere_grid(n_polar: int, n_azimuth: int):
-    """Gauss-Legendre nodes mu = cos(theta) and their weights, the uniform
-    azimuth nodes phi and their common weight."""
-    mu, wmu = _leggauss(int(n_polar))
-    phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
-    return mu, wmu, phi, 2.0 * np.pi / n_azimuth
-
-
 def _polar_frames(axes) -> np.ndarray:
     """Orthonormal frames with rows (e1, e2, ez), shape (N, 3, 3), whose
     polar axis ez points along each row of `axes`; a zero row gets ez = z.
@@ -100,32 +93,46 @@ def _polar_frames(axes) -> np.ndarray:
     return np.stack([e1, e2, ez], axis=1)
 
 
-def sphere_quadrature(n_polar: int = 64, n_azimuth: int = 128, axis=None):
-    """Solid-angle nodes and weights: Gauss-Legendre in cos(theta), uniform
-    azimuth.  The polar axis is rotated onto `axis` when given (the moment
-    integrands are then azimuthal trig polynomials, integrated exactly)."""
-    mu, wmu, phi, wphi = _sphere_grid(n_polar, n_azimuth)
-    e1, e2, ez = _polar_frames(np.reshape(np.zeros(3) if axis is None else axis, (1, 3)))[0]
-
-    st = np.sqrt(1.0 - mu**2)
-    nodes = (
-        mu[:, None, None] * ez[None, None, :]
-        + st[:, None, None] * (np.cos(phi)[None, :, None] * e1 + np.sin(phi)[None, :, None] * e2)
-    ).reshape(-1, 3)
-    weights = (wmu[:, None] * wphi * np.ones_like(phi)[None, :]).reshape(-1)
-    return nodes, weights
-
-
 def _frame_grid(n_polar: int, n_azimuth: int):
-    """The `sphere_quadrature` grid written in the frame of its polar axis:
-    directions b = (sin(theta) cos(phi), sin(theta) sin(phi), cos(theta)),
-    shape (n_polar, n_azimuth, 3), the polar weights and the azimuthal weight.
+    """The sphere grid in the frame of its polar axis: Gauss-Legendre in
+    mu = cos(theta), uniform azimuth phi.  Returns the directions
+    b = (sin(theta) cos(phi), sin(theta) sin(phi), cos(theta)), shape
+    (n_polar, n_azimuth, 3), the polar weights and the azimuthal weight.
     `b @ _polar_frames([axis])[0]` is the node set for that axis."""
-    mu, wmu, phi, wphi = _sphere_grid(n_polar, n_azimuth)
+    mu, wmu = _leggauss(int(n_polar))
+    phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
     st = np.sqrt(1.0 - mu**2)
     b = np.stack(np.broadcast_arrays(st[:, None] * np.cos(phi), st[:, None] * np.sin(phi),
                                      mu[:, None]), axis=-1)
-    return b, wmu, wphi
+    return b, wmu, 2.0 * np.pi / n_azimuth
+
+
+def sphere_quadrature(n_polar: int = 64, n_azimuth: int = 128, axis=None):
+    """Solid-angle nodes and weights: `_frame_grid` rotated so that its polar
+    axis lies along `axis` (z when not given or zero), flattened to (M, 3)
+    and (M,).  Integrands that depend on the azimuth about `axis` only as a
+    trig polynomial are then integrated exactly."""
+    b, wmu, wphi = _frame_grid(n_polar, n_azimuth)
+    frame = _polar_frames(np.reshape(np.zeros(3) if axis is None else axis, (1, 3)))[0]
+    return (b @ frame).reshape(-1, 3), np.outer(wmu, np.full(n_azimuth, wphi)).ravel()
+
+
+def _moments(speed, n_polar: int, n_azimuth: int):
+    """Sphere-quadrature moments I_k = sum_n w n^(x)k / (1 - n.v)^(k+2),
+    k = 0..3, for velocities v of the given `speed` (N,), each written in
+    the frame whose polar axis is v (`_polar_frames`).  There 1 - n.v =
+    1 - mu |v| depends on the polar node alone, so each I_k is a polar sum
+    of azimuthal pre-sums of b^(x)k.  Shapes (N,), (N, 3), (N, 3, 3) and
+    (N, 3, 3, 3)."""
+    b, wmu, wphi = _frame_grid(n_polar, n_azimuth)
+    mu = b[:, 0, 2]
+    presums = [np.full(len(mu), wphi * n_azimuth), wphi * b.sum(axis=1),
+               wphi * np.einsum("pai,paj->pij", b, b),
+               wphi * np.einsum("pai,paj,pak->pijk", b, b, b)]
+    xd = 1.0 - np.outer(speed, mu)                                      # (N, polar)
+    I0, I1, I2, I3 = ((wmu / xd**(k + 2)) @ S.reshape(len(mu), -1)
+                      for k, S in enumerate(presums))
+    return I0[:, 0], I1, I2.reshape(-1, 3, 3), I3.reshape(-1, 3, 3, 3)
 
 
 @dataclass(frozen=True)
@@ -166,17 +173,16 @@ def angular_integrals(v) -> AngularIntegrals:
 
 
 def angular_integrals_quadrature(v, n_polar: int = 64, n_azimuth: int = 128) -> AngularIntegrals:
-    """Sphere-quadrature evaluation of the same moments (oracle route)."""
+    """Sphere-quadrature evaluation of the same moments: the `_moments` sum
+    that route c' runs, at one velocity, rotated from the frame of v into
+    the lab."""
     v = np.asarray(v, dtype=float)
     if v @ v >= 1.0:
         raise ValueError("speed must be below 1")
-    nodes, w = sphere_quadrature(n_polar, n_azimuth, axis=v if v @ v > 0 else None)
-    xd = 1.0 - nodes @ v
-    i0 = float(np.sum(w / xd**2))
-    i1 = (w / xd**3) @ nodes
-    i2 = np.einsum("n,ni,nj->ij", w / xd**4, nodes, nodes)
-    i3 = np.einsum("n,ni,nj,nk->ijk", w / xd**5, nodes, nodes, nodes)
-    return AngularIntegrals(v=v, i0=i0, i1=i1, i2=i2, i3=i3)
+    (i0,), (i1,), (i2,), (i3,) = _moments(np.sqrt([v @ v]), n_polar, n_azimuth)
+    F = _polar_frames([v])[0]                                           # rows e1, e2, ez
+    return AngularIntegrals(v=v, i0=float(i0), i1=i1 @ F, i2=F.T @ i2 @ F,
+                            i3=np.einsum("pqr,pi,qj,rk->ijk", i3, F, F, F))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +278,7 @@ def shift_quantum_quadrature(
     alpha_c: float = 1.0,
     n_polar: int = 64,
     n_azimuth: int = 128,
-    n_time: int = 320,
+    epsrel: float = 1e-11,
 ) -> np.ndarray:
     """Route c': sphere quadrature of the retarded-phase integrand.
 
@@ -288,50 +294,36 @@ def shift_quantum_quadrature(
     Summed over the directions, the integrand for kick i is
         (1-v^2) (I2[a, dJ_i] + I3[a, a, J_i]) - I0 a.dJ_i - (a.v) I1.dJ_i
         - (a.a) I1.J_i - 2 (a.v) I2[a, J_i] - (v.dJ_i) I1.a,
-    with dJ = dJ/dt and I_k the quadrature sums of w n^(x)k / xd^(k+2).
-    All time nodes are sampled in one call each for the flow, the Hessian
-    and the Jacobi data.
+    with dJ = dJ/dt and I_k the `_moments` sums of w n^(x)k / xd^(k+2) in
+    the frame of v.  The time integral is `_support_integral`'s, so a miss
+    of epsrel raises RuntimeError.
     """
     if basis is None:
         basis = jacobi_basis(traj, 0.0)
 
-    cuts = [traj.acc_start, *traj.breakpoints, traj.acc_end]
-    t_nodes, t_w = _gauss_panels(cuts, max(n_time // (len(cuts) - 1), 6))
+    def f(ts):
+        kin, X, Xdot = _response_sample(traj, basis, ts)
+        v, a = kin.v, kin.a
+        speed = np.sqrt(_rowdot(v, v))
+        I0, I1, I2, I3 = _moments(speed, n_polar, n_azimuth)
+        # a, X and dX/dt in the frame of v; dot products are frame-free
+        F = _polar_frames(v)
+        af = np.einsum("nij,nj->ni", F, a)
+        Xf, Xdf = F @ X, F @ Xdot
+        av, aa = _rowdot(a, v), _rowdot(a, a)
+        aI2 = np.einsum("np,npq->nq", af, I2)
+        aaI3 = np.einsum("np,nq,npqr->nr", af, af, I3)
+        return (
+            (1.0 - speed**2)[:, None] * (np.einsum("nq,nqi->ni", aI2, Xdf)
+                                         + np.einsum("nr,nri->ni", aaI3, Xf))
+            - I0[:, None] * np.einsum("nj,nji->ni", a, Xdot)
+            - av[:, None] * np.einsum("np,npi->ni", I1, Xdf)
+            - aa[:, None] * np.einsum("np,npi->ni", I1, Xf)
+            - 2.0 * av[:, None] * np.einsum("nq,nqi->ni", aI2, Xf)
+            - np.einsum("nj,nji->ni", v, Xdot) * np.einsum("np,np->n", I1, af)[:, None]
+        )                                                               # (N, kick i)
 
-    kin, X, Xdot = _response_sample(traj, basis, t_nodes)
-    v, a = kin.v, kin.a
-
-    # Moments I_k = sum_n w n^(x)k / (1 - n.v)^(k+2), k = 0..3, in the frame
-    # whose polar axis is v: there 1 - n.v = 1 - mu |v| depends on the polar
-    # node alone, so each I_k is a polar sum of azimuthal pre-sums of b^(x)k.
-    b, wmu, wphi = _frame_grid(n_polar, n_azimuth)
-    mu = b[:, 0, 2]
-    presums = [np.full(len(mu), wphi * n_azimuth), wphi * b.sum(axis=1),
-               wphi * np.einsum("pai,paj->pij", b, b),
-               wphi * np.einsum("pai,paj,pak->pijk", b, b, b)]
-    speed = np.sqrt(_rowdot(v, v))
-    xd = 1.0 - np.outer(speed, mu)                                      # (N, polar)
-    I0, I1, I2, I3 = ((wmu / xd**(k + 2)) @ S.reshape(len(mu), -1)
-                      for k, S in enumerate(presums))
-    I0, I2, I3 = I0[:, 0], I2.reshape(-1, 3, 3), I3.reshape(-1, 3, 3, 3)
-
-    # a, X and dX/dt in that frame; dot products are frame-free
-    F = _polar_frames(v)
-    af = np.einsum("nij,nj->ni", F, a)
-    Xf, Xdf = F @ X, F @ Xdot
-    av, aa = _rowdot(a, v), _rowdot(a, a)
-    aI2 = np.einsum("np,npq->nq", af, I2)
-    aaI3 = np.einsum("np,nq,npqr->nr", af, af, I3)
-    integrand = (
-        (1.0 - speed**2)[:, None] * (np.einsum("nq,nqi->ni", aI2, Xdf)
-                                     + np.einsum("nr,nri->ni", aaI3, Xf))
-        - I0[:, None] * np.einsum("nj,nji->ni", a, Xdot)
-        - av[:, None] * np.einsum("np,npi->ni", I1, Xdf)
-        - aa[:, None] * np.einsum("np,npi->ni", I1, Xf)
-        - 2.0 * av[:, None] * np.einsum("nq,nqi->ni", aI2, Xf)
-        - np.einsum("nj,nji->ni", v, Xdot) * np.einsum("np,np->n", I1, af)[:, None]
-    )                                                                   # (N, kick i)
-    return -(alpha_c / (4.0 * np.pi)) * (t_w @ integrand)
+    return -(alpha_c / (4.0 * np.pi)) * _support_integral(f, traj, basis, epsrel)
 
 
 @dataclass
@@ -355,7 +347,6 @@ def compare_routes(
     threshold: float = 1e-4,
     n_polar: int = 64,
     n_azimuth: int = 128,
-    n_time: int = 320,
     epsrel: float = 1e-11,
     routes=ROUTE_NAMES,
     serial: bool = False,
@@ -364,9 +355,12 @@ def compare_routes(
 
     The residual between two routes is |dxA - dxB| / max(|dx_green|, floor)
     with floor = 1e-16 times the trajectory length scale; PASS means every
-    computed pair is below the threshold.  A route failure is recorded, not
-    raised.  Routes run on a thread pool unless serial is set; either way
-    the numbers are identical because the routes share nothing mutable.
+    computed pair is below the threshold.  n_polar x n_azimuth is the sphere
+    grid of route c'; epsrel is the time-integral tolerance of routes b, c
+    and c'.
+    A route failure is recorded, not raised.  Routes run on a thread pool
+    unless serial is set; either way the numbers are identical because the
+    routes share nothing mutable.
     """
     report = ShiftReport(alpha_c=alpha_c, threshold=threshold, shifts=dict.fromkeys(ROUTE_NAMES))
     report.length_scale = max(float(np.linalg.norm(traj.position(traj.t_min))), 1.0)
@@ -380,7 +374,7 @@ def compare_routes(
         "green": lambda: classical_shift_green(traj, alpha_c, basis=basis, epsrel=epsrel),
         "quantum": lambda: shift_quantum_closed(traj, basis, alpha_c, epsrel=epsrel),
         "quantum_quadrature": lambda: shift_quantum_quadrature(
-            traj, basis, alpha_c, n_polar=n_polar, n_azimuth=n_azimuth, n_time=n_time
+            traj, basis, alpha_c, n_polar=n_polar, n_azimuth=n_azimuth, epsrel=epsrel
         ),
     }
 

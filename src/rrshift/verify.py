@@ -99,7 +99,7 @@ class SuiteReport:
 def _criterion_1(full: bool, serial: bool) -> CriterionResult:
     threshold = 1e-5 if full else 1e-4
     tol = 1e-11 if full else 1e-10
-    n_polar, n_azimuth, n_time = (96, 192, 640) if full else (64, 128, 320)
+    n_polar, n_azimuth = (96, 192) if full else (64, 128)
     epsrel = 1e-12 if full else 1e-11
 
     worst = 0.0
@@ -109,8 +109,8 @@ def _criterion_1(full: bool, serial: bool) -> CriterionResult:
         sc = bundled_scenario(key, tol=tol, residual_threshold=threshold)
         traj = sc.build()
         rep = compare_routes(traj, sc.alpha_c, threshold=threshold,
-                             n_polar=n_polar, n_azimuth=n_azimuth, n_time=n_time,
-                             epsrel=epsrel, serial=serial)
+                             n_polar=n_polar, n_azimuth=n_azimuth, epsrel=epsrel,
+                             serial=serial)
         worst = max(worst, rep.max_residual)
         ok = ok and rep.passed
         parts.append(f"{key}: {rep.max_residual:.2e}"

@@ -40,7 +40,7 @@ def test_defaults_filled_in():
     sc = scenario_from_dict(BASE)
     assert sc.tol == 1e-10
     assert sc.residual_threshold == 1e-4
-    assert (sc.n_polar, sc.n_azimuth, sc.n_time) == (64, 128, 320)
+    assert (sc.n_polar, sc.n_azimuth, sc.epsrel) == (64, 128, 1e-11)
     assert sc.hbars == (0.1, 0.05, 0.025)
     assert sc.alpha_c == pytest.approx(0.3**2 / (4 * np.pi))
 
@@ -54,9 +54,14 @@ def test_missing_keys_all_named():
     assert len(err.value.problems) >= 3
 
 
-def test_unknown_keys_rejected():
+def test_unknown_keys_rejected(tmp_path, capsys):
     with pytest.raises(ScenarioError, match="unknown key"):
         scenario_from_dict({**BASE, "colour": 1})
+    # n_time is no scenario key (route c' takes its time nodes from epsrel): it fails loudly
+    with pytest.raises(ScenarioError, match="unknown key 'n_time'"):
+        scenario_from_dict({**BASE, "n_time": 320})
+    assert main(["shift", "--scenario", write_scenario(tmp_path, {"n_time": 320})]) == 2
+    assert "unknown key 'n_time'" in capsys.readouterr().err
     bad_pot = dict(BASE["potential"], wobble=2)
     with pytest.raises(ScenarioError, match="potential.wobble"):
         scenario_from_dict({**BASE, "potential": bad_pot})

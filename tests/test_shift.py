@@ -176,7 +176,7 @@ def test_closed_and_quadrature_forms_agree(name):
     basis = jacobi_basis(traj, 0.0)
     closed = shift_quantum_closed(traj, basis, sc.alpha_c, epsrel=sc.epsrel)
     quadrature = shift_quantum_quadrature(traj, basis, sc.alpha_c, n_polar=sc.n_polar,
-                                          n_azimuth=sc.n_azimuth, n_time=sc.n_time)
+                                          n_azimuth=sc.n_azimuth, epsrel=sc.epsrel)
     assert np.linalg.norm(closed - quadrature) <= 2e-12 * np.linalg.norm(quadrature)
 
 
@@ -197,48 +197,47 @@ def test_support_integral_raises_on_kink(time_traj):
 
 
 def test_unconverged_quadrature_is_reported(time_traj):
-    """An epsrel below rounding fails the green and quantum routes; the
+    """An epsrel below rounding fails every route with a time quadrature; the
     report records the errors and does not pass."""
     rep = compare_routes(time_traj, ALPHA, epsrel=1e-17, serial=True)
     assert not rep.passed
-    for name in ("green", "quantum"):
+    for name in ("green", "quantum", "quantum_quadrature"):
         assert rep.errors[name].startswith("RuntimeError")
         assert rep.shifts[name] is None
 
 
-def sqq_per_node(traj, alpha_c, n_polar=64, n_azimuth=128, n_time=320):
-    """Route c' node by node: at every time node a sphere grid aligned with
-    v(t) and the full retarded-phase integrand at each of its directions."""
+def sqq_per_node(traj, alpha_c, n_polar=64, n_azimuth=128):
+    """Route c' node by node: at every time node of the route's own
+    `_support_integral` a sphere grid aligned with v(t) and the full
+    retarded-phase integrand at each of its directions."""
     basis = jacobi_basis(traj, 0.0)
-    lo, hi = traj.acc_start, traj.acc_end
-    cuts = [lo] + [c for c in sorted(traj.breakpoints) if lo < c < hi] + [hi]
-    t_nodes, t_w = _gauss_panels(cuts, max(n_time // (len(cuts) - 1), 6))
-    total = np.zeros(3)
-    for t, wt in zip(t_nodes, t_w):
-        kin = kinematics(traj, float(t))
-        v, a = kin.v, kin.a
-        h = hamiltonian_hessian(traj, float(t))
-        X, K = basis(float(t))
-        Xdot = h.h_xp.T @ X + h.h_pp @ K
+    return -(alpha_c / (4.0 * np.pi)) * _support_integral(
+        lambda ts: np.array([sqq_direction_sum(traj, basis, float(t), n_polar, n_azimuth)
+                             for t in ts]), traj, basis)
 
-        nodes, w = sphere_quadrature(n_polar, n_azimuth, axis=v if v @ v > 0 else None)
-        xd = 1.0 - nodes @ v
-        na = nodes @ a
-        d2t = na / xd**3
-        d2x = (xd[:, None] * a[None, :] + na[:, None] * v[None, :]) / (xd**3)[:, None]
 
-        nJ = nodes @ X
-        nJd = nodes @ Xdot
-        dS0 = nJd / xd[:, None] + nJ * (na / xd**2)[:, None]
-        dS = (
-            Xdot[None, :, :]
-            + (nJd / xd[:, None])[:, None, :] * v[None, :, None]
-            + (nJ / xd[:, None])[:, None, :] * a[None, :, None]
-            + (nJ * (na / xd**2)[:, None])[:, None, :] * v[None, :, None]
-        )
-        integrand = d2t[:, None] * dS0 - np.einsum("nj,nji->ni", d2x, dS)
-        total += wt * (w @ integrand)
-    return -(alpha_c / (4.0 * np.pi)) * total
+def sqq_direction_sum(traj, basis, t, n_polar, n_azimuth):
+    """The retarded-phase integrand at time t summed over the sphere grid."""
+    kin = kinematics(traj, t)
+    v, a = kin.v, kin.a
+    h = hamiltonian_hessian(traj, t)
+    X, K = basis(t)
+    Xdot = h.h_xp.T @ X + h.h_pp @ K
+
+    nodes, w = sphere_quadrature(n_polar, n_azimuth, axis=v if v @ v > 0 else None)
+    xd = 1.0 - nodes @ v
+    na = nodes @ a
+    d2t = na / xd**3
+    d2x = (xd[:, None] * a[None, :] + na[:, None] * v[None, :]) / (xd**3)[:, None]
+
+    nJ = nodes @ X
+    nJd = nodes @ Xdot
+    dS0 = nJd / xd[:, None] + nJ * (na / xd**2)[:, None]
+    # d2x_j dS^j_i, with dS = dJ + (n.dJ) v / xd + (n.J) a / xd + (n.J)(n.a) v / xd^2
+    d2x_v, d2x_a = d2x @ v, d2x @ a
+    d2x_dS = (d2x @ Xdot + nJd * (d2x_v / xd)[:, None] + nJ * (d2x_a / xd)[:, None]
+              + nJ * (na * d2x_v / xd**2)[:, None])
+    return w @ (d2t[:, None] * dS0 - d2x_dS)
 
 
 def test_factored_quadrature_matches_per_node(time_traj, spatial_traj):
@@ -293,7 +292,7 @@ def test_transverse_parity(time_profile, time_traj):
 
 def test_compare_routes_zero_coupling(time_traj):
     """alpha_c = 0: every route returns zero and the report passes."""
-    rep = compare_routes(time_traj, 0.0, n_polar=16, n_azimuth=32, n_time=64)
+    rep = compare_routes(time_traj, 0.0, n_polar=16, n_azimuth=32)
     assert rep.passed
     for shift in rep.shifts.values():
         assert np.array_equal(shift, np.zeros(3))
@@ -317,8 +316,8 @@ def test_bundled_routes_agree_far_below_threshold(name):
     """Every bundled scenario's four routes agree to 1e-7 at default resolution."""
     sc = bundled_scenario(name)
     rep = compare_routes(sc.build(), sc.alpha_c, threshold=sc.residual_threshold,
-                         n_polar=sc.n_polar, n_azimuth=sc.n_azimuth, n_time=sc.n_time,
-                         epsrel=sc.epsrel, serial=True)
+                         n_polar=sc.n_polar, n_azimuth=sc.n_azimuth, epsrel=sc.epsrel,
+                         serial=True)
     assert rep.passed, rep.errors
     assert rep.max_residual < 1e-7
 
