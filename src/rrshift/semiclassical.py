@@ -233,6 +233,15 @@ def _k_panels(k_lo: float, k_hi: float, rate: float):
     return ks.reshape(-1, _PANEL_ORDER), wk
 
 
+def _cis(a) -> np.ndarray:
+    """e^{i a} for real a: cos and sin written into one complex array, cheaper
+    than np.exp(1j * a) and equal to it value for value (a test checks this)."""
+    out = np.empty(np.shape(a), dtype=complex)
+    np.cos(a, out=out.real)
+    np.sin(a, out=out.imag)
+    return out
+
+
 def _phase_transform(ks: np.ndarray, xi: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_t e^{i k xi_t} weights[t] at the nodes ks (P, J) of equal-width k
     panels with symmetric nodes, flat (p-major) of shape (P J, m) for
@@ -240,14 +249,14 @@ def _phase_transform(ks: np.ndarray, xi: np.ndarray, weights: np.ndarray) -> np.
     so this is one matmul E @ (G * weights).  E splits in blocks of
     B = ceil(sqrt(P)) centers, c_{bB+q} = c_{bB} + (c_q - c_0), and G of the
     antisymmetric offsets is the conjugate mirror of its o_j >= 0 half: about
-    2 sqrt(P) + J/2 exponentials per node and P products, instead of P J."""
+    2 sqrt(P) + J/2 `_cis` factors per node and P products, instead of P J."""
     n_p, n_j = ks.shape
     centers = 0.5 * (ks[:, 0] + ks[:, -1])
     block = int(np.ceil(np.sqrt(n_p)))
-    heads = np.exp(1j * np.outer(centers[::block], xi))
-    subs = np.exp(1j * np.outer(centers[:block] - centers[0], xi))
+    heads = _cis(np.outer(centers[::block], xi))
+    subs = _cis(np.outer(centers[:block] - centers[0], xi))
     e = (heads[:, None, :] * subs[None, :, :]).reshape(-1, xi.size)[:n_p]
-    g = np.exp(1j * np.outer(xi, ks[0, n_j // 2:] - centers[0]))
+    g = _cis(np.outer(xi, ks[0, n_j // 2:] - centers[0]))
     g = np.concatenate([np.conj(g[:, ::-1][:, :n_j // 2]), g], axis=1)  # o = 0 kept once
     gw = g[:, :, None] * weights[:, None, :]
     return (e @ gw.reshape(xi.size, -1)).reshape(-1, weights.shape[1])
@@ -260,9 +269,10 @@ def _radiative_amplitudes(traj: Trajectory, ks: np.ndarray, dirs, charge: float,
         A_rad^mu(k) = (e/ik) int_acc dt [xd (0, a) + (n.a)(1, v)]^mu / xd^2 e^{ik xi},
 
     with xd = 1 - n.v.  Exactly transverse (k_mu A_rad^mu = 0) and
-    window-independent.  ks are the (P, J) nodes of equal-width k panels.
-    The trajectory is sampled once; one (P J, 4) array is yielded per
-    direction in dirs."""
+    window-independent: at every node the integrand's time component is n.
+    its spatial part, so 3 columns are transformed and A_rad^0 = n.A_rad.
+    ks are the (P, J) nodes of equal-width k panels.  The trajectory is
+    sampled once; one (P J, 4) array is yielded per direction in dirs."""
     if rate is None:
         rate = float(np.max(np.abs(ks))) * (1.0 + _max_speed(traj))
     edges = _phase_edges(traj.acc_start, traj.acc_end, rate, base_panels=24)
@@ -272,9 +282,9 @@ def _radiative_amplitudes(traj: Trajectory, ks: np.ndarray, dirs, charge: float,
     for n in dirs:
         xd = 1.0 - kin.v @ n
         na = kin.a @ n
-        weights = np.column_stack([na, kin.a * xd[:, None] + na[:, None] * kin.v])
-        weights *= (w / xd**2)[:, None]
-        yield pref * _phase_transform(ks, ts - kin.x @ n, weights)
+        weights = (kin.a * xd[:, None] + na[:, None] * kin.v) * (w / xd**2)[:, None]
+        tr = _phase_transform(ks, ts - kin.x @ n, weights)
+        yield pref * np.column_stack([tr @ n, tr])
 
 
 def _taper_transforms(window: CutoffWindow, ks: np.ndarray):
@@ -555,7 +565,7 @@ def amplitude_quantum(traj: Trajectory, window: CutoffWindow, mode_p: ModeFuncti
     vals_P = vals if mode_P._modes is mode_p._modes else mode_P._modes(ts)
     phi_p, dphi_p = vals[:, mode_p._cols].T
     phi_P, dphi_P = vals_P[:, mode_P._cols].T
-    gate = window.chi(traj.xi(n, ts)) * w * np.exp(1j * k * ts)
+    gate = window.chi(traj.xi(n, ts)) * w * _cis(k * ts)
 
     V = eval_potential(traj.profile, ts)[:, 1:]
     wvec = mode_p.p[None, :] - V
@@ -693,14 +703,16 @@ def _double_xi_probability(traj: Trajectory, window: CutoffWindow, k_max: float,
                            dirs: np.ndarray, wd: np.ndarray) -> float:
     """Per direction, -sum_ij g_i g_j (u_i . u_j) K(xi_i - xi_j) for the gated
     four-velocity currents g u, with the Minkowski product (+, -, -, -) and
-    the pair kernel K(d) = int_0^K k cos(k d) dk = (cos(Kd) - 1 + Kd sin(Kd)) / d^2,
-    on the nodes of one _windowed_nodes call.  cos and sin of K(xi_i - xi_j)
-    come from per-node values by angle addition; |Kd| < 1e-2 takes the
-    small-argument series.  K is even, so it is evaluated in blocks of
-    _PAIR_BLOCK nodes over the upper triangle, off-diagonal blocks twice."""
+    the pair kernel K(d) = int_0^K k cos(k d) dk = K^2 (cos x - 1 + x sin x) / x^2
+    at x = K d, on the nodes of one _windowed_nodes call.  x is K xi_i - K xi_j,
+    and cos x and sin x come from per-node values by angle addition; x^2 < 1e-4
+    takes the small-argument series, in the blocks that hold such a pair.  K is
+    even, so it is evaluated in place in blocks of _PAIR_BLOCK nodes over the
+    upper triangle, off-diagonal blocks twice; K^2 multiplies the sum."""
     out = 0.0
     for (xi, gate, u), wdir in zip(_windowed_nodes(traj, dirs, window, k_max), wd):
-        cs = np.stack([np.cos(k_max * xi), np.sin(k_max * xi)], axis=1)
+        kx = k_max * xi
+        cs = np.stack([np.cos(kx), np.sin(kx)], axis=1)
         sc = cs[:, ::-1] * [1.0, -1.0]
         current = gate[:, None] * u
         form = np.zeros(4)
@@ -708,16 +720,21 @@ def _double_xi_probability(traj: Trajectory, window: CutoffWindow, k_max: float,
             r = slice(i, i + _PAIR_BLOCK)
             for j in range(i, xi.size, _PAIR_BLOCK):
                 c = slice(j, j + _PAIR_BLOCK)
-                d = xi[r, None] - xi[None, c]
-                x = k_max * d
-                # cos(x) - 1 + x sin(x), with sin(x) = s_i c_j - c_i s_j
-                kern = cs[r] @ cs[c].T - 1.0 + x * (sc[r] @ cs[c].T)
-                small = np.abs(x) < 1e-2
-                kern /= np.where(small, 1.0, d * d)
-                x2 = x[small] ** 2
-                kern[small] = k_max**2 * (0.5 - x2 / 8.0 + x2 * x2 / 144.0)
+                x = kx[r, None] - kx[None, c]
+                # cos(x) - 1 + x sin(x) in place, with sin(x) = s_i c_j - c_i s_j
+                kern = cs[r] @ cs[c].T
+                kern -= 1.0
+                sin = sc[r] @ cs[c].T
+                kern += np.multiply(sin, x, out=sin)
+                x *= x
+                small = x < 1e-4
+                if small.any():  # the series there, and x^2 = 1 so the division keeps it
+                    x2 = x[small]
+                    kern[small] = 0.5 - x2 / 8.0 + x2 * x2 / 144.0
+                    x[small] = 1.0
+                kern /= x
                 form += (1.0 if i == j else 2.0) * np.sum(current[r] * (kern @ current[c]), axis=0)
-        out += wdir * (-(form @ _METRIC)) / _8PI3
+        out += wdir * (-(k_max**2 * form @ _METRIC)) / _8PI3
     return out
 
 
@@ -772,8 +789,11 @@ def _amplitude_tangents(traj: Trajectory, basis, ks: np.ndarray, dirs, transform
 
         dA_rad = (e/ik) T[dR] + e T[R dxi],   dA_taper = (e/ik) [dW_in T_left + dW_out T_right];
 
-    one transform per direction carries R, dR and R dxi (4 + 12 + 12 columns).
-    The acceleration vanishes at the interval's ends, so their motion adds nothing."""
+    R is transverse at every node along any trajectory, so dR and R dxi are
+    too: one transform per direction carries the spatial columns of R, dR
+    and R dxi (3 + 9 + 9), and each time component is n.T of its spatial
+    ones.  The acceleration vanishes at the interval's ends, so their motion
+    adds nothing."""
     rate = float(np.max(np.abs(ks))) * (1.0 + _max_speed(traj))
     ts, w = _gauss_panels(_phase_edges(traj.acc_start, traj.acc_end, rate, base_panels=24),
                           _PANEL_ORDER)
@@ -783,22 +803,24 @@ def _amplitude_tangents(traj: Trajectory, basis, ks: np.ndarray, dirs, transform
     u_ends = np.column_stack([np.ones(2), kin.v[-2:]])                 # (1, v) in and out
     du_ends = np.concatenate([np.zeros((2, 1, 3)), dv[-2:]], axis=1)
     v, a, x, X, dv, da = kin.v[:-2], kin.a[:-2], kin.x[:-2], X[:-2], dv[:-2], da[:-2]
-    pref = (charge / (1j * ks.ravel()))[:, None]
+    pref = (charge / (1j * ks.ravel()))[:, None, None]
     for n in dirs:
         xd, na = 1.0 - v @ n, a @ n
         dxd, dna = -n @ dv, n @ da                                     # (N, 3)
-        # R = (n.a, xd a + (n.a) v) w / xd^2, and dR by the product rule
-        R = np.column_stack([na, a * xd[:, None] + na[:, None] * v]) * (w / xd**2)[:, None]
-        dR = np.concatenate([dna[:, None], da * xd[:, None, None] + a[:, :, None] * dxd[:, None]
-                             + v[:, :, None] * dna[:, None] + na[:, None, None] * dv], axis=1)
+        # spatial R = (xd a + (n.a) v) w / xd^2, and dR by the product rule
+        R = (a * xd[:, None] + na[:, None] * v) * (w / xd**2)[:, None]
+        dR = (da * xd[:, None, None] + a[:, :, None] * dxd[:, None] + v[:, :, None] * dna[:, None]
+              + na[:, None, None] * dv)
         dR = dR * (w / xd**2)[:, None, None] - 2.0 * R[:, :, None] * (dxd / xd[:, None])[:, None]
-        tr = _phase_transform(ks, ts - x @ n, np.hstack(
-            [R, dR.reshape(-1, 12), (R[:, :, None] * (-n @ X)[:, None]).reshape(-1, 12)]))
+        cols = np.concatenate([R[:, :, None], dR, R[:, :, None] * (-n @ X)[:, None]], axis=2)
+        tr = _phase_transform(ks, ts - x @ n, cols.reshape(-1, 21)).reshape(-1, 3, 7)
+        tr = np.concatenate([(n @ tr)[:, None], tr], axis=1)  # (P J, 4, 7): R, dR, R dxi
         xd_ends = 1.0 - u_ends[:, 1:] @ n
         dW = du_ends + u_ends[:, :, None] * (n @ du_ends[:, 1:] / xd_ends[:, None])[:, None]
-        W = np.hstack([u_ends, dW.reshape(2, 12)]) / xd_ends[:, None]  # W and dW, in and out
-        full = tr[:, :16] + np.outer(transforms[0], W[0]) + np.outer(transforms[1], W[1])
-        yield pref * full[:, :4], (pref * full[:, 4:] + charge * tr[:, 16:]).reshape(-1, 4, 3)
+        W = np.concatenate([u_ends[:, :, None], dW], axis=2) / xd_ends[:, None, None]  # in, out
+        full = (tr[..., :4] + transforms[0][:, None, None] * W[0]
+                + transforms[1][:, None, None] * W[1])
+        yield pref[..., 0] * full[..., 0], pref * full[..., 1:] + charge * tr[..., 4:]
 
 
 def shift_from_amplitudes(traj: Trajectory, basis, window: CutoffWindow, charge: float,

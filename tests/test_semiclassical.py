@@ -1,5 +1,6 @@
 """Emission amplitudes, mode functions, energy and probability accounting."""
 
+import warnings
 from functools import cache
 
 import numpy as np
@@ -12,7 +13,7 @@ from rrshift import (CutoffWindow, PotentialProfile, amplitude_classical,
                      jacobi_basis, kinematics, radiated_energy, radiative_amplitude,
                      shift_from_amplitudes, solve_mode_function, sphere_quadrature,
                      taper_amplitude, window_time_range)
-from rrshift.semiclassical import (_8PI3, _PAIR_BLOCK, _PANEL_ORDER, _direction_grid,
+from rrshift.semiclassical import (_8PI3, _PAIR_BLOCK, _PANEL_ORDER, _cis, _direction_grid,
                                    _double_xi_probability, _k_panels, _max_speed, _octaves,
                                    _phase_edges, _phase_transform, _radiative_amplitudes,
                                    _taper_amplitudes, _taper_transforms, _windowed_nodes,
@@ -72,7 +73,10 @@ def riemann_amplitude(traj, k, n, window, charge, num=1_000_000):
 
 
 def radiative_per_direction(traj, kp, n, charge, rate=None):
-    """The radiative piece for one direction, sampling the trajectory anew."""
+    """The radiative piece for one direction, sampling the trajectory anew:
+    the spatial columns transformed and the time component formed as n.T.
+    Also returns xi and the full four-column integrand, with its own time
+    component (n.a) w / xd^2, for a dense oracle."""
     n = np.asarray(n, dtype=float)
     if rate is None:
         rate = float(np.max(np.abs(kp))) * (1.0 + _max_speed(traj))
@@ -84,7 +88,8 @@ def radiative_per_direction(traj, kp, n, charge, rate=None):
     weights = np.column_stack([na, kin.a * xd[:, None] + na[:, None] * kin.v])
     weights *= (w / xd**2)[:, None]
     xi = ts - traj.position(ts) @ n
-    return (charge / (1j * kp.ravel()))[:, None] * _phase_transform(kp, xi, weights), xi, weights
+    tr = _phase_transform(kp, xi, weights[:, 1:])
+    return (charge / (1j * kp.ravel()))[:, None] * np.column_stack([tr @ n, tr]), xi, weights
 
 
 def taper_per_direction(traj, kp, n, window, charge):
@@ -100,8 +105,9 @@ def taper_per_direction(traj, kp, n, window, charge):
 
 
 def dense_transform(ks, xi, weights):
-    """sum_t e^{i k xi_t} weights[t] through the full (nk, nt) phase matrix."""
-    return np.exp(1j * np.outer(ks, xi)) @ weights
+    """sum_t e^{i k xi_t} weights[t] through the full (nk, nt) phase matrix,
+    its entries from cos and sin (test_cis_equals_the_complex_exponential)."""
+    return _cis(np.outer(ks, xi)) @ weights
 
 
 def pair_kernel(delta, k_max):
@@ -249,6 +255,19 @@ def test_samplers_match_per_direction_evaluation(name, request):
             assert np.array_equal(a, taper_per_direction(traj, kp, n, window, CHARGE))
 
 
+def test_cis_equals_the_complex_exponential():
+    """cos and sin written into one complex array equal np.exp(1j x) in both
+    parts, for |x| up to 1e5 and at zero and subnormal phases: moving the
+    phase factors to _cis changes no number (only the sign of a zero: sin(-0)
+    is -0, while 1j * -0.0 has already lost it)."""
+    rng = np.random.default_rng(7)
+    for x in (np.linspace(-1e5, 1e5, 400_001), rng.uniform(-1e5, 1e5, 200_000),
+              rng.normal(scale=30.0, size=(300, 301)), np.array([0.0, -0.0, 1e-300, -5e-324])):
+        got, ref = _cis(x), np.exp(1j * x)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+
 @pytest.mark.parametrize("n_j", [1, 12, 13])
 @pytest.mark.parametrize("n_p", [1, 2, 3, 7, 64, 101])
 def test_phase_transform_matches_dense_oracle(n_p, n_j):
@@ -265,12 +284,15 @@ def test_phase_transform_matches_dense_oracle(n_p, n_j):
 
 
 # octaves the energy loop (criterion 6, 16x32 directions) and the
-# amplitude-derivative loop (criterion 8, 8x16) climb before they stop
-@pytest.mark.parametrize("name, octaves", [("energy", 10), ("amplitude_shift", 8)])
+# amplitude-derivative loop (criterion 8, 8x16; `spatial` at 2x4) climb before they stop
+@pytest.mark.parametrize("name, octaves",
+                         [("energy", 10), ("amplitude_shift", 8), ("spatial", 9)])
 def test_factorized_transforms_match_dense_oracle(name, octaves):
     """On the first, a middle and the last octave of a real k grid, the
     panel-factorized transforms equal the dense e^{i k xi} matrix product to
-    1e-13 of the global peak."""
+    1e-13 of the global peak.  The radiative oracle transforms all four
+    columns of the integrand, so its time component is checked against n.T
+    of the spatial ones, on the time axis and on the z axis (`spatial`)."""
     sc = bundled_scenario(name)
     traj = sc.build()
     window = sc.window(traj)
@@ -683,6 +705,39 @@ def test_double_xi_blocks_match_pair_kernel_oracle(k_max, keep, monkeypatch):
     assert abs(got - ref) < 1e-13 * abs(ref)
 
 
+def test_double_xi_series_across_a_block_edge(monkeypatch):
+    """Nodes clustered within |K d| < 1e-2 across the first block edge, one
+    pair of them equal: the series branch off the diagonal, in the
+    off-diagonal block, equals the nt x nt pair-kernel form to 1e-13, and no
+    0/0 on a diagonal or at the equal pair raises a RuntimeWarning."""
+    sc, traj = built("pulse_single")
+    window = sc.window(traj)
+    k_max = 12.0
+    full_nodes = semiclassical._windowed_nodes
+    edge = _PAIR_BLOCK
+
+    def nodes(*args):
+        for xi, gate, u in full_nodes(*args):
+            xi = xi.copy()
+            xi[edge - 8:edge + 8] = xi[edge] + np.linspace(-4e-3, 4e-3, 16) / k_max
+            xi[edge + 4] = xi[edge - 4]
+            yield xi, gate, u
+
+    monkeypatch.setattr(semiclassical, "_windowed_nodes", nodes)
+    dirs, wd = _direction_grid(traj, 2, 4)
+    ref = 0.0
+    for (xi, gate, u), wdir in zip(nodes(traj, dirs, window, k_max), wd):
+        cross = k_max * (xi[:edge, None] - xi[None, edge:])
+        assert np.sum(np.abs(cross) < 1e-2) >= 64 and np.sum(cross == 0.0) == 1
+        c_mink = np.outer(u[:, 0], u[:, 0]) - u[:, 1:] @ u[:, 1:].T
+        kern = pair_kernel(xi[:, None] - xi[None, :], k_max)
+        ref += wdir * (-(gate @ (c_mink * kern) @ gate)) / _8PI3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _double_xi_probability(traj, window, k_max, dirs, wd)
+    assert abs(got - ref) < 1e-13 * abs(ref)
+
+
 def test_amplitude_shift_vanishes_without_acceleration():
     """Zero acceleration: the amplitude-derivative route returns ~0."""
     prof = PotentialProfile(axis="time", v_past=[0.0, 0.0, 0.0, 0.0], x1=2.0, x2=1.0)
@@ -706,6 +761,62 @@ def _central_difference_tangents(family, eps):
             yield amps[0], np.stack([(amps[1 + i] - amps[4 + i]) / (2.0 * eps)
                                      for i in range(3)], axis=-1)
     return tangents
+
+
+def tangents_28_columns(traj, basis, ks, dirs, transforms, charge):
+    """`_amplitude_tangents` with the time components of R, dR and R dxi
+    transformed as columns of their own (4 + 12 + 12), from their own formulas."""
+    rate = float(np.max(np.abs(ks))) * (1.0 + _max_speed(traj))
+    ts, w = _gauss_panels(_phase_edges(traj.acc_start, traj.acc_end, rate, base_panels=24),
+                          _PANEL_ORDER)
+    kin, V1, V2 = dynamics._flow_sample(traj, np.concatenate([ts, [traj.acc_start, traj.acc_end]]))
+    X, K = basis(kin.t)
+    dv, da = dynamics._flow_tangent(traj.profile, kin, V1, V2, X, K)
+    u_ends = np.column_stack([np.ones(2), kin.v[-2:]])
+    du_ends = np.concatenate([np.zeros((2, 1, 3)), dv[-2:]], axis=1)
+    v, a, x, X, dv, da = kin.v[:-2], kin.a[:-2], kin.x[:-2], X[:-2], dv[:-2], da[:-2]
+    pref = (charge / (1j * ks.ravel()))[:, None]
+    for n in dirs:
+        xd, na = 1.0 - v @ n, a @ n
+        dxd, dna = -n @ dv, n @ da
+        R = np.column_stack([na, a * xd[:, None] + na[:, None] * v]) * (w / xd**2)[:, None]
+        dR = np.concatenate([dna[:, None], da * xd[:, None, None] + a[:, :, None] * dxd[:, None]
+                             + v[:, :, None] * dna[:, None] + na[:, None, None] * dv], axis=1)
+        dR = dR * (w / xd**2)[:, None, None] - 2.0 * R[:, :, None] * (dxd / xd[:, None])[:, None]
+        tr = _phase_transform(ks, ts - x @ n, np.hstack(
+            [R, dR.reshape(-1, 12), (R[:, :, None] * (-n @ X)[:, None]).reshape(-1, 12)]))
+        xd_ends = 1.0 - u_ends[:, 1:] @ n
+        dW = du_ends + u_ends[:, :, None] * (n @ du_ends[:, 1:] / xd_ends[:, None])[:, None]
+        W = np.hstack([u_ends, dW.reshape(2, 12)]) / xd_ends[:, None]
+        full = tr[:, :16] + np.outer(transforms[0], W[0]) + np.outer(transforms[1], W[1])
+        yield pref * full[:, :4], (pref * full[:, 4:] + charge * tr[:, 16:]).reshape(-1, 4, 3)
+
+
+@pytest.mark.parametrize("name", ["amplitude_shift", "spatial"])
+def test_transverse_tangents_match_28_column_transform(name):
+    """Time components formed as n.T of the spatial ones (21 columns) equal
+    the 28-column transform to 1e-13 of the global peak, for A and for dA/dp,
+    on the first, a middle and the last octave the amplitude-derivative loop
+    climbs at 2 x 4 directions."""
+    sc, traj = built(name)
+    window = sc.window(traj)
+    basis = jacobi_basis(traj, 0.0)
+    dirs, _ = _direction_grid(traj, 2, 4)
+    span = window.support[1] - window.support[0]
+    grids = [edges for _, edges in zip(range(8), _octaves(span))]
+    err, peak = np.zeros(2), np.zeros(2)  # A, then dA/dp
+    for k_lo, k_hi in (grids[0], grids[4], grids[-1]):
+        kp, _ = _k_panels(k_lo, k_hi, span)
+        taper = _taper_transforms(window, kp)
+        pairs = list(zip(semiclassical._amplitude_tangents(traj, basis, kp, dirs, taper, sc.charge),
+                         tangents_28_columns(traj, basis, kp, dirs, taper, sc.charge)))
+        assert len(pairs) == len(dirs)
+        for got, ref in pairs:
+            for i in range(2):
+                assert got[i].shape == ref[i].shape
+                err[i] = max(err[i], np.max(np.abs(got[i] - ref[i])))
+                peak[i] = max(peak[i], np.max(np.abs(ref[i])))
+    assert np.all(err < 1e-13 * peak)
 
 
 @pytest.mark.parametrize("name", ["amplitude_shift", "spatial"])
