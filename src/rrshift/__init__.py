@@ -20,7 +20,7 @@ from .dynamics import (
     integrate_trajectory,
     kinematics,
 )
-from .lorentz_dirac import ld_coordinate_force, ld_four_force
+from .lorentz_dirac import ld_coordinate_force
 from .parallel import parallel_map, thread_cap
 from .potentials import PotentialProfile, SHAPE_NAMES, eval_potential, validate_profile
 from .scenario import (
@@ -40,10 +40,8 @@ from .semiclassical import (
     amplitude_quantum,
     default_window,
     emission_probability_reduced,
-    free_twin,
     larmor_radiated_energy,
     radiated_energy,
-    radiative_amplitude,
     shift_from_amplitudes,
     solve_mode_function,
     taper_amplitude,
@@ -89,7 +87,7 @@ __all__ = [
     "Trajectory", "Kinematics", "ReflectedTrajectoryError",
     "integrate_trajectory", "kinematics",
     # self-force
-    "ld_four_force", "ld_coordinate_force",
+    "ld_coordinate_force",
     # variational machinery
     "JacobiBasis", "Perturbation", "hamiltonian_hessian", "jacobi_basis",
     "retarded_perturbation", "symplectic_product",
@@ -101,8 +99,8 @@ __all__ = [
     # emission
     "CutoffWindow", "EmissionAmplitude", "EnergyReport", "ModeFunction",
     "ProbabilityReport", "amplitude_classical", "amplitude_quantum", "default_window",
-    "emission_probability_reduced", "free_twin", "larmor_radiated_energy",
-    "radiated_energy", "radiative_amplitude", "shift_from_amplitudes",
+    "emission_probability_reduced", "larmor_radiated_energy", "radiated_energy",
+    "shift_from_amplitudes",
     "solve_mode_function", "taper_amplitude", "window_time_range",
     # scenarios and verification
     "Scenario", "ScenarioError", "bundled_scenario", "load_scenario",

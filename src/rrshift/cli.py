@@ -29,7 +29,7 @@ import numpy as np
 from .dynamics import _flow_sample
 from .lorentz_dirac import _coordinate_force
 from .parallel import parallel_map
-from .scenario import ScenarioError, load_scenario
+from .scenario import ScenarioError, _is_number, load_scenario
 from .semiclassical import amplitude_classical, taper_amplitude
 from .shift import ROUTE_NAMES, compare_routes
 from .variational import jacobi_basis
@@ -128,13 +128,13 @@ def _load_directions(path: str):
         raise ScenarioError(["directions file must be a JSON object"])
     ks = data.get("k")
     if (not isinstance(ks, list) or not ks
-            or not all(isinstance(k, (int, float)) and k > 0 for k in ks)):
-        problems.append("'k' must be a non-empty list of positive numbers")
+            or not all(_is_number(k) and k > 0 for k in ks)):
+        problems.append("'k' must be a non-empty list of positive finite numbers")
     dirs = data.get("directions", data.get("n"))
     if (not isinstance(dirs, list) or not dirs
             or not all(isinstance(n, list) and len(n) == 3
-                       and all(isinstance(c, (int, float)) for c in n) for n in dirs)):
-        problems.append("'directions' must be a non-empty list of 3-vectors")
+                       and all(_is_number(c) for c in n) for n in dirs)):
+        problems.append("'directions' must be a non-empty list of 3-vectors of finite numbers")
     if problems:
         raise ScenarioError(problems)
     units = []

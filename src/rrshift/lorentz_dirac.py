@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import Trajectory, _flow_sample
 
-__all__ = ["ld_four_force", "ld_coordinate_force"]
+__all__ = ["ld_coordinate_force"]
 
 
 def _dots(kin):
@@ -31,7 +31,7 @@ def _dots(kin):
 
 
 def _four_force(kin, alpha_c: float) -> np.ndarray:
-    """F^mu of `ld_four_force` from a flow sample in array form, (N, 4)."""
+    """F^mu from a flow sample in array form, (N, 4)."""
     v, a, adot, av, aa, adv, g = _dots(kin)
 
     # u'' = d^2x/dtau^2 and its coordinate-time derivative
@@ -51,12 +51,6 @@ def _four_force(kin, alpha_c: float) -> np.ndarray:
     F[:, 1:] = g[:, None] * duddv + (g * norm2)[:, None] * v
     F *= 2.0 * alpha_c / 3.0
     return F
-
-
-def ld_four_force(traj: Trajectory, t, alpha_c: float) -> np.ndarray:
-    """F^mu at time(s) t; scalar t -> shape (4,), array -> (N, 4)."""
-    F = _four_force(_flow_sample(traj, t)[0], alpha_c)
-    return F[0] if np.ndim(t) == 0 else F
 
 
 def _coordinate_force(kin, alpha_c: float) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -32,23 +32,6 @@ class ScenarioError(ValueError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("invalid scenario: " + "; ".join(self.problems))
-
-
-_DEFAULTS = {
-    "name": "",
-    "tol": 1e-10,
-    "residual_threshold": 1e-4,
-    "n_polar": 64,
-    "n_azimuth": 128,
-    "epsrel": 1e-11,
-    "hbars": (0.1, 0.05, 0.025),
-    "seed": 0,
-    "pad_fraction": 0.5,
-    "width_fraction": 0.5,
-}
-
-_KNOWN_KEYS = {"mass", "charge", "p_final", "potential"} | set(_DEFAULTS)
-_POTENTIAL_KEYS = {"axis", "v_past", "x1", "x2", "shape", "amplitude"}
 
 
 @dataclass(frozen=True)
@@ -88,6 +71,12 @@ class Scenario:
     def window(self, traj: Trajectory) -> CutoffWindow:
         return default_window(traj, pad_fraction=self.pad_fraction,
                               width_fraction=self.width_fraction)
+
+
+# the optional scenario keys and their defaults: the Scenario fields with a default value
+_DEFAULTS = {f.name: f.default for f in fields(Scenario) if f.default is not MISSING}
+_KNOWN_KEYS = {"mass", "charge", "p_final", "potential"} | set(_DEFAULTS)
+_POTENTIAL_KEYS = {"axis", "v_past", "x1", "x2", "shape", "amplitude"}
 
 
 def _is_number(x) -> bool:
@@ -223,15 +212,17 @@ def load_scenario(source) -> Scenario:
     """Build a Scenario from a dict, a JSON string, or a file path."""
     if isinstance(source, dict):
         return scenario_from_dict(source)
-    text = str(source)
+    text, path = str(source), None
     try:
         if Path(text).exists():
-            text = Path(text).read_text()
+            path, text = text, Path(text).read_text()
     except OSError:
         pass
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
+        if path is not None:
+            raise ScenarioError([f"scenario file {path} is not valid JSON: {exc}"]) from None
         if "{" not in text:  # looked like a file path, not inline JSON
             raise ScenarioError([f"scenario file not found: {text}"]) from None
         raise ScenarioError([f"not valid JSON: {exc}"]) from None

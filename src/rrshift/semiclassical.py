@@ -17,17 +17,19 @@ Integrating by parts splits A exactly into a radiative part supported on
 the acceleration interval and a taper part carried by chi' alone (the
 trajectory coasts there whenever the plateau covers the acceleration
 image); the spectral routines below lean on that split both for speed and
-for an exact zero-acceleration baseline.  Their k integrals climb the same
-octaves, and within an octave each trajectory is sampled once for all
-directions of the sphere grid.  On the equal-width k panels
-e^{i(c_p + h x_j) xi} = E_p(xi) G_j(xi), so each transform is one matmul.
-From the amplitudes: the radiated-energy spectrum, the reduced emission
-probability in two independent evaluations (a Parseval pair), and the
-shift route that differentiates the amplitude exactly with respect to the
-final momentum, along one trajectory.  Mode functions need no ODE
-stepping: V is constant outside the forcing, where they are plane waves
-in closed form, and inside it a stack of momenta at one hbar is
-collocated on Chebyshev panels in one batched linear solve.
+for an exact zero-acceleration baseline.  One kernel, `_amplitudes`, yields
+both parts per direction and, given the Jacobi basis, their exact
+derivative with respect to the final momentum along one trajectory.  The k
+integrals climb the same octaves, and within an octave each trajectory is
+sampled once for all directions of the sphere grid.  On the equal-width k
+panels e^{i(c_p + h x_j) xi} = E_p(xi) G_j(xi), so each transform is one
+matmul.  From the kernel: the radiated-energy spectrum, the assembled side
+of the reduced emission probability, whose double-xi side is an independent
+evaluation (a Parseval pair), and the shift route that differentiates the
+amplitude.  Mode functions need no ODE stepping: V is constant outside the
+forcing, where they are plane waves in closed form, and inside it a stack
+of momenta at one hbar is collocated on Chebyshev panels in one batched
+linear solve.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (Trajectory, _cheb_operators, _flow_sample, _flow_tangent, _panel_eval,
-                       _panel_nodes, _panel_tails, _refine_panels, _transition_cuts,
-                       integrate_trajectory, kinematics)
+                       _panel_nodes, _panel_tails, _refine_panels, _transition_cuts, kinematics)
 from .potentials import PotentialProfile, _smoothstep7, eval_potential
 from .shift import _gauss_panels, _support_integral, sphere_quadrature
 
@@ -55,12 +56,10 @@ __all__ = [
     "amplitude_classical",
     "amplitude_quantum",
     "taper_amplitude",
-    "radiative_amplitude",
     "radiated_energy",
     "larmor_radiated_energy",
     "emission_probability_reduced",
     "shift_from_amplitudes",
-    "free_twin",
 ]
 
 _8PI3 = 2.0 * (2.0 * np.pi) ** 3  # the 2(2pi)^3 of the k-space measure
@@ -121,13 +120,6 @@ class CutoffWindow:
             out[down] = ((-1.0) ** order * _smoothstep7((hi - xi_arr[down]) / self.width)[order]
                          / self.width**order)
         return out[0] if scalar else out
-
-    def with_width(self, width: float) -> "CutoffWindow":
-        """Same plateau, different taper width (robustness sweeps)."""
-        return CutoffWindow(self.xi_on, self.xi_off, float(width))
-
-    def shifted(self, c: float) -> "CutoffWindow":
-        return CutoffWindow(self.xi_on + c, self.xi_off + c, self.width)
 
 
 def acceleration_xi_bounds(traj: Trajectory) -> tuple[float, float]:
@@ -262,31 +254,6 @@ def _phase_transform(ks: np.ndarray, xi: np.ndarray, weights: np.ndarray) -> np.
     return (e @ gw.reshape(xi.size, -1)).reshape(-1, weights.shape[1])
 
 
-def _radiative_amplitudes(traj: Trajectory, ks: np.ndarray, dirs, charge: float,
-                          rate=None):
-    """The by-parts radiative piece, supported on the acceleration interval:
-
-        A_rad^mu(k) = (e/ik) int_acc dt [xd (0, a) + (n.a)(1, v)]^mu / xd^2 e^{ik xi},
-
-    with xd = 1 - n.v.  Exactly transverse (k_mu A_rad^mu = 0) and
-    window-independent: at every node the integrand's time component is n.
-    its spatial part, so 3 columns are transformed and A_rad^0 = n.A_rad.
-    ks are the (P, J) nodes of equal-width k panels.  The trajectory is
-    sampled once; one (P J, 4) array is yielded per direction in dirs."""
-    if rate is None:
-        rate = float(np.max(np.abs(ks))) * (1.0 + _max_speed(traj))
-    edges = _phase_edges(traj.acc_start, traj.acc_end, rate, base_panels=24)
-    ts, w = _gauss_panels(edges, _PANEL_ORDER)
-    kin = kinematics(traj, ts)
-    pref = (charge / (1j * ks.ravel()))[:, None]
-    for n in dirs:
-        xd = 1.0 - kin.v @ n
-        na = kin.a @ n
-        weights = (kin.a * xd[:, None] + na[:, None] * kin.v) * (w / xd**2)[:, None]
-        tr = _phase_transform(ks, ts - kin.x @ n, weights)
-        yield pref * np.column_stack([tr @ n, tr])
-
-
 def _taper_transforms(window: CutoffWindow, ks: np.ndarray):
     """T_left(k), T_right(k): Fourier transforms of chi' over each taper.
     Window-only — shared across directions and trajectories."""
@@ -299,19 +266,69 @@ def _taper_transforms(window: CutoffWindow, ks: np.ndarray):
     return out[0], out[1]
 
 
-def _taper_amplitudes(traj: Trajectory, ks: np.ndarray, dirs, transforms, charge: float):
-    """A_taper^mu(k) = (e/ik)[W_in^mu T_left + W_out^mu T_right]; the coasting
-    four-velocity-per-xi W = (1, v)/(1 - n.v) is constant on each taper.
-    `transforms` is _taper_transforms(window, ks); one (P J, 4) array is
-    yielded per direction in dirs."""
-    v_in = traj.velocity(traj.acc_start)
-    v_out = traj.velocity(0.0)
-    t_left, t_right = transforms
-    pref = charge / (1j * ks.ravel())
-    for n in dirs:
-        w_in = np.concatenate([[1.0], v_in]) / (1.0 - n @ v_in)
-        w_out = np.concatenate([[1.0], v_out]) / (1.0 - n @ v_out)
-        yield pref[:, None] * (np.outer(t_left, w_in) + np.outer(t_right, w_out))
+def _amplitudes(traj: Trajectory, ks: np.ndarray, dirs, window: CutoffWindow, charge: float,
+                rate: float, basis=None):
+    """The by-parts split A = A_rad + A_taper of the windowed amplitude at the
+    (P, J) nodes ks of equal-width k panels, per direction in dirs: yields
+    (a_rad, a_tap, da), the first two (P J, 4) and da = dA/dp_final, (P J,
+    4, 3) with column j for p_final^j, exactly along traj from its
+    kick-time-0 Jacobi `basis`; without a basis da is (P J, 4, 0).
+
+        A_rad^mu = (e/ik) T[R^mu],   R = [xd (0, a) + (n.a)(1, v)] / xd^2 w,
+        A_taper^mu = (e/ik) [W_in^mu T_left + W_out^mu T_right],
+
+    with xd = 1 - n.v, T the phase transform over the acceleration interval
+    on time panels that resolve `rate` rad/unit, w its node weights, and
+    W = (1, v)/xd the coasting four-velocity per xi, constant on each taper
+    (T_left, T_right from `_taper_transforms`).  A_rad is window-independent
+    and R is transverse at every node along any trajectory: one transform per
+    direction carries its spatial columns and each time component is n.T of
+    its spatial ones.  With X, K of the basis giving dv, da (`_flow_tangent`)
+    and dxi = -n.X,
+
+        dA_rad = (e/ik) T[dR] + e T[R dxi],   dA_taper = (e/ik) [dW_in T_left + dW_out T_right],
+
+    and dR, R dxi are transverse too (3 + 9 + 9 transformed columns).  The
+    acceleration vanishes at the interval's ends, so their motion adds
+    nothing.  The trajectory is sampled once, and W with its tangents is
+    formed once for all directions."""
+    ts, w = _gauss_panels(_phase_edges(traj.acc_start, traj.acc_end, rate, base_panels=24),
+                          _PANEL_ORDER)
+    kin, V1, V2 = _flow_sample(traj, np.concatenate([ts, [traj.acc_start, traj.acc_end]]))
+    if basis is None:
+        dv = dacc = dx = np.zeros((kin.t.size, 0, 3))
+    else:
+        X, K = basis(kin.t)
+        dv, dacc = (d.swapaxes(1, 2) for d in _flow_tangent(traj.profile, kin, V1, V2, X, K))
+        dx = X.swapaxes(1, 2)
+    m = dv.shape[1]  # tangents; each (N, m, 3) with the spatial index last
+    # W = u/xd and dW = (du + W n.du)/xd for u = (1, v) in and out, (D, 2, 1 + m, 4)
+    u = np.column_stack([np.ones(2), traj.velocity([traj.acc_start, 0.0])])
+    du = np.concatenate([np.zeros((2, m, 1)), dv[-2:]], axis=2)
+    xd_ends = 1.0 - dirs @ u[:, 1:].T                                        # (D, 2)
+    ndu = np.einsum("dj,emj->dem", dirs, du[..., 1:]) / xd_ends[..., None]  # (D, 2, m)
+    W = np.concatenate([np.broadcast_to(u[:, None], (len(dirs), 2, 1, 4)),
+                        du + u[:, None] * ndu[..., None]], axis=2) / xd_ends[..., None, None]
+    v, a, x = kin.v[:-2], kin.a[:-2], kin.x[:-2]
+    dv, dacc, dx = dv[:-2], dacc[:-2], dx[:-2]
+    t_left, t_right = (t[:, None, None] for t in _taper_transforms(window, ks))
+    pref = (charge / (1j * ks.ravel()))[:, None]
+    for n, w_n in zip(dirs, W):
+        xd, na = 1.0 - v @ n, a @ n
+        R = (a * xd[:, None] + na[:, None] * v) * (w / xd**2)[:, None]
+        cols = R[:, None]  # (N, 1 + 2 m, 3): R, then dR and R dxi per tangent
+        if m:
+            dxd, dna = -(dv @ n), dacc @ n
+            dR = (dacc * xd[:, None, None] + dxd[:, :, None] * a[:, None]
+                  + dna[:, :, None] * v[:, None] + na[:, None, None] * dv)
+            dR = dR * (w / xd**2)[:, None, None] - 2.0 * R[:, None] * (dxd / xd[:, None])[..., None]
+            cols = np.concatenate([cols, dR, R[:, None] * -(dx @ n)[..., None]], axis=1)
+        tr = _phase_transform(ks, ts - x @ n, cols.reshape(ts.size, -1))
+        tr = np.concatenate([(tr.reshape(-1, 3) @ n).reshape(ks.size, -1, 1),
+                             tr.reshape(ks.size, -1, 3)], axis=2)
+        tap = t_left * w_n[0] + t_right * w_n[1]
+        da = pref[:, None] * (tr[:, 1:1 + m] + tap[:, 1:]) + charge * tr[:, 1 + m:]
+        yield pref * tr[:, 0], pref * tap[:, 0], da.swapaxes(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -351,23 +368,15 @@ def amplitude_classical(traj: Trajectory, k: float, n, window: CutoffWindow,
     return EmissionAmplitude(p=traj.p_final.copy(), k=float(k), n=n, a=a)
 
 
-def radiative_amplitude(traj: Trajectory, k: float, n, charge: float) -> EmissionAmplitude:
-    """Window-independent radiative part of the amplitude (see the split in
-    the module docstring); A_windowed = A_rad + A_taper exactly."""
-    n = _check_direction(n)
-    a = next(_radiative_amplitudes(traj, np.array([[float(k)]]), [n], charge))[0]
-    return EmissionAmplitude(p=traj.p_final.copy(), k=float(k), n=n, a=a)
-
-
 def taper_amplitude(traj: Trajectory, k: float, n, window: CutoffWindow,
                     charge: float) -> EmissionAmplitude:
     """The window's own contribution: the zero-acceleration baseline
     generalized to a trajectory whose in/out velocities differ."""
     n = _check_direction(n)
     _require_plateau_covers(traj, n, window)
-    ks = np.array([[float(k)]])
-    a = next(_taper_amplitudes(traj, ks, [n], _taper_transforms(window, ks), charge))[0]
-    return EmissionAmplitude(p=traj.p_final.copy(), k=float(k), n=n, a=a)
+    # A_rad is not read, so the coarsest time panels (rate 0) serve
+    [(_, a, _)] = _amplitudes(traj, np.array([[float(k)]]), n[None], window, charge, 0.0)
+    return EmissionAmplitude(p=traj.p_final.copy(), k=float(k), n=n, a=a[0])
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +639,8 @@ def radiated_energy(traj: Trajectory, window: CutoffWindow, charge: float,
         kp, wk = _k_panels(k_lo, k_hi, 0.75 * k_rate)
         k2 = kp.ravel() ** 2
         t_rate = 0.75 * k_hi * (1.0 + vmax)
-        taper = _taper_transforms(window, kp)
         oct_peak = 0.0
-        for wdir, a_rad, a_tap in zip(wd, _radiative_amplitudes(traj, kp, dirs, charge, t_rate),
-                                      _taper_amplitudes(traj, kp, dirs, taper, charge)):
+        for wdir, (a_rad, a_tap, _) in zip(wd, _amplitudes(traj, kp, dirs, window, charge, t_rate)):
             g_full = k2 * _minkowski_sq(a_rad + a_tap)
             g_tap = k2 * _minkowski_sq(a_tap)
             total += wdir * (wk @ g_full) / _8PI3
@@ -691,9 +698,7 @@ def _assembled_probability(traj: Trajectory, window: CutoffWindow, k_max: float,
         kp, wk = _k_panels(a, b, span)
         t_rate = b * (1.0 + vmax_acc)
         wk_k = wk * kp.ravel()
-        taper = _taper_transforms(window, kp)
-        for wdir, a_rad, a_tap in zip(wd, _radiative_amplitudes(traj, kp, dirs, 1.0, t_rate),
-                                      _taper_amplitudes(traj, kp, dirs, taper, 1.0)):
+        for wdir, (a_rad, a_tap, _) in zip(wd, _amplitudes(traj, kp, dirs, window, 1.0, t_rate)):
             total += wdir * (wk_k @ _minkowski_sq(a_rad + a_tap)) / _8PI3
             base += wdir * (wk_k @ _minkowski_sq(a_tap)) / _8PI3
     return total, base
@@ -763,64 +768,9 @@ def emission_probability_reduced(traj: Trajectory, window: CutoffWindow,
                              baseline=base, k_max=k_max)
 
 
-def free_twin(traj: Trajectory) -> Trajectory:
-    """Zero-potential trajectory with the same anchor momentum and domain
-    (the straight line used as the no-acceleration reference)."""
-    profile = traj.profile
-    quiet = PotentialProfile(axis=profile.axis, v_past=np.zeros(4),
-                             x1=profile.x1, x2=profile.x2)
-    return integrate_trajectory(quiet, traj.p_final, traj.mass, tol=traj.tol,
-                                t_min=traj.t_min)
-
-
 # ---------------------------------------------------------------------------
 # amplitude-derivative shift route
 # ---------------------------------------------------------------------------
-
-
-def _amplitude_tangents(traj: Trajectory, basis, ks: np.ndarray, dirs, transforms,
-                        charge: float):
-    """The windowed amplitude A = A_rad + A_taper, (P J, 4), and dA/dp_final,
-    (P J, 4, 3) with column j for p_final^j, per direction in dirs, exactly
-    along traj: X and K of its kick-time-0 `basis` give dv, da
-    (`_flow_tangent`) and dxi = -n.X.  With R the integrand of
-    `_radiative_amplitudes` times the node weights, W = (1, v)/(1 - n.v) as
-    in `_taper_amplitudes` and T the phase transform,
-
-        dA_rad = (e/ik) T[dR] + e T[R dxi],   dA_taper = (e/ik) [dW_in T_left + dW_out T_right];
-
-    R is transverse at every node along any trajectory, so dR and R dxi are
-    too: one transform per direction carries the spatial columns of R, dR
-    and R dxi (3 + 9 + 9), and each time component is n.T of its spatial
-    ones.  The acceleration vanishes at the interval's ends, so their motion
-    adds nothing."""
-    rate = float(np.max(np.abs(ks))) * (1.0 + _max_speed(traj))
-    ts, w = _gauss_panels(_phase_edges(traj.acc_start, traj.acc_end, rate, base_panels=24),
-                          _PANEL_ORDER)
-    kin, V1, V2 = _flow_sample(traj, np.concatenate([ts, [traj.acc_start, traj.acc_end]]))
-    X, K = basis(kin.t)
-    dv, da = _flow_tangent(traj.profile, kin, V1, V2, X, K)
-    u_ends = np.column_stack([np.ones(2), kin.v[-2:]])                 # (1, v) in and out
-    du_ends = np.concatenate([np.zeros((2, 1, 3)), dv[-2:]], axis=1)
-    v, a, x, X, dv, da = kin.v[:-2], kin.a[:-2], kin.x[:-2], X[:-2], dv[:-2], da[:-2]
-    pref = (charge / (1j * ks.ravel()))[:, None, None]
-    for n in dirs:
-        xd, na = 1.0 - v @ n, a @ n
-        dxd, dna = -n @ dv, n @ da                                     # (N, 3)
-        # spatial R = (xd a + (n.a) v) w / xd^2, and dR by the product rule
-        R = (a * xd[:, None] + na[:, None] * v) * (w / xd**2)[:, None]
-        dR = (da * xd[:, None, None] + a[:, :, None] * dxd[:, None] + v[:, :, None] * dna[:, None]
-              + na[:, None, None] * dv)
-        dR = dR * (w / xd**2)[:, None, None] - 2.0 * R[:, :, None] * (dxd / xd[:, None])[:, None]
-        cols = np.concatenate([R[:, :, None], dR, R[:, :, None] * (-n @ X)[:, None]], axis=2)
-        tr = _phase_transform(ks, ts - x @ n, cols.reshape(-1, 21)).reshape(-1, 3, 7)
-        tr = np.concatenate([(n @ tr)[:, None], tr], axis=1)  # (P J, 4, 7): R, dR, R dxi
-        xd_ends = 1.0 - u_ends[:, 1:] @ n
-        dW = du_ends + u_ends[:, :, None] * (n @ du_ends[:, 1:] / xd_ends[:, None])[:, None]
-        W = np.concatenate([u_ends[:, :, None], dW], axis=2) / xd_ends[:, None, None]  # in, out
-        full = (tr[..., :4] + transforms[0][:, None, None] * W[0]
-                + transforms[1][:, None, None] * W[1])
-        yield pref[..., 0] * full[..., 0], pref * full[..., 1:] + charge * tr[..., 4:]
 
 
 def shift_from_amplitudes(traj: Trajectory, basis, window: CutoffWindow, charge: float,
@@ -831,7 +781,7 @@ def shift_from_amplitudes(traj: Trajectory, basis, window: CutoffWindow, charge:
         dx^i = (1/(2 (2pi)^3)) int dOmega int k dk Im[ A*^0 dA^0/dp^i
                                                        - A*_vec . dA_vec/dp^i ],
 
-    with dA/dp taken exactly along traj (`_amplitude_tangents`) from its
+    with dA/dp taken exactly along traj (`_amplitudes`) from its
     kick-time-0 Jacobi `basis`.  The k integral climbs octaves until two
     consecutive octaves move the running total by less than octave_tol
     relative.
@@ -841,14 +791,17 @@ def shift_from_amplitudes(traj: Trajectory, basis, window: CutoffWindow, charge:
     window.require_covers(*acceleration_xi_bounds(traj), "the acceleration interval")
     dirs, wd = _direction_grid(traj, n_polar, n_azimuth)
     span = window.support[1] - window.support[0]
+    vmax = _max_speed(traj)
     total, small_streak = np.zeros(3), 0
     contrib, k_hi = np.zeros(3), 0.0  # named in the stop-rule error, even with no octave run
     for octave, (k_lo, k_hi) in zip(range(max_octaves), _octaves(span)):
         kp, wk = _k_panels(k_lo, k_hi, span)
         wk_k = wk * kp.ravel()
-        tangents = _amplitude_tangents(traj, basis, kp, dirs, _taper_transforms(window, kp), charge)
-        contrib = sum(wdir * (wk_k @ np.imag(np.einsum("km,kmi->ki", np.conj(a) * _METRIC, da)))
-                      for wdir, (a, da) in zip(wd, tangents)) / _8PI3
+        t_rate = float(np.max(np.abs(kp))) * (1.0 + vmax)
+        amps = _amplitudes(traj, kp, dirs, window, charge, t_rate, basis)
+        contrib = sum(wdir * (wk_k @ np.imag(np.einsum("km,kmi->ki",
+                                                       np.conj(a_rad + a_tap) * _METRIC, da)))
+                      for wdir, (a_rad, a_tap, da) in zip(wd, amps)) / _8PI3
         total += contrib
         if np.linalg.norm(contrib) < octave_tol * np.linalg.norm(total):
             small_streak += 1

@@ -10,7 +10,7 @@ tightens the route-agreement threshold.
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -400,7 +400,7 @@ def _criterion_8(full: bool, serial: bool) -> CriterionResult:
 
     # 8x16 angles: the moment integrands at |v| <= 0.6 are resolved far
     # below the 1e-3 contract by Gauss-Legendre 8 in cos(theta)
-    windows = [window, window.with_width(2.0 * window.width)]
+    windows = [window, replace(window, width=2.0 * window.width)]
     shifts = parallel_map(
         lambda w: shift_from_amplitudes(traj, basis, w, sc.charge, n_polar=8, n_azimuth=16),
         windows, serial=serial)

@@ -1,5 +1,6 @@
 """Shared fixtures: prebuilt trajectories reused across test modules."""
 
+import numpy as np
 import pytest
 
 import rrshift as rr
@@ -27,6 +28,14 @@ def collinear_traj():
     return rr.bundled_scenario("collinear").build()
 
 
+def free_twin(traj):
+    """Zero-potential trajectory with the same anchor momentum and domain
+    (the straight line used as the no-acceleration reference)."""
+    profile = traj.profile
+    quiet = rr.PotentialProfile(axis=profile.axis, v_past=np.zeros(4), x1=profile.x1, x2=profile.x2)
+    return rr.integrate_trajectory(quiet, traj.p_final, traj.mass, tol=traj.tol, t_min=traj.t_min)
+
+
 @pytest.fixture(scope="session")
 def free_traj(time_traj):
-    return rr.free_twin(time_traj)
+    return free_twin(time_traj)

@@ -1,6 +1,8 @@
-"""Public surface: every exported name resolves, and every layer function the
-benchmark's per-layer metrics name is defined and exported where it says."""
+"""Public surface: every exported name resolves, every layer function the
+benchmark's per-layer metrics name is defined and exported where it says, and
+every other exported function has a caller in the package."""
 
+import ast
 import importlib
 import inspect
 import json
@@ -24,10 +26,15 @@ def test_exported_names_resolve():
     assert not missing
 
 
-def test_benchmark_layer_functions_exist():
+def benchmark_spans():
+    """The "layer.function" spans that BENCHMARK.json's per-layer metrics name."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    spans = {m["name"].rsplit(".", 1)[0] for m in spec["per_layer"]
-             if not m["name"].startswith(NON_LAYER_PREFIXES)}
+    return {m["name"].rsplit(".", 1)[0] for m in spec["per_layer"]
+            if not m["name"].startswith(NON_LAYER_PREFIXES)}
+
+
+def test_benchmark_layer_functions_exist():
+    spans = benchmark_spans()
     assert spans
     problems = []
     for span in sorted(spans):
@@ -42,3 +49,28 @@ def test_benchmark_layer_functions_exist():
                 or fn.__module__ != module.__name__):
             problems.append(span)
     assert not problems
+
+
+def test_exported_functions_have_a_caller():
+    """A function in a layer module's __all__ is used somewhere in the package
+    outside its own def, or is a span the benchmark traces: oracle-only paths
+    belong in the tests."""
+    package = Path(rrshift.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    spans = benchmark_spans()
+    unused = []
+    for info in pkgutil.iter_modules(rrshift.__path__):
+        module = importlib.import_module(f"rrshift.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            if not inspect.isfunction(getattr(module, name)) or f"{info.name}.{name}" in spans:
+                continue
+            own = {id(node) for fn in ast.walk(trees[info.name])
+                   if isinstance(fn, ast.FunctionDef) and fn.name == name
+                   for node in ast.walk(fn)}
+            uses = [node for tree in trees.values() for node in ast.walk(tree)
+                    if id(node) not in own and (
+                        isinstance(node, ast.Name) and node.id == name
+                        or isinstance(node, ast.Attribute) and node.attr == name)]
+            if not uses:
+                unused.append(f"{info.name}.{name}")
+    assert not unused

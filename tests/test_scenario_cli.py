@@ -85,6 +85,12 @@ def test_load_scenario_sources(tmp_path):
     assert load_scenario(dict(BASE)).name == "unit"
     with pytest.raises(ScenarioError, match="not found"):
         load_scenario(str(tmp_path / "missing.json"))
+    # a file that exists but holds no JSON is named as such, not as a missing path
+    for name, text in (("words.json", "not json at all"), ("empty.json", "")):
+        bad = tmp_path / name
+        bad.write_text(text)
+        with pytest.raises(ScenarioError, match=rf"scenario file \S*{name} is not valid JSON"):
+            load_scenario(str(bad))
 
 
 def test_bundled_scenarios_match_repo_files():
@@ -201,12 +207,20 @@ def test_spectrum_csv_format(tmp_path):
         assert all(np.isfinite(float(c)) for c in line.split(","))
 
 
-def test_spectrum_rejects_bad_directions(tmp_path):
+def test_spectrum_rejects_bad_directions(tmp_path, capsys):
+    """An empty k list, an infinite k, a boolean k and a NaN direction
+    component are input errors (exit 2) that name the key."""
     scenario = write_scenario(tmp_path)
     dirs = tmp_path / "dirs.json"
-    dirs.write_text(json.dumps({"k": [], "directions": [[0, 0, 0]]}))
-    assert main(["spectrum", "--scenario", scenario,
-                 "--directions", str(dirs)]) == 2
+    for grid, problem in (({"k": [], "directions": [[0, 0, 0]]}, "'k' must be"),
+                          ({"k": [float("inf")], "directions": [[0, 0, 1]]}, "'k' must be"),
+                          ({"k": [True], "directions": [[0, 0, 1]]}, "'k' must be"),
+                          ({"k": [1.0], "directions": [[0, float("nan"), 1]]},
+                           "'directions' must be")):
+        dirs.write_text(json.dumps(grid))  # Infinity and NaN as Python's json writes them
+        assert main(["spectrum", "--scenario", scenario,
+                     "--directions", str(dirs)]) == 2
+        assert problem in capsys.readouterr().err
 
 
 def test_force_profile_csv(tmp_path):

@@ -1,6 +1,7 @@
 """Emission amplitudes, mode functions, energy and probability accounting."""
 
 import warnings
+from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -9,15 +10,13 @@ from scipy.optimize import brentq
 
 from rrshift import (CutoffWindow, PotentialProfile, amplitude_classical,
                      amplitude_quantum, bundled_scenario, default_window,
-                     emission_probability_reduced, free_twin, integrate_trajectory,
-                     jacobi_basis, kinematics, radiated_energy, radiative_amplitude,
-                     shift_from_amplitudes, solve_mode_function, sphere_quadrature,
-                     taper_amplitude, window_time_range)
-from rrshift.semiclassical import (_8PI3, _PAIR_BLOCK, _PANEL_ORDER, _cis, _direction_grid,
-                                   _double_xi_probability, _k_panels, _max_speed, _octaves,
-                                   _phase_edges, _phase_transform, _radiative_amplitudes,
-                                   _taper_amplitudes, _taper_transforms, _windowed_nodes,
-                                   acceleration_xi_bounds)
+                     emission_probability_reduced, integrate_trajectory, jacobi_basis,
+                     kinematics, radiated_energy, shift_from_amplitudes, solve_mode_function,
+                     sphere_quadrature, taper_amplitude, window_time_range)
+from rrshift.semiclassical import (_8PI3, _PAIR_BLOCK, _PANEL_ORDER, _amplitudes, _cis,
+                                   _direction_grid, _double_xi_probability, _k_panels,
+                                   _max_speed, _octaves, _phase_edges, _phase_transform,
+                                   _taper_transforms, _windowed_nodes, acceleration_xi_bounds)
 from rrshift import dynamics, semiclassical, verify
 from rrshift.dynamics import _SHAPE_INTERIOR_JOINS, _DenseSolution
 from rrshift.potentials import eval_potential
@@ -72,14 +71,21 @@ def riemann_amplitude(traj, k, n, window, charge, num=1_000_000):
     return -charge * np.trapezoid(integrand, xi_u, axis=0)
 
 
-def radiative_per_direction(traj, kp, n, charge, rate=None):
+def radiative(traj, k, n):
+    """A_rad at one k and direction: the first output of `_amplitudes`, on
+    time panels for the rate |k| (1 + max speed)."""
+    rate = abs(k) * (1.0 + _max_speed(traj))
+    [(a_rad, _, _)] = _amplitudes(traj, np.array([[float(k)]]), np.asarray(n, dtype=float)[None],
+                                  default_window(traj), CHARGE, rate)
+    return a_rad[0]
+
+
+def radiative_per_direction(traj, kp, n, charge, rate):
     """The radiative piece for one direction, sampling the trajectory anew:
     the spatial columns transformed and the time component formed as n.T.
     Also returns xi and the full four-column integrand, with its own time
     component (n.a) w / xd^2, for a dense oracle."""
     n = np.asarray(n, dtype=float)
-    if rate is None:
-        rate = float(np.max(np.abs(kp))) * (1.0 + _max_speed(traj))
     edges = _phase_edges(traj.acc_start, traj.acc_end, rate, base_panels=24)
     ts, w = _gauss_panels(edges, _PANEL_ORDER)
     kin = kinematics(traj, ts)
@@ -198,14 +204,14 @@ def test_free_amplitude_is_pure_window_artifact(free_traj):
     """Zero acceleration: no radiative part, and only the window phase moves."""
     w = default_window(free_traj)
     k = 1.7
-    assert np.array_equal(radiative_amplitude(free_traj, k, NVEC, CHARGE).a,
-                          np.zeros(4, dtype=complex))
+    assert np.array_equal(radiative(free_traj, k, NVEC), np.zeros(4, dtype=complex))
     full = amplitude_classical(free_traj, k, NVEC, w, CHARGE).a
     taper = taper_amplitude(free_traj, k, NVEC, w, CHARGE).a
     assert np.max(np.abs(full - taper)) < 1e-9 * np.max(np.abs(full))
     # translating the window multiplies by a pure phase
     delta = 0.37
-    shifted = amplitude_classical(free_traj, k, NVEC, w.shifted(delta), CHARGE).a
+    moved = replace(w, xi_on=w.xi_on + delta, xi_off=w.xi_off + delta)
+    shifted = amplitude_classical(free_traj, k, NVEC, moved, CHARGE).a
     np.testing.assert_allclose(np.abs(shifted), np.abs(full), rtol=0,
                                atol=1e-12 * np.max(np.abs(full)))
     np.testing.assert_allclose(shifted * np.exp(-1j * k * delta), full, rtol=0,
@@ -218,7 +224,7 @@ def test_windowed_amplitude_splits(time_traj):
     scale = None
     for k in (0.8, 3.0, 9.0):
         full = amplitude_classical(time_traj, k, NVEC, w, CHARGE).a
-        rad = radiative_amplitude(time_traj, k, NVEC, CHARGE).a
+        rad = radiative(time_traj, k, NVEC)
         taper = taper_amplitude(time_traj, k, NVEC, w, CHARGE).a
         if scale is None:  # identical absolute floor at every k
             scale = max(np.max(np.abs(rad)), np.max(np.abs(taper)))
@@ -228,14 +234,15 @@ def test_windowed_amplitude_splits(time_traj):
 def test_radiative_amplitude_transverse(time_traj):
     """k_mu A^mu = 0 for the acceleration-supported piece."""
     for k in (0.9, 4.0):
-        a = radiative_amplitude(time_traj, k, NVEC, CHARGE).a
+        a = radiative(time_traj, k, NVEC)
         inner = a[0] - NVEC @ a[1:]
         assert abs(inner) < 1e-12 * np.max(np.abs(a))
 
 
 @pytest.mark.parametrize("name", ["time_traj", "spatial_traj"])
 def test_samplers_match_per_direction_evaluation(name, request):
-    """Sampling the trajectory once for all directions changes no bit."""
+    """Sampling the trajectory once, and forming W once, for all directions
+    changes no bit of A_rad or A_taper."""
     traj = request.getfixturevalue(name)
     window = default_window(traj)
     span = window.support[1] - window.support[0]
@@ -243,16 +250,37 @@ def test_samplers_match_per_direction_evaluation(name, request):
     dirs, _ = sphere_quadrature(4, 8, axis=v)
     for k_lo, k_hi in list(_octaves(span))[:4:3]:  # the first and the fourth octave
         kp, _ = _k_panels(k_lo, k_hi, span)
-        for rate in (None, 40.0):
-            got = list(_radiative_amplitudes(traj, kp, dirs, CHARGE, rate))
+        for rate in (float(np.max(np.abs(kp))) * (1.0 + _max_speed(traj)), 40.0):
+            got = list(_amplitudes(traj, kp, dirs, window, CHARGE, rate))
             assert len(got) == len(dirs)
-            for n, a in zip(dirs, got):
-                assert np.array_equal(a, radiative_per_direction(traj, kp, n, CHARGE, rate)[0])
-        taper = _taper_transforms(window, kp)
-        got = list(_taper_amplitudes(traj, kp, dirs, taper, CHARGE))
-        assert len(got) == len(dirs)
-        for n, a in zip(dirs, got):
-            assert np.array_equal(a, taper_per_direction(traj, kp, n, window, CHARGE))
+            for n, (a_rad, a_tap, da) in zip(dirs, got):
+                assert np.array_equal(a_rad, radiative_per_direction(traj, kp, n, CHARGE, rate)[0])
+                assert np.array_equal(a_tap, taper_per_direction(traj, kp, n, window, CHARGE))
+                assert da.shape == (kp.size, 4, 0)
+
+
+@pytest.mark.parametrize("name", ["amplitude_shift", "spatial"])
+def test_amplitudes_with_a_basis_keep_the_split(name):
+    """Differentiating along the Jacobi basis leaves A_tap unchanged bit for
+    bit and A_rad to 1e-15 of its peak (its transform is a wider matmul, which
+    may round differently), on the first, a middle and the last octave of the
+    amplitude-derivative loop at 2 x 4 directions; dA/dp has one column per
+    component of p_final."""
+    sc, traj = built(name)
+    window = sc.window(traj)
+    basis = jacobi_basis(traj, 0.0)
+    dirs, _ = _direction_grid(traj, 2, 4)
+    span = window.support[1] - window.support[0]
+    grids = [edges for _, edges in zip(range(8), _octaves(span))]
+    for k_lo, k_hi in (grids[0], grids[4], grids[-1]):
+        kp, _ = _k_panels(k_lo, k_hi, span)
+        rate = float(np.max(np.abs(kp))) * (1.0 + _max_speed(traj))
+        plain = _amplitudes(traj, kp, dirs, window, sc.charge, rate)
+        tangent = _amplitudes(traj, kp, dirs, window, sc.charge, rate, basis)
+        for (a_rad, a_tap, _), (b_rad, b_tap, da) in zip(plain, tangent, strict=True):
+            assert np.array_equal(a_tap, b_tap)
+            assert np.max(np.abs(a_rad - b_rad)) <= 1e-15 * np.max(np.abs(a_rad))
+            assert da.shape == (kp.size, 4, 3)
 
 
 def test_cis_equals_the_complex_exponential():
@@ -305,7 +333,7 @@ def test_factorized_transforms_match_dense_oracle(name, octaves):
         kp, _ = _k_panels(k_lo, k_hi, span)
         pref = (CHARGE / (1j * kp.ravel()))[:, None]
         rate = k_hi * (1.0 + vmax)
-        for n, got in zip(dirs, _radiative_amplitudes(traj, kp, dirs, CHARGE, rate)):
+        for n, (got, _, _) in zip(dirs, _amplitudes(traj, kp, dirs, window, CHARGE, rate)):
             _, xi, weights = radiative_per_direction(traj, kp, n, CHARGE, rate)
             ref = pref * dense_transform(kp.ravel(), xi, weights)
             rad_err = max(rad_err, np.max(np.abs(got - ref)))
@@ -748,24 +776,23 @@ def test_amplitude_shift_vanishes_without_acceleration():
 
 
 def _central_difference_tangents(family, eps):
-    """A stand-in for `_amplitude_tangents` that differences the amplitudes of
-    the trajectories re-anchored at p_final + eps e_i and - eps e_i (family,
-    in that order) centrally, on the center's nodes and the same window."""
-    def tangents(traj, basis, ks, dirs, transforms, charge):
-        rate = float(np.max(np.abs(ks))) * (1.0 + _max_speed(traj))
-        streams = [zip(_radiative_amplitudes(tr, ks, dirs, charge, rate),
-                       _taper_amplitudes(tr, ks, dirs, transforms, charge))
-                   for tr in (traj, *family)]
-        for pairs in zip(*streams):
-            amps = [a_rad + a_tap for a_rad, a_tap in pairs]
-            yield amps[0], np.stack([(amps[1 + i] - amps[4 + i]) / (2.0 * eps)
-                                     for i in range(3)], axis=-1)
-    return tangents
+    """A stand-in for `_amplitudes` that differences the amplitudes
+    a_rad + a_tap of the trajectories re-anchored at p_final + eps e_i and
+    - eps e_i (family, in that order) centrally, at the center's time rate
+    and on the same window."""
+    def amplitudes(traj, ks, dirs, window, charge, rate, basis=None):
+        streams = [_amplitudes(tr, ks, dirs, window, charge, rate) for tr in (traj, *family)]
+        for outs in zip(*streams):
+            amps = [a_rad + a_tap for a_rad, a_tap, _ in outs]
+            yield outs[0][0], outs[0][1], np.stack([(amps[1 + i] - amps[4 + i]) / (2.0 * eps)
+                                                    for i in range(3)], axis=-1)
+    return amplitudes
 
 
 def tangents_28_columns(traj, basis, ks, dirs, transforms, charge):
-    """`_amplitude_tangents` with the time components of R, dR and R dxi
-    transformed as columns of their own (4 + 12 + 12), from their own formulas."""
+    """A = A_rad + A_taper and dA/dp of `_amplitudes` with a basis, with the
+    time components of R, dR and R dxi transformed as columns of their own
+    (4 + 12 + 12), from their own formulas."""
     rate = float(np.max(np.abs(ks))) * (1.0 + _max_speed(traj))
     ts, w = _gauss_panels(_phase_edges(traj.acc_start, traj.acc_end, rate, base_panels=24),
                           _PANEL_ORDER)
@@ -807,9 +834,11 @@ def test_transverse_tangents_match_28_column_transform(name):
     err, peak = np.zeros(2), np.zeros(2)  # A, then dA/dp
     for k_lo, k_hi in (grids[0], grids[4], grids[-1]):
         kp, _ = _k_panels(k_lo, k_hi, span)
-        taper = _taper_transforms(window, kp)
-        pairs = list(zip(semiclassical._amplitude_tangents(traj, basis, kp, dirs, taper, sc.charge),
-                         tangents_28_columns(traj, basis, kp, dirs, taper, sc.charge)))
+        rate = float(np.max(np.abs(kp))) * (1.0 + _max_speed(traj))
+        pairs = list(zip(((a_rad + a_tap, da) for a_rad, a_tap, da
+                          in _amplitudes(traj, kp, dirs, window, sc.charge, rate, basis)),
+                         tangents_28_columns(traj, basis, kp, dirs, _taper_transforms(window, kp),
+                                             sc.charge)))
         assert len(pairs) == len(dirs)
         for got, ref in pairs:
             for i in range(2):
@@ -833,8 +862,7 @@ def test_amplitude_shift_matches_central_differences(name, monkeypatch):
     eps = 1e-4 * float(np.linalg.norm(sc.p_final))
     family = [integrate_trajectory(sc.profile, sc.p_final + sign * eps * e, sc.mass, sc.tol)
               for sign in (1.0, -1.0) for e in np.eye(3)]
-    monkeypatch.setattr(semiclassical, "_amplitude_tangents",
-                        _central_difference_tangents(family, eps))
+    monkeypatch.setattr(semiclassical, "_amplitudes", _central_difference_tangents(family, eps))
     differenced = shift_from_amplitudes(traj, basis, window, sc.charge, **grid)
     assert np.linalg.norm(exact - differenced) < 1e-6 * np.linalg.norm(differenced)
 
