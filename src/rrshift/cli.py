@@ -246,6 +246,12 @@ def _cmd_verify(args) -> int:
 # --- parser -----------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rrshift",
@@ -273,11 +279,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("force-profile", help="self-force along the trajectory as CSV")
     add_common(p)
-    p.add_argument("--num", type=int, default=513, help="number of sample times")
+    p.add_argument("--num", type=_positive_int, default=513, help="number of sample times")
 
     p = sub.add_parser("jacobi-dump", help="kick-response entries along the trajectory as CSV")
     add_common(p)
-    p.add_argument("--num", type=int, default=257, help="number of sample times")
+    p.add_argument("--num", type=_positive_int, default=257, help="number of sample times")
 
     p = sub.add_parser("convergence", help="finite-hbar amplitude convergence as JSON")
     add_common(p)

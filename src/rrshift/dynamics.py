@@ -22,7 +22,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebval
 from scipy.integrate import solve_ivp
 
-from .potentials import PotentialProfile, _derivatives, axis_index, validate_profile
+from .potentials import (PotentialProfile, _derivatives, _shape_joins, axis_index,
+                         validate_profile)
 
 __all__ = [
     "Trajectory",
@@ -97,12 +98,6 @@ class _DenseSolution:
         return out[0] if np.ndim(t) == 0 else out
 
 
-_SHAPE_INTERIOR_JOINS = {
-    "smoothstep7": (),
-    "raised_cosine": (),
-    "bump": (0.5,),
-    "double_bump": (0.125, 0.25, 0.75, 0.875),
-}
 _CHEB_DEGREE = 32   # Chebyshev degree of a trajectory or mode-collocation panel
 _MAX_SPLITS = 4     # halvings of the panels whose coefficient tail misses rtol
 _NEWTON_STEPS = 6   # on t(s); a fixed count, so no point's s depends on its batch
@@ -110,7 +105,7 @@ _NEWTON_STEPS = 6   # on t(s); a fixed count, so no point's s depends on its bat
 
 def _transition_cuts(profile) -> np.ndarray:
     """Panel cuts of the forcing in s: -x1, the shape's joins, -x2."""
-    joins = [-profile.x1 + u * profile.width for u in _SHAPE_INTERIOR_JOINS[profile.shape]]
+    joins = [-profile.x1 + u * profile.width for u in _shape_joins(profile.shape)]
     return np.array([-profile.x1, *joins, -profile.x2])
 
 

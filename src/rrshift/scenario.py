@@ -214,10 +214,14 @@ def load_scenario(source) -> Scenario:
         return scenario_from_dict(source)
     text, path = str(source), None
     try:
-        if Path(text).exists():
+        exists = Path(text).exists()
+    except OSError:  # inline JSON too long for a file name
+        exists = False
+    if exists:
+        try:
             path, text = text, Path(text).read_text()
-    except OSError:
-        pass
+        except OSError as exc:
+            raise ScenarioError([f"cannot read scenario file {text}: {exc}"]) from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -171,13 +171,23 @@ def _require_plateau_covers(traj: Trajectory, n, window: CutoffWindow):
 # quadrature error far below 1e-10
 _PANEL_ORDER = 12
 _PAIR_BLOCK = 96  # rows and columns of one block of the double-xi pair kernel
+# Panel counts past which an input is refused before anything is allocated:
+# far above use (the full verify suite reaches 128 phase panels and 15 mode
+# panels), low enough that the transforms and collocation solves they admit
+# fit in memory.
+_MAX_PHASE_PANELS = 1024
+_MAX_MODE_PANELS = 256
 
 
 def _phase_edges(a: float, b: float, rate: float, base_panels: int = 48) -> np.ndarray:
     """Equal panel edges on [a, b], at least one panel per period of a phase
     turning at `rate` rad/unit."""
-    n_panels = int(max(base_panels, np.ceil((b - a) * max(rate, 0.0) / (2.0 * np.pi))))
-    return np.linspace(a, b, n_panels + 1)
+    n_panels = max(base_panels, np.ceil((b - a) * max(rate, 0.0) / (2.0 * np.pi)))
+    if n_panels > _MAX_PHASE_PANELS:
+        raise ValueError(f"a phase turning at {rate:.3g} rad/unit over [{a:.6g}, {b:.6g}] needs "
+                         f"{n_panels:.3g} quadrature panels, above the limit of "
+                         f"{_MAX_PHASE_PANELS}")
+    return np.linspace(a, b, int(n_panels) + 1)
 
 
 def _max_speed(traj: Trajectory) -> float:
@@ -436,9 +446,12 @@ class _CollocatedModes:
         p0 = np.sqrt(np.einsum("ij,ij->i", stack, stack) + mass**2)
         cuts = _transition_cuts(profile)
         sigma_max = np.max(_local_energy(profile, stack, mass, np.linspace(lo, hi, 4097)))
-        per_period = sigma_max / (2.0 * np.pi * hbar)
-        edges = np.concatenate([np.linspace(a, b, int(np.ceil((b - a) * per_period)) + 1)[:-1]
-                                for a, b in zip(cuts, cuts[1:])] + [cuts[-1:]])
+        counts = np.ceil(np.diff(cuts) * (sigma_max / (2.0 * np.pi * hbar)))
+        if counts.sum() > _MAX_MODE_PANELS:
+            raise ValueError(f"mode functions at hbar={hbar:.3g} need {counts.sum():.3g} "
+                             f"collocation panels, above the limit of {_MAX_MODE_PANELS}")
+        edges = np.concatenate([np.linspace(a, b, int(c) + 1)[:-1]
+                                for a, b, c in zip(cuts, cuts[1:], counts)] + [cuts[-1:]])
         wave = np.exp(-1j * p0 * cuts[-1] / hbar)
         y_end = np.stack([wave, -1j * p0 * wave])
         edges, (tails, self.coefs, y) = _refine_panels(

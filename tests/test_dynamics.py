@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from test_flow_sample import AXES, FLOW_SHAPES, P_FINAL, make_profile
+from test_flow_sample import AXES, P_FINAL, make_profile
 from test_semiclassical import MODE_PROFILES, mode_test_stack
 
-from rrshift import (PotentialProfile, ReflectedTrajectoryError, bundled_scenario,
+from rrshift import (SHAPE_NAMES, PotentialProfile, ReflectedTrajectoryError, bundled_scenario,
                      integrate_trajectory, jacobi_basis, kinematics, retarded_perturbation,
                      solve_mode_function)
 from rrshift import dynamics
@@ -254,7 +254,7 @@ FOUND_PROFILE = PotentialProfile(axis="z", v_past=np.zeros(4), x1=2.0, x2=1.0,
 FOUND_P = [0.1, 0.0, 0.6]
 ORACLE_CASES = {"found": (FOUND_PROFILE, FOUND_P)} | {
     f"{axis}-{shape}": (make_profile(shape, axis), P_FINAL[axis])
-    for axis in AXES for shape in FLOW_SHAPES}
+    for axis in AXES for shape in SHAPE_NAMES}
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)

@@ -14,8 +14,6 @@ from rrshift.variational import _hessian_blocks
 ALPHA = 0.0071619724391352765  # e = 0.3
 AXES = ("time", "z")
 P_FINAL = {"time": [0.05, 0.1, 0.8], "z": [0.3, 0.1, 1.1]}
-# raised_cosine is only C^1, so no trajectory is built through it
-FLOW_SHAPES = tuple(s for s in SHAPE_NAMES if s != "raised_cosine")
 
 
 def make_profile(shape, axis):
@@ -58,7 +56,7 @@ def test_one_shape_evaluation_gives_every_order(shape, axis):
 
 
 @pytest.mark.parametrize("axis", AXES)
-@pytest.mark.parametrize("shape", FLOW_SHAPES)
+@pytest.mark.parametrize("shape", SHAPE_NAMES)
 def test_shared_sample_matches_public_functions(shape, axis):
     """Hessian blocks, self-force and kinematics derived from one sample at
     N times equal hamiltonian_hessian (and its one-point closed form),

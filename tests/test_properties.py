@@ -6,10 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rrshift import PotentialProfile, integrate_trajectory
-from rrshift.potentials import axis_index, eval_potential
+from rrshift.potentials import SHAPE_NAMES, axis_index, eval_potential
 
 MAX_SPEED = 0.95
-SHAPES = ("smoothstep7", "bump", "double_bump")
 component = st.floats(-0.3, 0.3)
 # fixed examples, so a Tier-1 run is reproducible; no example database
 PROPERTY_SETTINGS = dict(deadline=None, derandomize=True, database=None)
@@ -21,7 +20,7 @@ def flows(draw):
     The path's extremes come from scanning the shape's range g in [0, 1],
     since every shape is c g(s) with one scalar g."""
     axis = draw(st.sampled_from(("time", "x", "y", "z")))
-    shape = draw(st.sampled_from(SHAPES))
+    shape = draw(st.sampled_from(SHAPE_NAMES))
     ai = None if axis == "time" else "xyz".index(axis)
     p = np.array([draw(component) for _ in range(3)])
     vec = np.array([0.0 if ai is None else draw(st.floats(-0.2, 0.2)),

@@ -91,6 +91,9 @@ def test_load_scenario_sources(tmp_path):
         bad.write_text(text)
         with pytest.raises(ScenarioError, match=rf"scenario file \S*{name} is not valid JSON"):
             load_scenario(str(bad))
+    # a path that exists but cannot be read, such as a directory, is named with its error
+    with pytest.raises(ScenarioError, match=r"cannot read scenario file \S*scenarios: .*directory"):
+        load_scenario(str(SCENARIO_DIR))
 
 
 def test_bundled_scenarios_match_repo_files():
@@ -221,6 +224,28 @@ def test_spectrum_rejects_bad_directions(tmp_path, capsys):
         assert main(["spectrum", "--scenario", scenario,
                      "--directions", str(dirs)]) == 2
         assert problem in capsys.readouterr().err
+
+
+def test_spectrum_refuses_a_panel_count_past_the_limit(tmp_path, capsys):
+    """k = 1e300 asks for about 1e300 time panels: an input error that names
+    the count, raised before any array is allocated."""
+    dirs = tmp_path / "dirs.json"
+    dirs.write_text(json.dumps({"k": [1e300], "directions": [[0, 0, 1]]}))
+    assert main(["spectrum", "--scenario", write_scenario(tmp_path),
+                 "--directions", str(dirs)]) == 2
+    err = capsys.readouterr().err
+    assert "quadrature panels, above the limit of 1024" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["force-profile", "jacobi-dump"])
+@pytest.mark.parametrize("num", ["0", "-3", "2.5"])
+def test_sample_count_must_be_a_positive_integer(tmp_path, capsys, command, num):
+    out = tmp_path / "never.csv"
+    assert main([command, "--scenario", write_scenario(tmp_path), "--num", num,
+                 "--out", str(out)]) == 2
+    assert "--num: must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_force_profile_csv(tmp_path):

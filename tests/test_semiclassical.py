@@ -18,8 +18,8 @@ from rrshift.semiclassical import (_8PI3, _PAIR_BLOCK, _PANEL_ORDER, _amplitudes
                                    _max_speed, _octaves, _phase_edges, _phase_transform,
                                    _taper_transforms, _windowed_nodes, acceleration_xi_bounds)
 from rrshift import dynamics, semiclassical, verify
-from rrshift.dynamics import _SHAPE_INTERIOR_JOINS, _DenseSolution
-from rrshift.potentials import eval_potential
+from rrshift.dynamics import _DenseSolution
+from rrshift.potentials import _shape_joins, eval_potential
 from rrshift.shift import _gauss_panels
 from rrshift.verify import hbar_convergence
 
@@ -469,6 +469,13 @@ def test_mode_momentum_is_a_vector_or_a_stack(time_profile):
         solve_mode_function(time_profile, [[[0.0, 0.1, 0.8]]], 0.1, (-3.0, 0.2))
 
 
+def test_mode_panel_count_is_bounded(time_profile):
+    """A tiny hbar asks for about 1e11 collocation panels: refused by count
+    before the solve allocates anything."""
+    with pytest.raises(ValueError, match=r"hbar=1e-12 need \S+ collocation panels, above"):
+        solve_mode_function(time_profile, [0.0, 0.1, 0.8], 1e-12, (-3.0, 0.2))
+
+
 # The stacked DOP853 solve that the collocated mode functions replaced, kept
 # as their oracle: one 2M-component system stepped from the plane wave at
 # acc_end back into the past, restarting at every join of the shape.
@@ -491,7 +498,7 @@ def dop853_mode_stack(profile, stack, hbar, t_lo, mass=1.0, rtol=1e-12):
         return np.concatenate([y[m:], -((np.einsum("ij,ij->i", w, w) + mass**2) / h2) * y[:m]])
 
     t_end = -profile.x2
-    joins = [-profile.x1 + u * profile.width for u in (0.0, *_SHAPE_INTERIOR_JOINS[profile.shape])]
+    joins = [-profile.x1 + u * profile.width for u in (0.0, *_shape_joins(profile.shape))]
     wave = np.exp(-1j * p0 * t_end / hbar)
     return _DenseSolution(rhs, t_end, np.concatenate([wave, -1j * p0 / hbar * wave]), t_lo,
                           t_end, "oracle", joins=joins, rtol=rtol, atol=rtol)
