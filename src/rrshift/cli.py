@@ -11,8 +11,9 @@ Subcommands:
 Exit codes: 0 success (and every check passed), 1 a residual check failed,
 2 bad input (scenario, flags, or auxiliary files).
 
-Reports are deterministic with --serial: timing fields are nulled (and
-`verify` prints no runtime stamps) so two runs of the same scenario are
+Only `verify` runs on a thread pool (one task per criterion).  With
+--serial every command is single-threaded and timing fields are nulled (and
+`verify` prints no runtime stamps), so two runs of the same scenario are
 byte-identical.
 """
 
@@ -28,7 +29,6 @@ import numpy as np
 
 from .dynamics import _flow_sample
 from .lorentz_dirac import _coordinate_force
-from .parallel import parallel_map
 from .scenario import ScenarioError, _is_number, load_scenario
 from .semiclassical import amplitude_classical, taper_amplitude
 from .shift import ROUTE_NAMES, compare_routes
@@ -97,7 +97,7 @@ def _cmd_shift(args) -> int:
     traj = sc.build()
     rep = compare_routes(traj, sc.alpha_c, threshold=sc.residual_threshold,
                          n_polar=sc.n_polar, n_azimuth=sc.n_azimuth, epsrel=sc.epsrel,
-                         routes=routes, serial=args.serial)
+                         routes=routes)
     payload = {
         "scenario": sc.raw,
         "alpha_c": rep.alpha_c,
@@ -153,10 +153,10 @@ def _cmd_spectrum(args) -> int:
     traj = sc.build()
     window = sc.window(traj)
 
-    def rows_for(n):
-        # energy density column: windowed power minus the taper-only
-        # baseline, the same subtraction the energy balance check uses
-        rows = []
+    # energy density column: windowed power minus the taper-only baseline,
+    # the same subtraction the energy balance check uses
+    rows = []
+    for n in dirs:
         for k in ks:
             a = amplitude_classical(traj, k, n, window, sc.charge).a
             at = taper_amplitude(traj, k, n, window, sc.charge).a
@@ -166,13 +166,11 @@ def _cmd_spectrum(args) -> int:
             rows.append([k, n[0], n[1], n[2],
                          a[0].real, a[0].imag, a[1].real, a[1].imag,
                          a[2].real, a[2].imag, a[3].real, a[3].imag, d2e])
-        return rows
 
     header = ["k", "n_x", "n_y", "n_z",
               "re_a0", "im_a0", "re_ax", "im_ax",
               "re_ay", "im_ay", "re_az", "im_az", "d2e_dk_domega"]
-    blocks = parallel_map(rows_for, dirs, serial=args.serial)
-    _emit(_csv(header, (row for block in blocks for row in block)), args.out)
+    _emit(_csv(header, rows), args.out)
     return 0
 
 

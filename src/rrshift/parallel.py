@@ -1,8 +1,10 @@
 """Deterministic fan-out: an order-preserving thread map.
 
-Tasks must share no mutable state; results are collected in input order, so
-a parallel run reduces to exactly the same floating-point values as a
-serial one.  RRSHIFT_THREADS caps the worker count.
+Its one caller is `verify.run_suite`, one task per criterion; nothing inside
+a task maps again, so RRSHIFT_THREADS caps the live worker count.  Tasks
+must share no mutable state; results are collected in input order, so a
+parallel run reduces to exactly the same floating-point values as a serial
+one.
 """
 
 from __future__ import annotations

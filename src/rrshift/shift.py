@@ -38,7 +38,6 @@ import numpy as np
 
 from .dynamics import Trajectory, _flow_sample
 from .lorentz_dirac import _coordinate_force
-from .parallel import parallel_map
 from .variational import _hessian_blocks, _rowdot, jacobi_basis, retarded_perturbation
 
 __all__ = [
@@ -349,7 +348,6 @@ def compare_routes(
     n_azimuth: int = 128,
     epsrel: float = 1e-11,
     routes=ROUTE_NAMES,
-    serial: bool = False,
 ) -> ShiftReport:
     """Evaluate the requested routes and their pairwise relative residuals.
 
@@ -358,9 +356,8 @@ def compare_routes(
     computed pair is below the threshold.  n_polar x n_azimuth is the sphere
     grid of route c'; epsrel is the time-integral tolerance of routes b, c
     and c'.
-    A route failure is recorded, not raised.  Routes run on a thread pool
-    unless serial is set; either way the numbers are identical because the
-    routes share nothing mutable.
+    Routes run in order, so each timing is that route's own wall time; a
+    route failure is recorded, not raised.
     """
     report = ShiftReport(alpha_c=alpha_c, threshold=threshold, shifts=dict.fromkeys(ROUTE_NAMES))
     report.length_scale = max(float(np.linalg.norm(traj.position(traj.t_min))), 1.0)
@@ -378,19 +375,15 @@ def compare_routes(
         ),
     }
 
-    def run_one(name):
+    for name in ROUTE_NAMES:
+        if name not in routes:
+            continue
         t0 = _time.perf_counter()
         try:
-            return name, runners[name](), None, _time.perf_counter() - t0
+            report.shifts[name] = runners[name]()
         except Exception as exc:  # record, keep the report schema stable
-            return name, None, f"{type(exc).__name__}: {exc}", _time.perf_counter() - t0
-
-    active = [name for name in ROUTE_NAMES if name in routes]
-    for name, shift, err, elapsed in parallel_map(run_one, active, serial=serial):
-        report.shifts[name] = shift
-        if err is not None:
-            report.errors[name] = err
-        report.timings[name] = elapsed
+            report.errors[name] = f"{type(exc).__name__}: {exc}"
+        report.timings[name] = _time.perf_counter() - t0
 
     ref = report.shifts.get("green")
     if ref is None:

@@ -96,7 +96,7 @@ class SuiteReport:
 # --- criterion 1: all shift routes agree on four scenarios -----------------
 
 
-def _criterion_1(full: bool, serial: bool) -> CriterionResult:
+def _criterion_1(full: bool) -> CriterionResult:
     threshold = 1e-5 if full else 1e-4
     tol = 1e-11 if full else 1e-10
     n_polar, n_azimuth = (96, 192) if full else (64, 128)
@@ -109,8 +109,7 @@ def _criterion_1(full: bool, serial: bool) -> CriterionResult:
         sc = bundled_scenario(key, tol=tol, residual_threshold=threshold)
         traj = sc.build()
         rep = compare_routes(traj, sc.alpha_c, threshold=threshold,
-                             n_polar=n_polar, n_azimuth=n_azimuth, epsrel=epsrel,
-                             serial=serial)
+                             n_polar=n_polar, n_azimuth=n_azimuth, epsrel=epsrel)
         worst = max(worst, rep.max_residual)
         ok = ok and rep.passed
         parts.append(f"{key}: {rep.max_residual:.2e}"
@@ -122,7 +121,7 @@ def _criterion_1(full: bool, serial: bool) -> CriterionResult:
 # --- criterion 2: closed angular moments vs quadrature, plus the ladder ----
 
 
-def _criterion_2(full: bool, serial: bool) -> CriterionResult:
+def _criterion_2(full: bool) -> CriterionResult:
     rng = np.random.default_rng(41)
 
     quad_err = 0.0
@@ -172,7 +171,7 @@ def _criterion_2(full: bool, serial: bool) -> CriterionResult:
 # --- criterion 3: symplectic conservation and the kick-swap identity -------
 
 
-def _criterion_3(full: bool, serial: bool) -> CriterionResult:
+def _criterion_3(full: bool) -> CriterionResult:
     # dense-output interpolation dominates the drift; a tight solver
     # tolerance keeps the conservation check far from its threshold
     sc = bundled_scenario("spatial", tol=3e-13)
@@ -204,7 +203,7 @@ def _criterion_3(full: bool, serial: bool) -> CriterionResult:
 # --- criterion 4: the Jacobi basis, which route-d (8) also reads, vs displaced trajectories
 
 
-def _criterion_4(full: bool, serial: bool) -> CriterionResult:
+def _criterion_4(full: bool) -> CriterionResult:
     threshold = 1e-5
     sc = bundled_scenario("oblique")
     # absolute momentum step 1e-5 (rows: center, +e_j, -e_j); tighter trajectories
@@ -233,7 +232,7 @@ def _criterion_4(full: bool, serial: bool) -> CriterionResult:
 # --- criterion 5: self-force internal consistency and its rest limit -------
 
 
-def _criterion_5(full: bool, serial: bool) -> CriterionResult:
+def _criterion_5(full: bool) -> CriterionResult:
     threshold = 1e-8
 
     # gamma * coordinate force = spatial four-force, and u.F = 0, on a
@@ -275,7 +274,7 @@ def _criterion_5(full: bool, serial: bool) -> CriterionResult:
 # --- criterion 6: windowed spectral energy minus baseline = Larmor ---------
 
 
-def _criterion_6(full: bool, serial: bool) -> CriterionResult:
+def _criterion_6(full: bool) -> CriterionResult:
     threshold = 1e-3
     # moderate speeds keep the spectrum short
     sc = bundled_scenario("energy")
@@ -369,7 +368,7 @@ def hbar_convergence(sc: Scenario, hbars=None) -> dict:
     }
 
 
-def _criterion_7(full: bool, serial: bool) -> CriterionResult:
+def _criterion_7(full: bool) -> CriterionResult:
     # transverse potential components keep every amplitude component alive,
     # and the longer pulse keeps hbar = 0.1 inside the first-order regime for
     # k up to 5/duration
@@ -389,7 +388,7 @@ def _criterion_7(full: bool, serial: bool) -> CriterionResult:
 # --- criterion 8: amplitude-derivative shift matches the closed route ------
 
 
-def _criterion_8(full: bool, serial: bool) -> CriterionResult:
+def _criterion_8(full: bool) -> CriterionResult:
     threshold = 1e-3
     sc = bundled_scenario("amplitude_shift")
     traj = sc.build()
@@ -400,10 +399,8 @@ def _criterion_8(full: bool, serial: bool) -> CriterionResult:
 
     # 8x16 angles: the moment integrands at |v| <= 0.6 are resolved far
     # below the 1e-3 contract by Gauss-Legendre 8 in cos(theta)
-    windows = [window, replace(window, width=2.0 * window.width)]
-    shifts = parallel_map(
-        lambda w: shift_from_amplitudes(traj, basis, w, sc.charge, n_polar=8, n_azimuth=16),
-        windows, serial=serial)
+    shifts = [shift_from_amplitudes(traj, basis, w, sc.charge, n_polar=8, n_azimuth=16)
+              for w in (window, replace(window, width=2.0 * window.width))]
 
     rel = float(np.linalg.norm(shifts[0] - closed)) / scale
     taper_move = float(np.linalg.norm(shifts[1] - shifts[0])) / scale
@@ -417,7 +414,7 @@ def _criterion_8(full: bool, serial: bool) -> CriterionResult:
 # --- criterion 9: the two evaluations of the emission probability agree ----
 
 
-def _criterion_9(full: bool, serial: bool) -> CriterionResult:
+def _criterion_9(full: bool) -> CriterionResult:
     threshold = 1e-8
     sc = bundled_scenario("pulse_single")
     traj = sc.build()
@@ -444,12 +441,12 @@ _CRITERIA = {
 }
 
 
-def run_criterion(cid: int, full: bool = False, serial: bool = False) -> CriterionResult:
+def run_criterion(cid: int, full: bool = False) -> CriterionResult:
     if cid not in _CRITERIA:
         raise ValueError(f"unknown criterion {cid}")
     t0 = _time.perf_counter()
     try:
-        result = _CRITERIA[cid](full, serial)
+        result = _CRITERIA[cid](full)
     except Exception as exc:
         result = CriterionResult(cid, CRITERION_NAMES[cid], False,
                                  float("nan"), float("nan"),
@@ -459,10 +456,10 @@ def run_criterion(cid: int, full: bool = False, serial: bool = False) -> Criteri
 
 
 def run_suite(suite: str = "fast", serial: bool = False) -> SuiteReport:
+    """Run the suite's criteria on the thread pool, or in order if serial."""
     if suite not in ("fast", "full"):
         raise ValueError(f"unknown suite '{suite}' (choose fast or full)")
     full = suite == "full"
     ids = FULL_IDS if full else FAST_IDS
-    results = parallel_map(lambda cid: run_criterion(cid, full, serial), ids,
-                           serial=serial)
+    results = parallel_map(lambda cid: run_criterion(cid, full), ids, serial=serial)
     return SuiteReport(suite=suite, results=list(results))

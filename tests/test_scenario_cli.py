@@ -1,13 +1,18 @@
 """Scenario validation and the command-line entry points."""
 
 import json
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rrshift.parallel
 import rrshift.shift
-from rrshift import ScenarioError, bundled_scenario, load_scenario, scenario_from_dict
+import rrshift.verify
+from rrshift import (ScenarioError, bundled_scenario, compare_routes, load_scenario,
+                     parallel_map, run_suite, scenario_from_dict)
 from rrshift.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -167,25 +172,61 @@ def test_shift_serial_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_shift_parallel_matches_serial_floats(tmp_path):
-    scenario = write_scenario(tmp_path)
-    ser, par = tmp_path / "ser.json", tmp_path / "par.json"
-    assert main(["shift", "--scenario", scenario, "--serial",
-                 "--routes", "direct,green,quantum", "--out", str(ser)]) == 0
-    assert main(["shift", "--scenario", scenario,
-                 "--routes", "direct,green,quantum", "--out", str(par)]) == 0
-    a, b = json.loads(ser.read_text()), json.loads(par.read_text())
-    assert a["shifts"] == b["shifts"]
-    assert a["residuals"] == b["residuals"]
+def _stub_criteria(monkeypatch, calls):
+    def stub(full):
+        calls.append(full)
+        return rrshift.verify.CriterionResult(0, "stub", True, 0.0, 1.0)
+    monkeypatch.setattr(rrshift.verify, "_CRITERIA", dict.fromkeys(range(1, 10), stub))
 
 
-def test_thread_cap_validation(tmp_path, monkeypatch):
-    scenario = write_scenario(tmp_path)
+def test_thread_cap_validation(monkeypatch):
+    """A bad RRSHIFT_THREADS stops `verify` before any criterion runs; a
+    good one maps in input order."""
+    calls = []
+    _stub_criteria(monkeypatch, calls)
     monkeypatch.setenv("RRSHIFT_THREADS", "abc")
-    assert main(["shift", "--scenario", scenario, "--routes", "direct"]) == 2
+    assert main(["verify"]) == 2
+    assert calls == []
     monkeypatch.setenv("RRSHIFT_THREADS", "2")
-    assert main(["shift", "--scenario", scenario, "--routes", "direct,green",
-                 "--out", str(tmp_path / "t.json")]) == 0
+    # later items finish first
+    assert parallel_map(lambda i: time.sleep(0.01 * (4 - i)) or i * i, range(5)) \
+        == [0, 1, 4, 9, 16]
+
+
+def test_only_the_suite_opens_a_pool(tmp_path, monkeypatch):
+    """The criteria of `verify` are the one fan-out: routes, spectrum
+    directions and criterion 8's windows run in order inside it, so the live
+    workers stay within RRSHIFT_THREADS."""
+    opened = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(rrshift.parallel, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setenv("RRSHIFT_THREADS", "2")
+
+    sc = bundled_scenario("weak")
+    compare_routes(sc.build(), sc.alpha_c, routes=("direct", "green"))
+    assert opened == []
+
+    dirs = tmp_path / "dirs.json"
+    dirs.write_text(json.dumps({"k": [0.5], "directions": [[0, 0, 1], [0, 1, 0]]}))
+    assert main(["spectrum", "--scenario", write_scenario(tmp_path),
+                 "--directions", str(dirs), "--out", str(tmp_path / "spec.csv")]) == 0
+    assert opened == []
+
+    monkeypatch.setattr(rrshift.verify, "shift_from_amplitudes",
+                        lambda traj, basis, window, charge, **kw: np.zeros(3))
+    rrshift.verify._criterion_8(True)
+    assert opened == []
+
+    calls = []
+    _stub_criteria(monkeypatch, calls)
+    assert run_suite("fast").passed
+    assert calls == [False] * len(rrshift.verify.FAST_IDS)
+    assert len(opened) == 1 and opened[0] <= 2
 
 
 # ------------------------------------------------------------- csv outputs

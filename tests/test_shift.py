@@ -199,7 +199,7 @@ def test_support_integral_raises_on_kink(time_traj):
 def test_unconverged_quadrature_is_reported(time_traj):
     """An epsrel below rounding fails every route with a time quadrature; the
     report records the errors and does not pass."""
-    rep = compare_routes(time_traj, ALPHA, epsrel=1e-17, serial=True)
+    rep = compare_routes(time_traj, ALPHA, epsrel=1e-17)
     assert not rep.passed
     for name in ("green", "quantum", "quantum_quadrature"):
         assert rep.errors[name].startswith("RuntimeError")
@@ -316,8 +316,7 @@ def test_bundled_routes_agree_far_below_threshold(name):
     """Every bundled scenario's four routes agree to 1e-7 at default resolution."""
     sc = bundled_scenario(name)
     rep = compare_routes(sc.build(), sc.alpha_c, threshold=sc.residual_threshold,
-                         n_polar=sc.n_polar, n_azimuth=sc.n_azimuth, epsrel=sc.epsrel,
-                         serial=True)
+                         n_polar=sc.n_polar, n_azimuth=sc.n_azimuth, epsrel=sc.epsrel)
     assert rep.passed, rep.errors
     assert rep.max_residual < 1e-7
 
@@ -329,6 +328,5 @@ def test_direct_route_error_follows_tol(tol):
         "name": "unit", "mass": 1.0, "charge": 0.3, "p_final": [0.05, 0.0, 0.6], "tol": tol,
         "potential": {"axis": "time", "v_past": [0.0, 0.02, 0.0, 0.01], "x1": 2.0, "x2": 1.0},
     })
-    rep = compare_routes(sc.build(), sc.alpha_c, epsrel=sc.epsrel, routes=("direct", "green"),
-                         serial=True)
+    rep = compare_routes(sc.build(), sc.alpha_c, epsrel=sc.epsrel, routes=("direct", "green"))
     assert rep.max_residual <= 10 * tol
