@@ -32,7 +32,6 @@ from .scenario import (
 )
 from .semiclassical import (
     CutoffWindow,
-    EmissionAmplitude,
     EnergyReport,
     ModeFunction,
     ProbabilityReport,
@@ -97,11 +96,10 @@ __all__ = [
     "classical_shift_green", "compare_routes", "shift_quantum_closed",
     "shift_quantum_quadrature", "sphere_quadrature",
     # emission
-    "CutoffWindow", "EmissionAmplitude", "EnergyReport", "ModeFunction",
-    "ProbabilityReport", "amplitude_classical", "amplitude_quantum", "default_window",
+    "CutoffWindow", "EnergyReport", "ModeFunction", "ProbabilityReport",
+    "amplitude_classical", "amplitude_quantum", "default_window",
     "emission_probability_reduced", "larmor_radiated_energy", "radiated_energy",
-    "shift_from_amplitudes",
-    "solve_mode_function", "taper_amplitude", "window_time_range",
+    "shift_from_amplitudes", "solve_mode_function", "taper_amplitude", "window_time_range",
     # scenarios and verification
     "Scenario", "ScenarioError", "bundled_scenario", "load_scenario",
     "scenario_from_dict",

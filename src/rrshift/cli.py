@@ -30,7 +30,7 @@ import numpy as np
 from .dynamics import _flow_sample
 from .lorentz_dirac import _coordinate_force
 from .scenario import ScenarioError, _is_number, load_scenario
-from .semiclassical import amplitude_classical, taper_amplitude
+from .semiclassical import _8PI3, _minkowski_sq, amplitude_classical, taper_amplitude
 from .shift import ROUTE_NAMES, compare_routes
 from .variational import jacobi_basis
 from .verify import hbar_convergence, run_suite
@@ -84,16 +84,9 @@ def _fail(message: str) -> int:
 
 def _cmd_shift(args) -> int:
     sc = load_scenario(args.scenario)
-    if args.routes is None:
-        routes = ROUTE_NAMES
-    else:
+    routes = ROUTE_NAMES
+    if args.routes is not None:
         routes = tuple(r.strip() for r in args.routes.split(",") if r.strip())
-        bad = [r for r in routes if r not in ROUTE_NAMES]
-        if bad:
-            return _fail(f"unknown route(s) {', '.join(sorted(bad))}; "
-                         f"choose from {', '.join(ROUTE_NAMES)}")
-        if not routes:
-            return _fail("--routes must name at least one route")
     traj = sc.build()
     rep = compare_routes(traj, sc.alpha_c, threshold=sc.residual_threshold,
                          n_polar=sc.n_polar, n_azimuth=sc.n_azimuth, epsrel=sc.epsrel,
@@ -158,11 +151,9 @@ def _cmd_spectrum(args) -> int:
     rows = []
     for n in dirs:
         for k in ks:
-            a = amplitude_classical(traj, k, n, window, sc.charge).a
-            at = taper_amplitude(traj, k, n, window, sc.charge).a
-            power = (np.abs(a[1:]) ** 2).sum() - abs(a[0]) ** 2  # -(A . A*)
-            base = (np.abs(at[1:]) ** 2).sum() - abs(at[0]) ** 2
-            d2e = k**2 * (power - base) / (2.0 * (2.0 * np.pi) ** 3)
+            a = amplitude_classical(traj, k, n, window, sc.charge)
+            at = taper_amplitude(traj, k, n, window, sc.charge)
+            d2e = k**2 * (_minkowski_sq(a) - _minkowski_sq(at)) / _8PI3
             rows.append([k, n[0], n[1], n[2],
                          a[0].real, a[0].imag, a[1].real, a[1].imag,
                          a[2].real, a[2].imag, a[3].real, a[3].imag, d2e])

@@ -42,11 +42,11 @@ from .dynamics import (Trajectory, _cheb_operators, _flow_sample, _flow_tangent,
                        _panel_nodes, _panel_tails, _refine_panels, _transition_cuts, kinematics)
 from .potentials import PotentialProfile, _smoothstep7, eval_potential
 from .shift import _gauss_panels, _support_integral, sphere_quadrature
+from .variational import _zero_kick_basis
 
 __all__ = [
     "CutoffWindow",
     "ModeFunction",
-    "EmissionAmplitude",
     "EnergyReport",
     "ProbabilityReport",
     "acceleration_xi_bounds",
@@ -346,26 +346,18 @@ def _amplitudes(traj: Trajectory, ks: np.ndarray, dirs, window: CutoffWindow, ch
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EmissionAmplitude:
-    """One-photon amplitude four-vector at wave number k, direction n."""
-
-    p: np.ndarray
-    k: float
-    n: np.ndarray
-    a: np.ndarray  # complex four-vector, index 0 = time
-
-
-def _check_direction(n) -> np.ndarray:
+def _check_direction(n, ndim: int = 1) -> np.ndarray:
+    """n as a unit 3-vector (3,), or for ndim 2 a stack of them (S, 3)."""
     n = np.asarray(n, dtype=float)
-    if n.shape != (3,) or abs(n @ n - 1.0) > 1e-10:
+    if n.ndim != ndim or n.shape[-1] != 3 or np.any(np.abs(np.sum(n * n, axis=-1) - 1.0) > 1e-10):
         raise ValueError("direction n must be a unit 3-vector")
     return n
 
 
 def amplitude_classical(traj: Trajectory, k: float, n, window: CutoffWindow,
-                        charge: float) -> EmissionAmplitude:
-    """A^mu = -e int dxi (dx^mu/dxi) chi(xi) e^{ik xi}, evaluated in t.
+                        charge: float) -> np.ndarray:
+    """A^mu = -e int dxi (dx^mu/dxi) chi(xi) e^{ik xi}, evaluated in t: the
+    complex four-vector (4,), index 0 = time.
 
     The plateau must cover the acceleration xi-image for this direction;
     oscillation-aware composite quadrature keeps the relative error near
@@ -374,19 +366,19 @@ def amplitude_classical(traj: Trajectory, k: float, n, window: CutoffWindow,
     n = _check_direction(n)
     _require_plateau_covers(traj, n, window)
     [(xi, gate, u)] = _windowed_nodes(traj, n[None], window, abs(float(k)))
-    a = -charge * _phase_transform(np.array([[float(k)]]), xi, u * gate[:, None])[0]
-    return EmissionAmplitude(p=traj.p_final.copy(), k=float(k), n=n, a=a)
+    return -charge * _phase_transform(np.array([[float(k)]]), xi, u * gate[:, None])[0]
 
 
 def taper_amplitude(traj: Trajectory, k: float, n, window: CutoffWindow,
-                    charge: float) -> EmissionAmplitude:
-    """The window's own contribution: the zero-acceleration baseline
-    generalized to a trajectory whose in/out velocities differ."""
+                    charge: float) -> np.ndarray:
+    """The window's own contribution, a four-vector (4,): the
+    zero-acceleration baseline generalized to a trajectory whose in/out
+    velocities differ."""
     n = _check_direction(n)
     _require_plateau_covers(traj, n, window)
     # A_rad is not read, so the coarsest time panels (rate 0) serve
     [(_, a, _)] = _amplitudes(traj, np.array([[float(k)]]), n[None], window, charge, 0.0)
-    return EmissionAmplitude(p=traj.p_final.copy(), k=float(k), n=n, a=a[0])
+    return a[0]
 
 
 # ---------------------------------------------------------------------------
@@ -431,23 +423,28 @@ def _collocate(profile, stack, mass, hbar, edges, y):
     return _panel_tails(coefs[..., None]), coefs, y
 
 
-class _CollocatedModes:
-    """phi and dphi/dt of M stacked modes at the times t, (N, 2M) with the
-    phi columns first.  V is constant outside the forcing [-x1, -x2], where
+class ModeFunction:
+    """Solutions of hbar^2 phi'' + sigma_p(t)^2 phi = 0 for a stack of M
+    momenta p (M, 3) at one hbar, each normalized to its positive-frequency
+    plane wave at t = 0.  V is constant outside the forcing [-x1, -x2], where
     phi = A e^{-i sigma (t - t_c) / hbar} + B e^{i sigma (t - t_c) / hbar}:
     the plane wave exp(-i p0 t / hbar) for t >= -x2, and the pair at sigma_in
     matched at -x1 for t <= -x1.  Inside, Chebyshev panels cut at the shape's
     joins and about one period 2 pi hbar / max sigma long hold the collocated
     solution on `edges`, refined by `_refine_panels` until each panel's tail
-    meets rtol."""
+    meets rtol.  So the stack is exact at any time of its domain [lo, hi];
+    `tail` and `panels` are its worst relative Chebyshev tail and its number
+    of collocation panels."""
 
-    def __init__(self, profile, stack, hbar, mass, lo, hi, rtol):
-        self.lo, self.hi, self.hbar = lo, hi, hbar
-        p0 = np.sqrt(np.einsum("ij,ij->i", stack, stack) + mass**2)
+    def __init__(self, profile, p, hbar, mass, lo, hi, rtol):
+        self.profile, self.p, self.hbar, self.mass = profile, p, hbar, mass
+        self.lo, self.hi = lo, hi
+        self.p0 = p0 = np.sqrt(np.einsum("ij,ij->i", p, p) + mass**2)
         cuts = _transition_cuts(profile)
-        sigma_max = np.max(_local_energy(profile, stack, mass, np.linspace(lo, hi, 4097)))
+        # a Python float, so an overflowed stack gives a NaN count, not a warning
+        sigma_max = float(np.max(_local_energy(profile, p, mass, np.linspace(lo, hi, 4097))))
         counts = np.ceil(np.diff(cuts) * (sigma_max / (2.0 * np.pi * hbar)))
-        if counts.sum() > _MAX_MODE_PANELS:
+        if not counts.sum() <= _MAX_MODE_PANELS:
             raise ValueError(f"mode functions at hbar={hbar:.3g} need {counts.sum():.3g} "
                              f"collocation panels, above the limit of {_MAX_MODE_PANELS}")
         edges = np.concatenate([np.linspace(a, b, int(c) + 1)[:-1]
@@ -455,17 +452,18 @@ class _CollocatedModes:
         wave = np.exp(-1j * p0 * cuts[-1] / hbar)
         y_end = np.stack([wave, -1j * p0 * wave])
         edges, (tails, self.coefs, y) = _refine_panels(
-            lambda e: _collocate(profile, stack, mass, hbar, e, y_end), edges, rtol,
+            lambda e: _collocate(profile, p, mass, hbar, e, y_end), edges, rtol,
             "mode collocation")
         self.edges, self.panels, self.tail = edges, edges.size - 1, float(tails.max())
-        sigma_in = _local_energy(profile, stack, mass, np.array(cuts[:1]))[:, 0]
+        sigma_in = _local_energy(profile, p, mass, np.array(cuts[:1]))[:, 0]
         r = 1j * y[1] / sigma_in
         # (t_c, sigma, A, B) after and before the forcing
         self.closed = ((cuts[-1], p0, wave, 0.0),
                        (cuts[0], sigma_in, 0.5 * (y[0] + r), 0.5 * (y[0] - r)))
 
-    def __call__(self, t) -> np.ndarray:
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    def modes(self, t):
+        """(phi, dphi/dt) at the times t, each of shape t.shape + (M,)."""
+        t_arr = np.ravel(np.asarray(t, dtype=float))
         if np.any(t_arr < self.lo - 1e-9) or np.any(t_arr > self.hi + 1e-9):
             raise ValueError(f"t outside mode domain [{self.lo}, {self.hi}]")
         t_arr = np.clip(t_arr, self.lo, self.hi)
@@ -478,64 +476,42 @@ class _CollocatedModes:
         inner = ~late & ~early
         out[inner] = _panel_eval(self.coefs, self.edges, t_arr[inner],
                                  np.searchsorted(self.edges, t_arr[inner]) - 1)
-        return out[0] if np.ndim(t) == 0 else out
+        out = out.reshape(np.shape(t) + (2, len(self.p)))  # phi columns first
+        return out[..., 0, :], out[..., 1, :]
 
+    def sigma(self, t) -> np.ndarray:
+        """Local energies sqrt((p - V(t))^2 + m^2), (M, N) for N times t."""
+        return _local_energy(self.profile, self.p, self.mass, np.atleast_1d(t))
 
-class ModeFunction:
-    """Solution of hbar^2 phi'' + sigma_p(t)^2 phi = 0 normalized to the
-    positive-frequency plane wave at t = 0.  `cols` picks phi and dphi/dt
-    out of a collocated stack that may hold several modes and is exact at
-    any time of its domain; `tail` and `panels` are the stack's worst
-    relative Chebyshev tail and its number of collocation panels."""
-
-    def __init__(self, profile, p, hbar, mass, modes, cols):
-        self.profile = profile
-        self.p = np.asarray(p, dtype=float)
-        self.hbar = float(hbar)
-        self.mass = float(mass)
-        self.p0 = float(np.sqrt(self.p @ self.p + self.mass**2))
-        self._modes = modes
-        self._cols = list(cols)
-        self.tail, self.panels = modes.tail, modes.panels
-
-    def sigma(self, t):
-        """Local energy sqrt((p - V(t))^2 + m^2)."""
-        out = _local_energy(self.profile, self.p, self.mass, t)
-        return float(out[0]) if np.ndim(t) == 0 else out
-
-    def __call__(self, t):
-        """(phi, dphi/dt) at t."""
-        return tuple(self._modes(t)[..., self._cols].T)
-
-    def wronskian(self):
-        """i hbar (phi* dphi - dphi* phi) at the collocation nodes, equal to 2 p0."""
-        phi, dphi = self(_panel_nodes(self._modes.edges).ravel())
+    def wronskian(self) -> np.ndarray:
+        """i hbar (phi* dphi - dphi* phi) at the collocation nodes, (N, M),
+        equal to 2 p0."""
+        phi, dphi = self.modes(_panel_nodes(self.edges).ravel())
         return (1j * self.hbar * (np.conj(phi) * dphi - np.conj(dphi) * phi)).real
 
     def wronskian_residual(self) -> float:
+        """The worst relative Wronskian error over the stack's columns."""
         return float(np.max(np.abs(self.wronskian() / (2.0 * self.p0) - 1.0)))
 
 
 def solve_mode_function(profile: PotentialProfile, p, hbar: float,
                         t_span: tuple[float, float], mass: float = 1.0,
-                        rtol: float = 1e-11):
+                        rtol: float = 1e-11) -> ModeFunction:
     """Solve the mode equation over t_span (t_span[0] < 0, where the
-    potential may act; plane-wave data is imposed at t = 0).  Closed forms
-    hold outside the forcing and Chebyshev collocation inside it
-    (_CollocatedModes), so a ModeFunction is exact at any time of t_span.
+    potential may act; plane-wave data is imposed at t = 0) for a momentum
+    stack p of shape (M, 3), or (3,) for a stack of one, at a finite
+    positive hbar.  Closed forms hold outside the forcing and Chebyshev
+    collocation inside it, V(t) sampled once for all panels, nodes and
+    momenta, so the returned ModeFunction is exact at any time of t_span.
     rtol bounds each panel's relative Chebyshev tail, the two highest
     coefficients of phi and of dphi/dt against the largest, an estimate of
     its relative error; a panel still above it after its halvings raises a
     RuntimeError.
-
-    A momentum p of shape (3,) gives one ModeFunction.  A stack of shape
-    (M, 3) is collocated at once, V(t) sampled once for all panels, nodes
-    and momenta, and gives a list of M ModeFunctions sharing the solution.
     """
     if profile.axis != "time":
         raise ValueError("mode functions are defined for time-dependent potentials")
-    if hbar <= 0.0:
-        raise ValueError("hbar must be positive")
+    if not (np.isfinite(hbar) and hbar > 0.0):
+        raise ValueError(f"hbar must be finite and positive, got {hbar}")
     p = np.asarray(p, dtype=float)
     stack = np.atleast_2d(p)
     if p.ndim > 2 or stack.shape[1] != 3:
@@ -543,59 +519,47 @@ def solve_mode_function(profile: PotentialProfile, p, hbar: float,
     t_lo, t_hi = float(t_span[0]), max(float(t_span[1]), 0.0)
     if t_lo >= 0.0:
         raise ValueError("t_span must start before t = 0")
-    modes = _CollocatedModes(profile, stack, hbar, mass, t_lo, t_hi, rtol)
-    out = [ModeFunction(profile, q, hbar, mass, modes, (i, len(stack) + i))
-           for i, q in enumerate(stack)]
-    return out if p.ndim == 2 else out[0]
+    return ModeFunction(profile, stack, float(hbar), mass, t_lo, t_hi, rtol)
 
 
-def amplitude_quantum(traj: Trajectory, window: CutoffWindow, mode_p: ModeFunction,
-                      mode_P: ModeFunction, k: float, n, charge: float) -> EmissionAmplitude:
-    """Finite-hbar one-photon amplitude from the mode pair (p, P = p - hbar k n):
+def amplitude_quantum(traj: Trajectory, window: CutoffWindow, modes: ModeFunction, ks, ns,
+                      charge: float) -> np.ndarray:
+    """Finite-hbar one-photon amplitudes of S samples (k_s, n_s), (S, 4),
+    from one mode stack that holds p first and then each P_s = p - hbar k_s n_s:
 
         A^i = -e int dt e^{ikt} phi_P* phi_p (p^i - V^i(t)) / p0 . chi(xi(t)),
         A^0 = -(i e hbar / 2 p0) int dt (phi_P* d_t phi_p - d_t phi_P* phi_p)
                                         e^{ikt} chi(xi(t)),
 
     with the same window as the classical route, mapped to t through the
-    classical trajectory's xi."""
-    n = _check_direction(n)
-    k = float(k)
-    if abs(mode_p.hbar - mode_P.hbar) > 1e-15:
-        raise ValueError("mode pair mismatch: different hbar")
-    dom_lo, dom_hi = mode_p._modes.lo, mode_p._modes.hi
-    if not np.allclose((dom_lo, dom_hi), (mode_P._modes.lo, mode_P._modes.hi)):
-        raise ValueError("mode pair mismatch: modes solved on different domains")
-    expected = mode_p.p - mode_p.hbar * k * n
-    if np.linalg.norm(mode_P.p - expected) > 1e-9 * max(1.0, np.linalg.norm(mode_p.p)):
-        raise ValueError("mode pair mismatch: P must equal p - hbar k n")
-    _require_plateau_covers(traj, n, window)
-
-    t_lo, t_hi = window_time_range(traj, n, window)
-    if t_lo < dom_lo - 1e-9 or t_hi > dom_hi + 1e-9:
+    classical trajectory's xi.  The stack is evaluated once per sample."""
+    ks = np.asarray(ks, dtype=float)
+    ns = _check_direction(ns, ndim=2)
+    if ks.shape != (len(ns),) or modes.p.shape != (len(ns) + 1, 3):
+        raise ValueError("the mode stack must hold p and one P per (k, n) sample")
+    p, hbar, p0 = modes.p[0], modes.hbar, modes.p0[0]
+    miss = np.linalg.norm(modes.p[1:] - (p - hbar * ks[:, None] * ns), axis=1)
+    if np.any(miss > 1e-9 * max(1.0, np.linalg.norm(p))):
+        raise ValueError("mode stack mismatch: each P must equal p - hbar k n")
+    for n in ns:
+        _require_plateau_covers(traj, n, window)
+    spans = window_time_range(traj, ns, window)
+    if np.any(spans[:, 0] < modes.lo - 1e-9) or np.any(spans[:, 1] > modes.hi + 1e-9):
         raise ValueError("mode functions do not cover the window support in t")
 
-    hbar, p0 = mode_p.hbar, mode_p.p0
-    probe = np.linspace(t_lo, t_hi, 513)
-    dsig = np.abs(mode_p.sigma(probe) - mode_P.sigma(probe))
-    rate = k + float(np.max(dsig)) / hbar
-    edges = _phase_edges(max(t_lo, dom_lo), min(t_hi, dom_hi), rate)
-    ts, w = _gauss_panels(edges, _PANEL_ORDER)
-
-    # one interpolation serves both modes when they share a stack
-    vals = mode_p._modes(ts)
-    vals_P = vals if mode_P._modes is mode_p._modes else mode_P._modes(ts)
-    phi_p, dphi_p = vals[:, mode_p._cols].T
-    phi_P, dphi_P = vals_P[:, mode_P._cols].T
-    gate = window.chi(traj.xi(n, ts)) * w * _cis(k * ts)
-
-    V = eval_potential(traj.profile, ts)[:, 1:]
-    wvec = mode_p.p[None, :] - V
-    a = np.empty(4, dtype=complex)
-    a[1:] = -charge / p0 * ((np.conj(phi_P) * phi_p * gate) @ wvec)
-    bracket = np.conj(phi_P) * dphi_p - np.conj(dphi_P) * phi_p
-    a[0] = -1j * charge * hbar / (2.0 * p0) * np.sum(bracket * gate)
-    return EmissionAmplitude(p=mode_p.p.copy(), k=k, n=n, a=a)
+    out = np.empty((len(ns), 4), dtype=complex)
+    for s, (k, n, (t_lo, t_hi)) in enumerate(zip(ks, ns, spans), start=1):
+        sigma = modes.sigma(np.linspace(t_lo, t_hi, 513))
+        rate = k + float(np.max(np.abs(sigma[0] - sigma[s]))) / hbar
+        edges = _phase_edges(max(t_lo, modes.lo), min(t_hi, modes.hi), rate)
+        ts, w = _gauss_panels(edges, _PANEL_ORDER)
+        phi, dphi = modes.modes(ts)
+        gate = window.chi(traj.xi(n, ts)) * w * _cis(k * ts)
+        wvec = p - eval_potential(traj.profile, ts)[:, 1:]
+        out[s - 1, 1:] = -charge / p0 * ((np.conj(phi[:, s]) * phi[:, 0] * gate) @ wvec)
+        bracket = np.conj(phi[:, s]) * dphi[:, 0] - np.conj(dphi[:, s]) * phi[:, 0]
+        out[s - 1, 0] = -1j * charge * hbar / (2.0 * p0) * np.sum(bracket * gate)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -799,8 +763,7 @@ def shift_from_amplitudes(traj: Trajectory, basis, window: CutoffWindow, charge:
     consecutive octaves move the running total by less than octave_tol
     relative.
     """
-    if basis.traj is not traj:
-        raise ValueError("basis belongs to a different trajectory")
+    basis = _zero_kick_basis(traj, basis)
     window.require_covers(*acceleration_xi_bounds(traj), "the acceleration interval")
     dirs, wd = _direction_grid(traj, n_polar, n_azimuth)
     span = window.support[1] - window.support[0]

@@ -38,7 +38,8 @@ import numpy as np
 
 from .dynamics import Trajectory, _flow_sample
 from .lorentz_dirac import _coordinate_force
-from .variational import _hessian_blocks, _rowdot, jacobi_basis, retarded_perturbation
+from .variational import (_hessian_blocks, _rowdot, _zero_kick_basis, jacobi_basis,
+                          retarded_perturbation)
 
 __all__ = [
     "AngularIntegrals",
@@ -234,8 +235,7 @@ def classical_shift_green(
     identity dx^i_(j)(0;t) = -dx^j_(i)(t;0), so the three t = 0 fields are
     reused at every quadrature node.  RuntimeError if the integral misses epsrel.
     """
-    if basis is None:
-        basis = jacobi_basis(traj, 0.0)
+    basis = _zero_kick_basis(traj, basis)
 
     def f(ts):
         force = _coordinate_force(_flow_sample(traj, ts)[0], alpha_c)
@@ -256,8 +256,7 @@ def shift_quantum_closed(
     gives -int dt f^k (dx^k/dp^i)_t, which is route b's integrand.
     RuntimeError if the time integral misses epsrel.
     """
-    if basis is None:
-        basis = jacobi_basis(traj, 0.0)
+    basis = _zero_kick_basis(traj, basis)
 
     def f(ts):
         kin, X, Xdot = _response_sample(traj, basis, ts)
@@ -297,8 +296,7 @@ def shift_quantum_quadrature(
     the frame of v.  The time integral is `_support_integral`'s, so a miss
     of epsrel raises RuntimeError.
     """
-    if basis is None:
-        basis = jacobi_basis(traj, 0.0)
+    basis = _zero_kick_basis(traj, basis)
 
     def f(ts):
         kin, X, Xdot = _response_sample(traj, basis, ts)
@@ -357,8 +355,14 @@ def compare_routes(
     grid of route c'; epsrel is the time-integral tolerance of routes b, c
     and c'.
     Routes run in order, so each timing is that route's own wall time; a
-    route failure is recorded, not raised.
+    route failure is recorded, not raised.  ValueError unless `routes`
+    names at least one route and only names from ROUTE_NAMES.
     """
+    routes = tuple(routes)
+    bad = sorted(set(routes) - set(ROUTE_NAMES))
+    if bad or not routes:
+        named = f"unknown route(s) {', '.join(bad)}" if bad else "no route named"
+        raise ValueError(f"{named}; choose from {', '.join(ROUTE_NAMES)}")
     report = ShiftReport(alpha_c=alpha_c, threshold=threshold, shifts=dict.fromkeys(ROUTE_NAMES))
     report.length_scale = max(float(np.linalg.norm(traj.position(traj.t_min))), 1.0)
 

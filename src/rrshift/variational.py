@@ -107,14 +107,14 @@ def _linear_rhs(traj, alpha_c=None):
 
 
 class JacobiBasis:
-    """The three unit-kick Jacobi fields with one kick time s, solved as one
-    system.  `basis(t)` gives the position block X and the momentum block K
-    from one evaluation, each of shape (N, 3, 3), or (3, 3) for a scalar t,
-    with column j the response to the kick in direction j:
+    """The three unit-kick Jacobi fields of `traj` with one kick time `s`,
+    solved as one system.  `basis(t)` gives the position block X and the
+    momentum block K from one evaluation, each of shape (N, 3, 3), or (3, 3)
+    for a scalar t, with column j the response to the kick in direction j:
     X[..., i, j] = dx^i_(j)(t; s) and K[..., i, j] = dP^i_(j)(t; s)."""
 
-    def __init__(self, traj, dense):
-        self.traj = traj
+    def __init__(self, traj, s, dense):
+        self.traj, self.s = traj, s
         self._dense = dense
 
     @property
@@ -138,7 +138,20 @@ def jacobi_basis(traj: Trajectory, s: float, tol: float | None = None) -> Jacobi
     dense = _DenseSolution(_linear_rhs(traj), s, y0, traj.t_min, 0.0, "variational",
                            joins=(traj.acc_start, *traj.breakpoints, traj.acc_end),
                            rtol=tol, atol=tol)
-    return JacobiBasis(traj, dense)
+    return JacobiBasis(traj, s, dense)
+
+
+def _zero_kick_basis(traj: Trajectory, basis: JacobiBasis | None) -> JacobiBasis:
+    """The kick-time-0 basis of traj that the shift routes read: `basis`
+    itself, or a new solve when it is None; ValueError for the basis of
+    another trajectory or another kick time."""
+    if basis is None:
+        return jacobi_basis(traj, 0.0)
+    if basis.traj is not traj:
+        raise ValueError("basis belongs to a different trajectory")
+    if basis.s != 0.0:
+        raise ValueError(f"basis is kicked at s = {basis.s:.6g}, not at the anchor t = 0")
+    return basis
 
 
 def symplectic_product(b1: JacobiBasis, b2: JacobiBasis, t) -> np.ndarray:

@@ -299,8 +299,10 @@ def hbar_convergence(sc: Scenario, hbars=None) -> dict:
     The expected decay is first order: halving hbar should halve the error
     of every amplitude component; a ratio passes at 85 percent of its step
     factor (1.7 for halvings).  Components that are identically zero in
-    both routes are skipped.  Per hbar the mode stack reports its Wronskian
-    residual, its worst relative Chebyshev tail and its panel count.
+    both routes are skipped.  Per hbar one collocated mode stack holds p and
+    every P = p - hbar k n, and `amplitude_quantum` takes it whole; the
+    report gives the stack's Wronskian residual (its worst column), its
+    worst relative Chebyshev tail and its panel count.
     """
     if sc.profile.axis != "time":
         raise ScenarioError(["hbar convergence requires a time-axis potential"])
@@ -322,19 +324,17 @@ def hbar_convergence(sc: Scenario, hbars=None) -> dict:
     t_span = (min(lo for lo, _ in ranges) - 0.05 * dur,
               max(max(hi for _, hi in ranges), 0.0) + 0.05 * dur)
 
-    classical = [amplitude_classical(traj, k, n, window, sc.charge).a for k, n in samples]
+    ks, ns = (np.array(column) for column in zip(*samples))
+    classical = np.array([amplitude_classical(traj, k, n, window, sc.charge) for k, n in samples])
     comp_errors = []
     stacks = []
     for hbar in hbars:
         # p and every P = p - hbar k n in one collocated solve
         stack = [sc.p_final] + [sc.p_final - hbar * k * n for k, n in samples]
-        mode_p, *mode_Ps = solve_mode_function(sc.profile, np.array(stack), hbar, t_span,
-                                               mass=sc.mass)
-        errs2 = [np.abs(amplitude_quantum(traj, window, mode_p, mode_P, k, n, sc.charge).a
-                        - a_cl) ** 2
-                 for (k, n), mode_P, a_cl in zip(samples, mode_Ps, classical)]
-        comp_errors.append(np.sqrt(np.sum(errs2, axis=0)))
-        stacks.append(mode_p)
+        modes = solve_mode_function(sc.profile, np.array(stack), hbar, t_span, mass=sc.mass)
+        quantum = amplitude_quantum(traj, window, modes, ks, ns, sc.charge)
+        comp_errors.append(np.sqrt(np.sum(np.abs(quantum - classical) ** 2, axis=0)))
+        stacks.append(modes)
 
     comp_errors = np.array(comp_errors)                   # (n_hbar, 4)
     live = comp_errors[0] > 1e-14 * float(comp_errors[0].max())

@@ -23,7 +23,7 @@ DENSE_SOLUTIONS = {
     "jacobi_basis": lambda traj: jacobi_basis(traj, 0.5 * traj.t_min),
     "retarded_perturbation": lambda traj: retarded_perturbation(traj, 0.01).delta_x,
     "mode_function": lambda traj: solve_mode_function(traj.profile, traj.p_final, 0.5,
-                                                      (traj.t_min, 0.0), mass=traj.mass),
+                                                      (traj.t_min, 0.0), mass=traj.mass).modes,
 }
 
 
@@ -299,11 +299,12 @@ def test_doubling_the_degree_moves_modes_below_1e_11(shape, hbar, monkeypatch):
     coarse = solve_mode_function(profile, stack, hbar, span)
     monkeypatch.setattr(dynamics, "_CHEB_DEGREE", 2 * dynamics._CHEB_DEGREE)
     fine = solve_mode_function(profile, stack, hbar, span)
-    assert fine[0]._modes.coefs.shape[1] == 65
-    for coarse_mode, fine_mode in zip(coarse, fine):
-        (phi, dphi), (phi_fine, dphi_fine) = coarse_mode(ts), fine_mode(ts)
-        assert np.max(np.abs(phi - phi_fine)) < 1e-11
-        assert np.max(np.abs(dphi - dphi_fine)) < 1e-11 * np.max(np.abs(dphi_fine))
+    assert fine.coefs.shape[1] == 65
+    (phi, dphi), (phi_fine, dphi_fine) = coarse.modes(ts), fine.modes(ts)
+    for i in range(len(stack)):
+        assert np.max(np.abs(phi[:, i] - phi_fine[:, i])) < 1e-11
+        scale = np.max(np.abs(dphi_fine[:, i]))
+        assert np.max(np.abs(dphi[:, i] - dphi_fine[:, i])) < 1e-11 * scale
 
 
 def test_series_values_do_not_depend_on_the_batch():
@@ -313,9 +314,9 @@ def test_series_values_do_not_depend_on_the_batch():
     sc = bundled_scenario("convergence")
     traj = sc.build()
     modes = solve_mode_function(sc.profile, mode_test_stack(sc.p_final, 0.05), 0.05,
-                                (traj.t_min, 0.2), mass=sc.mass)[0]._modes
+                                (traj.t_min, 0.2), mass=sc.mass).modes
     ts = np.linspace(traj.t_min, 0.2, 1001)
-    assert np.array_equal(modes(ts), np.array([modes(t) for t in ts]))
+    assert np.array_equal(np.stack(modes(ts), axis=1), np.array([modes(t) for t in ts]))
     spatial = bundled_scenario("spatial").build()
     ts = np.linspace(spatial.t_min, 0.0, 1001)
     assert np.array_equal(spatial.position(ts), np.array([spatial.position(t) for t in ts]))

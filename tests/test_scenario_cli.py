@@ -2,6 +2,7 @@
 
 import json
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -161,6 +162,19 @@ def test_shift_missing_scenario_exits_two(tmp_path):
 def test_shift_unknown_route_exits_two(tmp_path):
     scenario = write_scenario(tmp_path)
     assert main(["shift", "--scenario", scenario, "--routes", "direct,warp"]) == 2
+
+
+@pytest.mark.parametrize("hbars", ["nan,0.05", "inf,0.1", "1e308,0.1"])
+def test_convergence_refuses_a_bad_hbar(hbars, capsys):
+    """A NaN, an infinite and an overflowing hbar each exit 2 with a message
+    that names hbar, and numpy warns of nothing on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["convergence", "--scenario", str(SCENARIO_DIR / "convergence.json"),
+                     "--hbars", hbars])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rrshift: error:") and "hbar" in err
 
 
 def test_shift_serial_is_byte_identical(tmp_path):

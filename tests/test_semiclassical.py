@@ -167,10 +167,10 @@ def test_uncovering_window_rejected(time_traj):
 def test_amplitude_matches_riemann_oracle(time_traj):
     """Oscillatory quadrature agrees with a 1e6-node uniform-xi Riemann sum."""
     w = default_window(time_traj)
-    low = amplitude_classical(time_traj, 1.0, NVEC, w, CHARGE).a
+    low = amplitude_classical(time_traj, 1.0, NVEC, w, CHARGE)
     floor = 2e-9 * np.max(np.abs(low))  # absolute quadrature floor
     for k in (3.0, 12.0, 40.0):
-        got = amplitude_classical(time_traj, k, NVEC, w, CHARGE).a
+        got = amplitude_classical(time_traj, k, NVEC, w, CHARGE)
         ref = riemann_amplitude(time_traj, k, NVEC, w, CHARGE)
         tol = max(1e-8 * np.max(np.abs(got)), floor)
         assert np.max(np.abs(got - ref)) < tol
@@ -179,7 +179,7 @@ def test_amplitude_matches_riemann_oracle(time_traj):
 def test_amplitude_low_frequency_limit(time_traj):
     """k -> 0: the amplitude becomes the real window-weighted displacement."""
     w = default_window(time_traj)
-    got = amplitude_classical(time_traj, 1e-9, NVEC, w, CHARGE).a
+    got = amplitude_classical(time_traj, 1e-9, NVEC, w, CHARGE)
     ref = riemann_amplitude(time_traj, 1e-9, NVEC, w, CHARGE)
     assert np.max(np.abs(got.imag)) < 1e-8 * np.max(np.abs(got))
     assert np.max(np.abs(got - ref)) < 1e-8 * np.max(np.abs(got))
@@ -188,15 +188,15 @@ def test_amplitude_low_frequency_limit(time_traj):
 def test_amplitude_conjugate_symmetry(time_traj):
     """Real xi-space integrand: A(-k) is the conjugate of A(k)."""
     w = default_window(time_traj)
-    plus = amplitude_classical(time_traj, 1.3, NVEC, w, CHARGE).a
-    minus = amplitude_classical(time_traj, -1.3, NVEC, w, CHARGE).a
+    plus = amplitude_classical(time_traj, 1.3, NVEC, w, CHARGE)
+    minus = amplitude_classical(time_traj, -1.3, NVEC, w, CHARGE)
     assert np.max(np.abs(minus - np.conj(plus))) < 1e-12 * np.max(np.abs(plus))
 
 
 def test_amplitude_linear_in_charge(time_traj):
     w = default_window(time_traj)
-    one = amplitude_classical(time_traj, 2.0, NVEC, w, CHARGE).a
-    two = amplitude_classical(time_traj, 2.0, NVEC, w, 2 * CHARGE).a
+    one = amplitude_classical(time_traj, 2.0, NVEC, w, CHARGE)
+    two = amplitude_classical(time_traj, 2.0, NVEC, w, 2 * CHARGE)
     assert np.array_equal(two, 2 * one)
 
 
@@ -205,13 +205,13 @@ def test_free_amplitude_is_pure_window_artifact(free_traj):
     w = default_window(free_traj)
     k = 1.7
     assert np.array_equal(radiative(free_traj, k, NVEC), np.zeros(4, dtype=complex))
-    full = amplitude_classical(free_traj, k, NVEC, w, CHARGE).a
-    taper = taper_amplitude(free_traj, k, NVEC, w, CHARGE).a
+    full = amplitude_classical(free_traj, k, NVEC, w, CHARGE)
+    taper = taper_amplitude(free_traj, k, NVEC, w, CHARGE)
     assert np.max(np.abs(full - taper)) < 1e-9 * np.max(np.abs(full))
     # translating the window multiplies by a pure phase
     delta = 0.37
     moved = replace(w, xi_on=w.xi_on + delta, xi_off=w.xi_off + delta)
-    shifted = amplitude_classical(free_traj, k, NVEC, moved, CHARGE).a
+    shifted = amplitude_classical(free_traj, k, NVEC, moved, CHARGE)
     np.testing.assert_allclose(np.abs(shifted), np.abs(full), rtol=0,
                                atol=1e-12 * np.max(np.abs(full)))
     np.testing.assert_allclose(shifted * np.exp(-1j * k * delta), full, rtol=0,
@@ -223,9 +223,9 @@ def test_windowed_amplitude_splits(time_traj):
     w = default_window(time_traj)
     scale = None
     for k in (0.8, 3.0, 9.0):
-        full = amplitude_classical(time_traj, k, NVEC, w, CHARGE).a
+        full = amplitude_classical(time_traj, k, NVEC, w, CHARGE)
         rad = radiative(time_traj, k, NVEC)
-        taper = taper_amplitude(time_traj, k, NVEC, w, CHARGE).a
+        taper = taper_amplitude(time_traj, k, NVEC, w, CHARGE)
         if scale is None:  # identical absolute floor at every k
             scale = max(np.max(np.abs(rad)), np.max(np.abs(taper)))
         assert np.max(np.abs(full - rad - taper)) < 1e-9 * scale
@@ -408,8 +408,8 @@ def test_free_mode_is_plane_wave():
     hbar = 0.1
     mode = solve_mode_function(prof, [0.0, 0.1, 0.8], hbar, (-3.5, 0.2))
     ts = np.linspace(-3.3, 0.1, 57)
-    vals = np.array([mode(t)[0] for t in ts])
-    exact = np.exp(-1j * mode.p0 * ts / hbar)
+    vals = np.array([mode.modes(t)[0][0] for t in ts])
+    exact = np.exp(-1j * mode.p0[0] * ts / hbar)
     assert np.max(np.abs(vals - exact)) < 1e-9
 
 
@@ -417,7 +417,7 @@ def test_mode_wronskian_constancy(time_profile):
     """The Wronskian stays at 2 p0 at the collocation nodes, 1e-8 relative."""
     mode = solve_mode_function(time_profile, [0.0, 0.1, 0.8], 0.05, (-3.5, 0.2))
     assert mode.wronskian_residual() < 1e-8
-    np.testing.assert_allclose(mode.wronskian(), 2 * mode.p0, rtol=1e-8)
+    np.testing.assert_allclose(mode.wronskian()[:, 0], 2 * mode.p0[0], rtol=1e-8)
 
 
 def test_mode_sigma_identity(time_profile):
@@ -428,7 +428,7 @@ def test_mode_sigma_identity(time_profile):
     for t in np.linspace(-3.4, 0.1, 31):
         mech = p - eval_potential(time_profile, t)[1:]
         expected = mech @ mech + 1.0
-        assert abs(mode.sigma(t) ** 2 - expected) < 1e-14 * expected
+        assert abs(mode.sigma(t)[0, 0] ** 2 - expected) < 1e-14 * expected
 
 
 def test_mode_envelope_error_is_second_order(time_profile):
@@ -438,8 +438,8 @@ def test_mode_envelope_error_is_second_order(time_profile):
     for hbar in (0.1, 0.05, 0.025):
         mode = solve_mode_function(time_profile, p, hbar, (-3.5, 0.2))
         ts = np.linspace(-3.4, -0.1, 400)
-        vals = np.array([mode(t)[0] for t in ts])
-        devs.append(np.max(np.abs(np.abs(vals) ** 2 * mode.sigma(ts) / mode.p0 - 1.0)))
+        vals = np.array([mode.modes(t)[0][0] for t in ts])
+        devs.append(np.max(np.abs(np.abs(vals) ** 2 * mode.sigma(ts)[0] / mode.p0[0] - 1.0)))
     for coarse, fine in zip(devs, devs[1:]):
         assert 3.0 < coarse / fine < 5.0
 
@@ -453,15 +453,15 @@ def test_mode_stack_columns_match_single_solves(time_profile):
                    [-0.48, 0.6, -0.64]])
     stack = np.vstack([p, p - hbar * np.array([0.5, 1.3, 2.0, 3.1, 4.4])[:, None] * ns])
     modes = solve_mode_function(time_profile, stack, hbar, (-3.5, 0.2))
-    assert len(modes) == len(stack)
+    assert np.array_equal(modes.p, stack)
     ts = np.linspace(-3.5, 0.2, 4001)
-    for q, mode in zip(stack, modes):
-        one = solve_mode_function(time_profile, q, hbar, (-3.5, 0.2))
-        assert np.array_equal(mode.p, q)
-        (phi, dphi), (phi_one, dphi_one) = mode(ts), one(ts)
-        assert np.max(np.abs(phi - phi_one)) < 1e-9
-        assert np.max(np.abs(dphi - dphi_one)) < 1e-9 * np.max(np.abs(dphi_one))
-        assert mode.wronskian_residual() < 1e-8
+    phi, dphi = modes.modes(ts)
+    assert phi.shape == dphi.shape == (ts.size, len(stack))
+    for i, q in enumerate(stack):
+        phi_one, dphi_one = solve_mode_function(time_profile, q, hbar, (-3.5, 0.2)).modes(ts)
+        assert np.max(np.abs(phi[:, i] - phi_one[:, 0])) < 1e-9
+        assert np.max(np.abs(dphi[:, i] - dphi_one[:, 0])) < 1e-9 * np.max(np.abs(dphi_one))
+    assert modes.wronskian_residual() < 1e-8  # the worst column
 
 
 def test_mode_momentum_is_a_vector_or_a_stack(time_profile):
@@ -521,14 +521,15 @@ def test_mode_stack_matches_dop853_oracle(shape, hbar):
     modes = solve_mode_function(prof, stack, hbar, (t_lo, 0.2))
     ts = np.linspace(t_lo, -prof.x2, 2001)
     ref = dop853_mode_stack(prof, stack, hbar, t_lo)(ts)
-    for i, mode in enumerate(modes):
-        phi, dphi = mode(ts)
-        assert np.max(np.abs(phi - ref[:, i])) < 1e-9
+    phi, dphi = modes.modes(ts)
+    for i in range(len(stack)):
+        assert np.max(np.abs(phi[:, i] - ref[:, i])) < 1e-9
         scale = np.max(np.abs(ref[:, len(stack) + i]))
-        assert np.max(np.abs(dphi - ref[:, len(stack) + i])) < 1e-9 * scale
-        # every join is a panel cut, so each panel is analytic and its tail
-        # sits at rounding level (about 2e-15), far below rtol
-        assert mode.tail < 1e-13 and mode.wronskian_residual() < 1e-11
+        assert np.max(np.abs(dphi[:, i] - ref[:, len(stack) + i])) < 1e-9 * scale
+    # every join is a panel cut, so each panel is analytic and its tail
+    # sits at rounding level (about 2e-15), far below rtol; both are the
+    # stack's worst column
+    assert modes.tail < 1e-13 and modes.wronskian_residual() < 1e-11
 
 
 @pytest.mark.parametrize("shape", list(MODE_PROFILES))
@@ -540,20 +541,21 @@ def test_mode_closed_forms_outside_the_forcing(shape):
     hbar = 0.05
     p = np.array([0.0, 0.1, 0.8])
     mode = solve_mode_function(prof, p, hbar, (-prof.x1 - 1.5, 0.2))
+    [p0] = mode.p0
     late = np.linspace(-prof.x2, 0.2, 301)
-    phi, dphi = mode(late)
-    wave = np.exp(-1j * mode.p0 * late / hbar)
+    phi, dphi = (v[:, 0] for v in mode.modes(late))
+    wave = np.exp(-1j * p0 * late / hbar)
     assert np.max(np.abs(phi - wave)) < 1e-13
-    assert np.max(np.abs(dphi + 1j * mode.p0 / hbar * wave)) < 1e-13 * mode.p0 / hbar
+    assert np.max(np.abs(dphi + 1j * p0 / hbar * wave)) < 1e-13 * p0 / hbar
 
     mech = p - prof.v_past[1:]
     sigma_in = np.sqrt(mech @ mech + 1.0)
-    phi_s, dphi_s = mode(-prof.x1)
+    [phi_s], [dphi_s] = mode.modes(-prof.x1)
     fwd = 0.5 * (phi_s + 1j * hbar * dphi_s / sigma_in)
     back = 0.5 * (phi_s - 1j * hbar * dphi_s / sigma_in)
     early = np.linspace(-prof.x1 - 1.5, -prof.x1, 301)
     turn = np.exp(-1j * sigma_in * (early + prof.x1) / hbar)
-    phi, dphi = mode(early)
+    phi, dphi = (v[:, 0] for v in mode.modes(early))
     assert np.max(np.abs(phi - (fwd * turn + back / turn))) < 1e-12
     assert np.max(np.abs(dphi + 1j * sigma_in / hbar * (fwd * turn - back / turn))) < 1e-12 / hbar
 
@@ -594,12 +596,17 @@ def test_hbar_convergence_computes_each_classical_amplitude_once(monkeypatch):
     assert len(calls) == len(out["samples"]) == 5
 
 
-def test_mode_pair_grid_mismatch(time_traj):
+def test_mode_stack_pair_mismatch(time_traj):
+    """The stack must hold p and then P = p - hbar k n, one per sample."""
     w = default_window(time_traj)
-    m1 = solve_mode_function(time_traj.profile, [0.0, 0.1, 0.8], 0.1, (-9.0, 1.5))
-    m2 = solve_mode_function(time_traj.profile, [0.0, 0.1, 0.7], 0.1, (-9.1, 1.5))
+    n = [[0.0, 0.0, 1.0]]
+    wrong = solve_mode_function(time_traj.profile, [[0.0, 0.1, 0.8], [0.0, 0.1, 0.75]], 0.1,
+                                (-9.0, 1.5))
     with pytest.raises(ValueError, match="mismatch"):
-        amplitude_quantum(time_traj, w, m1, m2, 1.0, [0.0, 0.0, 1.0], CHARGE)
+        amplitude_quantum(time_traj, w, wrong, [1.0], n, CHARGE)
+    alone = solve_mode_function(time_traj.profile, [0.0, 0.1, 0.8], 0.1, (-9.0, 1.5))
+    with pytest.raises(ValueError, match="one P per"):
+        amplitude_quantum(time_traj, w, alone, [1.0], n, CHARGE)
 
 
 def test_phase_product_drift_is_first_order(time_traj):
@@ -613,8 +620,8 @@ def test_phase_product_drift_is_first_order(time_traj):
         mode_p = solve_mode_function(prof, p, hbar, (-3.5, 0.2))
         mode_P = solve_mode_function(prof, big_p, hbar, (-3.5, 0.2))
         ts = np.linspace(-3.0, -0.5, 400)
-        vals_p = np.array([mode_p(t)[0] for t in ts])
-        vals_P = np.array([mode_P(t)[0] for t in ts])
+        vals_p = np.array([mode_p.modes(t)[0][0] for t in ts])
+        vals_P = np.array([mode_P.modes(t)[0][0] for t in ts])
         xs = time_traj.position(ts)
         phase = np.unwrap(np.angle(np.conj(vals_P) * vals_p)) + k * (xs @ n)
         drifts.append(np.max(phase) - np.min(phase))
@@ -637,22 +644,19 @@ def test_free_quantum_amplitude_matches_shifted_window_transform():
     k_eff = (k + (big_p0 - p0) / hbar) / xidot
     lo, hi = window_time_range(traj, n, w)
     span = (lo - 0.1, hi + 0.1)
-    mode_p = solve_mode_function(prof, p, hbar, span)
-    mode_P = solve_mode_function(prof, big_p, hbar, span)
-    quantum = amplitude_quantum(traj, w, mode_p, mode_P, k, n, CHARGE).a
-    shifted = amplitude_classical(traj, k_eff, n, w, CHARGE).a
+    modes = solve_mode_function(prof, [p, big_p], hbar, span)
+    [quantum] = amplitude_quantum(traj, w, modes, [k], [n], CHARGE)
+    shifted = amplitude_classical(traj, k_eff, n, w, CHARGE)
     scale = np.max(np.abs(shifted))
     assert np.max(np.abs(quantum[1:] - shifted[1:])) < 1e-9 * scale
     assert abs(quantum[0] - shifted[0] * (p0 + big_p0) / (2 * p0)) < 1e-9 * scale
     # at fixed k the difference from the classical amplitude is O(hbar)
-    classical = amplitude_classical(traj, k, n, w, CHARGE).a
+    classical = amplitude_classical(traj, k, n, w, CHARGE)
     errs = []
     for hb in (0.1, 0.05):
-        pb = p - hb * k * n
-        mp = solve_mode_function(prof, p, hb, span)
-        mP = solve_mode_function(prof, pb, hb, span)
-        errs.append(np.max(np.abs(
-            amplitude_quantum(traj, w, mp, mP, k, n, CHARGE).a - classical)))
+        modes = solve_mode_function(prof, [p, p - hb * k * n], hb, span)
+        errs.append(np.max(np.abs(amplitude_quantum(traj, w, modes, [k], [n], CHARGE)[0]
+                                  - classical)))
     assert 1.6 < errs[0] / errs[1] < 2.4
 
 

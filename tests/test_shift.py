@@ -6,9 +6,9 @@ from scipy.integrate import solve_ivp
 
 from rrshift import (angular_integrals, angular_integrals_quadrature, bundled_scenario,
                      classical_shift_direct, classical_shift_green, compare_routes,
-                     hamiltonian_hessian, integrate_trajectory, jacobi_basis, kinematics,
-                     ld_coordinate_force, scenario_from_dict, shift_quantum_closed,
-                     shift_quantum_quadrature, sphere_quadrature)
+                     default_window, hamiltonian_hessian, integrate_trajectory, jacobi_basis,
+                     kinematics, ld_coordinate_force, scenario_from_dict, shift_from_amplitudes,
+                     shift_quantum_closed, shift_quantum_quadrature, sphere_quadrature)
 from rrshift.shift import (_frame_grid, _gauss_panels, _leggauss, _polar_frames,
                            _support_integral)
 from rrshift.variational import _linear_rhs
@@ -309,6 +309,36 @@ def test_compare_routes_report_shape(collinear_traj):
     assert rep.residuals.shape == (4, 4)
     assert np.array_equal(rep.residuals, rep.residuals.T)
     assert all(v >= 0 for v in rep.timings.values())
+
+
+@pytest.mark.parametrize("routes", [("direkt",), ()])
+def test_compare_routes_refuses_a_bad_route_list(routes):
+    """A misspelled or empty route list is an error, not a vacuous pass."""
+    sc = bundled_scenario("weak")
+    with pytest.raises(ValueError, match="choose from direct, green, quantum"):
+        compare_routes(sc.build(), sc.alpha_c, routes=routes)
+
+
+def test_routes_refuse_a_foreign_or_late_basis():
+    """Each consumer of the kick-time-0 Jacobi basis raises for the basis of
+    another trajectory and for one kicked at 0.5 t_min, where it used to
+    return a wrong shift."""
+    sc = bundled_scenario("weak")
+    traj = sc.build()
+    window = default_window(traj)
+    consumers = [
+        lambda basis: classical_shift_green(traj, sc.alpha_c, basis=basis),
+        lambda basis: shift_quantum_closed(traj, basis, sc.alpha_c),
+        lambda basis: shift_quantum_quadrature(traj, basis, sc.alpha_c, n_polar=4, n_azimuth=8),
+        lambda basis: shift_from_amplitudes(traj, basis, window, sc.charge, n_polar=2,
+                                            n_azimuth=4),
+    ]
+    for basis, message in ((jacobi_basis(bundled_scenario("oblique").build(), 0.0),
+                            "different trajectory"),
+                           (jacobi_basis(traj, 0.5 * traj.t_min), "kicked at s = ")):
+        for consumer in consumers:
+            with pytest.raises(ValueError, match=message):
+                consumer(basis)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
