@@ -98,7 +98,7 @@ class _DenseSolution:
         return out[0] if np.ndim(t) == 0 else out
 
 
-_CHEB_DEGREE = 32   # Chebyshev degree of a trajectory or mode-collocation panel
+_CHEB_DEGREE = 32   # Chebyshev degree of a trajectory, Jacobi-basis or mode-collocation panel
 _MAX_SPLITS = 4     # halvings of the panels whose coefficient tail misses rtol
 _NEWTON_STEPS = 6   # on t(s); a fixed count, so no point's s depends on its batch
 
@@ -114,7 +114,8 @@ def _cheb_operators(n):
     """Chebyshev-Lobatto nodes x_j = cos(j pi / n), their differentiation
     matrix D and the map from node values to coefficients, once per degree n
     and read-only (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6-8): the
-    panel engine that the trajectory series and the mode collocation share."""
+    panel engine that the trajectory series, the Jacobi basis and the mode
+    collocation share."""
     j = np.arange(n + 1)
     x = np.cos(np.pi * j / n)
     half = np.where((j == 0) | (j == n), 0.5, 1.0)
@@ -152,6 +153,40 @@ def _panel_eval(coefs, edges, t, panel):
         rows = panel == i
         out[rows] = chebval(z[rows, None], coefs[i][:, None, :], tensor=False)
     return out
+
+
+def _linear_panels(G, y, anchor):
+    """Collocated solutions of the linear system dy/dx = G(x) y on P panels,
+    with x in [-1, 1] each panel's local coordinate and G (P, ..., n + 1, d,
+    d) the system matrix at its Lobatto nodes times its half-length.  One
+    batched solve of L = I (x) D - G gives, per panel, the fundamental
+    solution that is the identity at the panel's end nearest edge `anchor`;
+    the panels are then chained outward from the state y (..., d, r) at that
+    edge, forward to its right and backward to its left.  Returns the node
+    values (P, ..., d, n + 1, r) and the states at the first and last edge."""
+    n_pan, *batch, k, d, _ = G.shape
+    D = _cheb_operators(k - 1)[1]
+    L = np.zeros((n_pan, *batch, d, k, d, k), dtype=G.dtype)
+    L[..., range(d), :, range(d), :] = D
+    L[..., :, range(k), :, range(k)] -= np.moveaxis(G, -3, 0)
+    L = L.reshape(n_pan, *batch, d * k, d * k)
+    pinned = np.zeros((n_pan, d * k, d))
+    for pin, side in ((0, slice(None, anchor)), (k - 1, slice(anchor, None))):
+        rows = pin + k * np.arange(d)  # x = 1 backward, x = -1 forward
+        L[side, ..., rows, :] = 0.0
+        L[side, ..., rows, rows] = 1.0
+        pinned[side, rows, range(d)] = 1.0
+    fund = np.linalg.solve(L, np.broadcast_to(pinned.reshape(n_pan, *[1] * len(batch), d * k, d),
+                                              L.shape[:-1] + (d,)))
+    vals = np.empty(L.shape[:-1] + y.shape[-1:], dtype=np.result_type(fund, y))
+    y_lo = y_hi = y
+    for i in reversed(range(anchor)):
+        vals[i] = np.einsum("...rc,...cq->...rq", fund[i], y_lo)
+        y_lo = vals[i, ..., k - 1::k, :].copy()
+    for i in range(anchor, n_pan):
+        vals[i] = np.einsum("...rc,...cq->...rq", fund[i], y_hi)
+        y_hi = vals[i, ..., ::k, :].copy()
+    return vals.reshape(n_pan, *batch, d, k, -1), y_lo, y_hi
 
 
 def _refine_panels(fit, edges, rtol, what):

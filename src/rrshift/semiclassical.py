@@ -38,8 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (Trajectory, _cheb_operators, _flow_sample, _flow_tangent, _panel_eval,
-                       _panel_nodes, _panel_tails, _refine_panels, _transition_cuts, kinematics)
+from .dynamics import (Trajectory, _cheb_operators, _flow_sample, _flow_tangent, _linear_panels,
+                       _panel_eval, _panel_nodes, _panel_tails, _refine_panels, _transition_cuts,
+                       kinematics)
 from .potentials import PotentialProfile, _smoothstep7, eval_potential
 from .shift import _gauss_panels, _support_integral, sphere_quadrature
 from .variational import _zero_kick_basis
@@ -397,30 +398,21 @@ def _local_energy(profile, p, mass, t) -> np.ndarray:
 def _collocate(profile, stack, mass, hbar, edges, y):
     """Each panel's worst relative coefficient tail, the Chebyshev
     coefficients of (phi, dphi/dt) on the panels between edges, (P, n + 1,
-    2M) with the phi columns first, and (phi, hbar dphi/dt) at edges[0].
-    One batched solve gives, per panel and momentum, the fundamental
-    solution of (phi, hbar phi')' = [[0, 1], [-sigma^2, 0]] (phi, hbar phi')
-    / hbar that is the identity at the panel's right end; the panels are
-    then chained backward from the state y (2, M) at edges[-1]."""
+    2M) with the phi columns first, and (phi, hbar dphi/dt) at edges[0]:
+    the panel engine's linear solve of (phi, hbar phi')' = [[0, 1],
+    [-sigma^2, 0]] (phi, hbar phi') / hbar per momentum, chained backward
+    from the state y (2, M) at edges[-1]."""
     t = _panel_nodes(edges)
     (n_pan, k), m = t.shape, len(stack)
-    _, D, to_coefs = _cheb_operators(k - 1)
     sig2 = _local_energy(profile, stack, mass, t.ravel()).reshape(m, n_pan, k) ** 2
     c = (0.5 * (edges[1:] - edges[:-1]) / hbar)[:, None, None]
-    L = np.zeros((n_pan, m, 2 * k, 2 * k))
-    L[..., :k, :k] = L[..., k:, k:] = D
-    L[..., range(k), range(k, 2 * k)] = -c
-    L[..., range(k, 2 * k), range(k)] = c * np.swapaxes(sig2, 0, 1)
-    L[..., [0, k], :] = 0.0  # rows 0 and k pin the state at the node x = 1, t = b
-    L[..., [0, k], [0, k]] = 1.0
-    fund = np.linalg.solve(L, np.broadcast_to(np.eye(2 * k)[:, [0, k]], L.shape[:-1] + (2,)))
-    vals = np.empty((n_pan, 2 * k, m), dtype=complex)
-    for i in reversed(range(n_pan)):
-        vals[i] = np.einsum("mrc,cm->rm", fund[i], y)
-        y = vals[i, [k - 1, 2 * k - 1]]  # the state at the node x = -1, t = a
-    vals[:, k:] /= hbar
-    coefs = to_coefs @ vals.reshape(n_pan, 2, k, m).transpose(0, 2, 1, 3).reshape(n_pan, k, -1)
-    return _panel_tails(coefs[..., None]), coefs, y
+    G = np.zeros((n_pan, m, k, 2, 2))
+    G[..., 0, 1] = c
+    G[..., 1, 0] = -c * np.swapaxes(sig2, 0, 1)
+    vals, y, _ = _linear_panels(G, y.T[..., None], n_pan)  # (P, M, 2, n + 1, 1)
+    vals[:, :, 1] /= hbar
+    coefs = _cheb_operators(k - 1)[2] @ vals[..., 0].transpose(0, 3, 2, 1).reshape(n_pan, k, -1)
+    return _panel_tails(coefs[..., None]), coefs, y[..., 0].T
 
 
 class ModeFunction:

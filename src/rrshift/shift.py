@@ -20,8 +20,9 @@ caused by the radiation-reaction force along the trajectory:
              pre-sums.
 
 The green, quantum and quantum_quadrature time integrals all use
-`_support_integral`: Gauss-Legendre panels cut where the trajectory's series
-and the Jacobi basis's dense solution have kinks, 16 points checked against 8.
+`_support_integral`: Gauss-Legendre on the collocated Jacobi basis's panels,
+which refine the trajectory's, each cut into _SUB_PANELS pieces, 16 points
+checked against 8.
 
 Agreement of all four at the configured threshold is the verification
 target; the closed-form angular moments used on the way are checked
@@ -56,6 +57,7 @@ __all__ = [
 ]
 
 ROUTE_NAMES = ("direct", "green", "quantum", "quantum_quadrature")
+_SUB_PANELS = 4  # Gauss-Legendre pieces per panel of the time quadrature
 
 
 @lru_cache(maxsize=None)
@@ -192,14 +194,14 @@ def angular_integrals_quadrature(v, n_polar: int = 64, n_azimuth: int = 128) -> 
 
 def _support_integral(f, traj, basis=None, epsrel=1e-11):
     """Integral over [acc_start, acc_end] of the batched integrand
-    f(ts) -> (N, ...): 16-point Gauss-Legendre on panels cut at the
-    trajectory's panel edges (its joins among them) and at the step points
-    of the Jacobi `basis`, where the piecewise forms f reads have kinks.
-    RuntimeError unless the 8-point sum on the same panels agrees to epsrel
-    relative."""
-    lo, hi = traj.acc_start, traj.acc_end
-    steps = np.concatenate([traj.ts, [] if basis is None else basis.ts])
-    cuts = np.unique(np.concatenate([[lo, hi], steps[(steps > lo) & (steps < hi)]]))
+    f(ts) -> (N, ...): 16-point Gauss-Legendre on the panels of the Jacobi
+    `basis` (which refine the trajectory's, its joins among them) or, with
+    no basis, of the trajectory, where the piecewise forms f reads have
+    kinks, each cut into _SUB_PANELS equal pieces.  RuntimeError unless the
+    8-point sum on the same pieces agrees to epsrel relative."""
+    edges = traj.ts if basis is None else basis.ts
+    pieces = np.arange(_SUB_PANELS) / _SUB_PANELS
+    cuts = np.append(edges[:-1, None] + np.diff(edges)[:, None] * pieces, edges[-1])
     (t16, w16), (t8, w8) = _gauss_panels(cuts, 16), _gauss_panels(cuts, 8)
     values = f(np.concatenate([t16, t8]))
     fine, coarse = w16 @ values[:len(t16)], w8 @ values[len(t16):]

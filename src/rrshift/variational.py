@@ -9,16 +9,19 @@ with the Hessian of H = sqrt((P-V)^2 + m^2) + V^0 evaluated on the
 unperturbed flow and f an optional forcing (zero for Jacobi fields, the
 radiation-reaction force for the retarded perturbation).
 
-Both are solved through one right-hand side on the state [x, P, Y]: the
-flow (x, P) rides along, so no dense interpolant is read, and Y is (6, m),
-rows dx and dP, one column per solution.  Both restart at acc_start, each
-breakpoint and acc_end, so no step straddles a join of the forcing.
 `jacobi_basis(traj, s)` solves the three unit kicks at s together, with
 data dx(s) = 0, dP^i(s) = delta^{ij}, and returns one basis: evaluated at
 times t it gives the position and momentum blocks X and K, each (N, 3, 3)
 with column j the kick in direction j.  X at fixed t is the
 momentum-to-position response matrix (dx^i/dp^j)_t used by the shift
-quadratures; the basis's step points are where X and K have kinks.
+quadratures.  Inside the forcing the basis is collocated by the `dynamics`
+panel engine on the trajectory's panels (cut at s when s lies inside one),
+with the Hessian sampled once at every node; outside it V is constant, so
+K is constant and X(t) = X(t_b) + (t - t_b) h_pp K from the nearer end t_b.
+The basis's panel edges are where X and K may have kinks.  The retarded
+perturbation is a DOP853 solve of the forced system on the state [x, P,
+dx, dP], with the flow (x, P) riding along, restarted at acc_start, each
+breakpoint and acc_end, so no step straddles a join of the forcing.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, _DenseSolution, _flow_at, _flow_sample
+from .dynamics import (Trajectory, _cheb_operators, _DenseSolution, _flow_at, _flow_sample,
+                       _linear_panels, _panel_eval, _panel_nodes, _panel_tails, _refine_panels)
 from .lorentz_dirac import _coordinate_force, ld_coordinate_force
 from .potentials import axis_index
 
@@ -84,10 +88,11 @@ def hamiltonian_hessian(traj: Trajectory, t: float) -> HessianSample:
     return HessianSample(t=float(t), h_xx=h_xx[0], h_xp=h_xp[0], h_pp=h_pp[0])
 
 
-def _linear_rhs(traj, alpha_c=None):
-    """RHS of the variational system on the state [x, P, Y], flattened: the
-    flow (x, P) rides along and Y holds rows dx and dP, one column per
-    solution.  With alpha_c the Lorentz-Dirac coordinate force forces dP."""
+def _linear_rhs(traj, alpha_c):
+    """RHS of the forced variational system on the state [x, P, Y],
+    flattened: the flow (x, P) rides along, Y holds rows dx and dP, one
+    column per solution, and the Lorentz-Dirac coordinate force with
+    coupling alpha_c forces dP."""
     ai = axis_index(traj.profile)
     e_a = np.zeros(3) if ai is None else np.eye(3)[ai]
 
@@ -98,12 +103,36 @@ def _linear_rhs(traj, alpha_c=None):
         h_xx, h_xp, h_pp = (h[0] for h in _hessian_blocks(traj, kin, V1, V2))
         dX = h_xp.T @ Y[:3] + h_pp @ Y[3:]
         dK = -h_xx @ Y[:3] - h_xp @ Y[3:]
-        if alpha_c is not None:
-            dK += _coordinate_force(kin, alpha_c)[0][:, None]
+        dK += _coordinate_force(kin, alpha_c)[0][:, None]
         dP = e_a * (kin.v[0] @ V1[0, 1:] - V1[0, 0])
         return np.concatenate([kin.v[0], dP, dX.ravel(), dK.ravel()])
 
     return rhs
+
+
+def _fit_basis(traj, s, edges):
+    """Each panel's worst relative coefficient tail (of X and of K, each
+    field's rows jointly), the Chebyshev coefficients of the blocks on the
+    panels between edges, (P, n + 1, 18) in (block, row, kick) order, and
+    the coasting data (state (6, 3), h_pp) at edges[0] and edges[-1].  The
+    system matrix [[h_xp^T, h_pp], [-h_xx, -h_xp]] comes from one flow sample
+    at all nodes; the unit kicks start at s, an edge when s lies inside the
+    forcing, else on the coasting line that reaches its nearer end."""
+    t = _panel_nodes(edges)
+    n_pan, k = t.shape
+    h_xx, h_xp, h_pp = _hessian_blocks(traj, *_flow_sample(traj, t.ravel()))
+    A = np.block([[np.swapaxes(h_xp, 1, 2), h_pp], [-h_xx, -h_xp]]).reshape(n_pan, k, 6, 6)
+    h_in, h_out = A[0, -1, :3, 3:], A[-1, 0, :3, 3:]  # h_pp at the first and the last edge
+    y = np.vstack([np.zeros((3, 3)), np.eye(3)])
+    if s <= edges[0]:
+        y[:3] = (edges[0] - s) * h_in
+    elif s >= edges[-1]:
+        y[:3] = (edges[-1] - s) * h_out
+    vals, y_lo, y_hi = _linear_panels(A * (0.5 * np.diff(edges))[:, None, None, None], y,
+                                      min(int(np.searchsorted(edges, s)), n_pan))
+    coefs = _cheb_operators(k - 1)[2] @ vals.transpose(0, 2, 1, 3).reshape(n_pan, k, 18)
+    fields = np.swapaxes(coefs.reshape(n_pan, k, 2, 3, 3), -1, -2)  # last axis: a field's rows
+    return _panel_tails(fields), coefs, ((y_lo, h_in), (y_hi, h_out))
 
 
 class JacobiBasis:
@@ -111,34 +140,49 @@ class JacobiBasis:
     solved as one system.  `basis(t)` gives the position block X and the
     momentum block K from one evaluation, each of shape (N, 3, 3), or (3, 3)
     for a scalar t, with column j the response to the kick in direction j:
-    X[..., i, j] = dx^i_(j)(t; s) and K[..., i, j] = dP^i_(j)(t; s)."""
+    X[..., i, j] = dx^i_(j)(t; s) and K[..., i, j] = dP^i_(j)(t; s).
+    `ts` holds the collocation panel edges from acc_start to acc_end (the
+    trajectory's, s when it lies between them, and any halvings), where the
+    blocks may have kinks; outside them the coasting forms are exact."""
 
-    def __init__(self, traj, s, dense):
-        self.traj, self.s = traj, s
-        self._dense = dense
-
-    @property
-    def ts(self) -> np.ndarray:
-        """Step points of the integrator, where the blocks have kinks."""
-        return self._dense.ts
+    def __init__(self, traj, s, ts, coefs, coast):
+        self.traj, self.s, self.ts = traj, s, ts
+        self._coefs, self._coast = coefs, coast
 
     def __call__(self, t):
-        y = self._dense(t)
-        shape = np.shape(t) + (3, 3)
-        return y[..., 6:15].reshape(shape), y[..., 15:].reshape(shape)
+        t_arr = np.ravel(np.asarray(t, dtype=float))
+        lo, hi = self.traj.t_min, 0.0
+        if np.any(t_arr < lo - 1e-12) or np.any(t_arr > hi + 1e-12):
+            raise ValueError(f"t outside variational domain [{lo}, {hi}]")
+        t_arr = np.clip(t_arr, lo, hi)
+        out = np.empty((t_arr.size, 6, 3))
+        early, late = t_arr <= self.ts[0], t_arr >= self.ts[-1]
+        for side, t_b, (y, h_pp) in zip((early, late), self.ts[[0, -1]], self._coast):
+            out[side, :3] = y[:3] + (t_arr[side] - t_b)[:, None, None] * (h_pp @ y[3:])
+            out[side, 3:] = y[3:]
+        inner = ~early & ~late
+        out[inner] = _panel_eval(self._coefs, self.ts, t_arr[inner],
+                                 np.searchsorted(self.ts, t_arr[inner]) - 1).reshape(-1, 6, 3)
+        out = out.reshape(np.shape(t) + (6, 3))
+        return out[..., :3, :], out[..., 3:, :]
 
 
 def jacobi_basis(traj: Trajectory, s: float, tol: float | None = None) -> JacobiBasis:
-    """The three unit-kick fields anchored at kick time s, solved together."""
+    """The three unit-kick fields anchored at kick time s, collocated
+    together on the trajectory's panels (cut at s when s lies inside one)
+    and chained both ways from s; tol (default the trajectory's) bounds each
+    panel's relative coefficient tail, and a panel that misses it after its
+    halvings raises RuntimeError."""
     s = float(s)
     if not (traj.t_min - 1e-12 <= s <= 1e-12):
         raise ValueError(f"kick time {s} outside [{traj.t_min}, 0]")
     tol = traj.tol if tol is None else float(tol)
-    y0 = np.concatenate([*traj.state(s), np.zeros(9), np.eye(3).ravel()])
-    dense = _DenseSolution(_linear_rhs(traj), s, y0, traj.t_min, 0.0, "variational",
-                           joins=(traj.acc_start, *traj.breakpoints, traj.acc_end),
-                           rtol=tol, atol=tol)
-    return JacobiBasis(traj, s, dense)
+    edges = traj.ts
+    if edges[0] < s < edges[-1]:
+        edges = np.unique(np.append(edges, s))
+    edges, (_, coefs, coast) = _refine_panels(lambda e: _fit_basis(traj, s, e), edges, tol,
+                                              "Jacobi basis collocation")
+    return JacobiBasis(traj, s, edges, coefs, coast)
 
 
 def _zero_kick_basis(traj: Trajectory, basis: JacobiBasis | None) -> JacobiBasis:

@@ -172,7 +172,7 @@ def _criterion_2(full: bool) -> CriterionResult:
 
 
 def _criterion_3(full: bool) -> CriterionResult:
-    # dense-output interpolation dominates the drift; a tight solver
+    # the collocated basis's coefficient tail sets the drift; a tight
     # tolerance keeps the conservation check far from its threshold
     sc = bundled_scenario("spatial", tol=3e-13)
     traj = sc.build()

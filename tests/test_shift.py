@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from test_variational import fundamental_oracle
 
 from rrshift import (angular_integrals, angular_integrals_quadrature, bundled_scenario,
                      classical_shift_direct, classical_shift_green, compare_routes,
@@ -11,7 +11,6 @@ from rrshift import (angular_integrals, angular_integrals_quadrature, bundled_sc
                      shift_quantum_closed, shift_quantum_quadrature, sphere_quadrature)
 from rrshift.shift import (_frame_grid, _gauss_panels, _leggauss, _polar_frames,
                            _support_integral)
-from rrshift.variational import _linear_rhs
 
 ALPHA = 0.0071619724391352765  # e = 0.3
 BUNDLED = ("amplitude_shift", "collinear", "convergence", "energy", "oblique",
@@ -128,18 +127,13 @@ def test_bracket_and_greens_forms_agree(time_traj):
 
 
 def green_fresh(traj, alpha_c, n_nodes=96):
-    """Route b without the swap identity: dx^i_(j)(0; s) from a new unit-kick
-    solve at every Gauss-Legendre node s of the forcing support."""
-    rhs = _linear_rhs(traj)
-    edges = [traj.acc_start, *traj.breakpoints, traj.acc_end]
-    total = np.zeros(3)
-    for s, w in zip(*_gauss_panels(edges, n_nodes)):
-        y0 = np.concatenate([*traj.state(s), np.zeros(9), np.eye(3).ravel()])
-        res = solve_ivp(rhs, (s, 0.0), y0, method="DOP853", rtol=traj.tol, atol=traj.tol)
-        assert res.success, res.message
-        X0 = res.y[6:15, -1].reshape(3, 3)  # dx^i_(j)(0; s)
-        total += w * (X0 @ ld_coordinate_force(traj, float(s), alpha_c))
-    return total
+    """Route b without the swap identity: dx^i_(j)(0; s) at every
+    Gauss-Legendre node s of the forcing support, the position rows of
+    Phi(s)^-1 (0, e_j) with Phi the DOP853 fundamental matrix, Phi(0) = I."""
+    phi = fundamental_oracle(traj)
+    ss, ws = _gauss_panels([traj.acc_start, *traj.breakpoints, traj.acc_end], n_nodes)
+    X0 = np.linalg.solve(phi(ss), np.eye(6)[:, 3:])[:, :3]  # dx^i_(j)(0; s)
+    return np.einsum("n,nij,nj->i", ws, X0, ld_coordinate_force(traj, ss, alpha_c))
 
 
 def test_green_swap_equals_fresh(time_traj):

@@ -1,12 +1,17 @@
 """Linearized flow: Hessian blocks, Jacobi fields, symplectic identities."""
 
+from functools import cache
+
 import numpy as np
 import pytest
+from test_flow_sample import P_FINAL, make_profile
 
-from rrshift import (bundled_scenario, classical_shift_green, hamiltonian_hessian,
+from rrshift import (SHAPE_NAMES, bundled_scenario, classical_shift_green, hamiltonian_hessian,
                      integrate_trajectory, jacobi_basis, kinematics, retarded_perturbation,
                      symplectic_product)
-from rrshift.potentials import axis_index, eval_potential
+from rrshift import dynamics
+from rrshift.dynamics import _DenseSolution
+from rrshift.potentials import _derivatives, axis_index, eval_potential
 
 ALPHA = 0.0071619724391352765  # e = 0.3
 
@@ -169,14 +174,107 @@ def test_perturbation_matches_green_quadrature(time_traj):
 
 @pytest.mark.parametrize("name", ["pulse_single", "spatial"])
 def test_variational_solves_restart_at_joins_and_carry_the_flow(name):
-    """Basis and perturbation steps land on acc_start, every breakpoint and
-    acc_end; the basis's own (x, P) columns follow the trajectory."""
+    """The basis's panel edges and the perturbation's steps hold acc_start,
+    every breakpoint and acc_end; the perturbation's own (x, P) columns
+    follow the trajectory."""
     traj = bundled_scenario(name).build()
     joins = [traj.acc_start, *traj.breakpoints, traj.acc_end]
     basis = jacobi_basis(traj, 0.0)
     pert = retarded_perturbation(traj, ALPHA)
     assert np.isin(joins, basis.ts).all()
     assert np.isin(joins, pert._dense.ts).all()
-    flow = basis._dense(basis.ts)[:, :6]
-    x, P = traj.state(basis.ts)
+    flow = pert._dense(pert._dense.ts)[:, :6]
+    x, P = traj.state(pert._dense.ts)
     np.testing.assert_allclose(flow, np.hstack([x, P]), rtol=0, atol=1e-8)
+
+
+def test_jacobi_basis_fails_loudly_when_unresolved(time_traj, monkeypatch):
+    """Degree-4 panels cannot meet tol even after every halving: the basis
+    raises and names the panel and its tail instead of returning."""
+    monkeypatch.setattr(dynamics, "_CHEB_DEGREE", 4)
+    with pytest.raises(RuntimeError, match=r"Jacobi basis collocation failed: panel \d+ \[.*\] "
+                                           r"keeps a relative Chebyshev tail"):
+        jacobi_basis(time_traj, 0.0)
+
+
+# every axis x every shape; on a spatial axis a the momentum's a component is 1.1
+BASIS_CASES = [(axis, shape) for axis in ("time", "x", "y", "z") for shape in SHAPE_NAMES]
+
+
+@cache
+def case_trajectory(axis, shape):
+    profile = make_profile(shape, axis)
+    ai = axis_index(profile)
+    p = P_FINAL["time"] if ai is None else np.roll(P_FINAL["z"], ai - 2)
+    return integrate_trajectory(profile, p, 1.0)
+
+
+def kick_times(traj):
+    """s = 0, the middle of the widest acceleration panel and the middle of
+    the coasting past."""
+    i = int(np.argmax(np.diff(traj.ts)))
+    return 0.0, 0.5 * (traj.ts[i] + traj.ts[i + 1]), 0.5 * (traj.t_min + traj.acc_start)
+
+
+def fundamental_oracle(traj, tol=1e-12):
+    """Evaluator ts -> Phi (N, 6, 6), the fundamental matrix of the unforced
+    variational system on rows (dx, dP) with Phi(0) = I: DOP853 on Hamilton's
+    equations for (x, P) and on Phi' = [[h_xp^T, h_pp], [-h_xx, -h_xp]] Phi,
+    with the Hessian of H = sqrt((P - V)^2 + m^2) + V^0 written out from the
+    carried (x, P), restarted at the trajectory's panel edges."""
+    profile, m = traj.profile, traj.mass
+    ai = axis_index(profile)
+    e_a = np.zeros(3) if ai is None else np.eye(3)[ai]
+
+    def rhs(t, y):
+        P, Phi = y[3:6], y[6:].reshape(6, 6)
+        s = np.array([t if ai is None else y[ai]])
+        V, V1, V2 = (d[0] for d in _derivatives(profile, s, (0, 1, 2)))
+        w = P - V[1:]
+        sigma = np.sqrt(w @ w + m * m)
+        v = w / sigma
+        h_pp = (np.eye(3) - np.outer(v, v)) / sigma
+        h_xp, h_xx = np.zeros((3, 3)), np.zeros((3, 3))
+        if ai is not None:
+            vdV1 = v @ V1[1:]
+            h_xp[ai] = (-V1[1:] + v * vdV1) / sigma
+            h_xx[ai, ai] = V2[0] - (w @ V2[1:] - V1[1:] @ V1[1:]) / sigma - vdV1**2 / sigma
+        A = np.block([[h_xp.T, h_pp], [-h_xx, -h_xp]])
+        return np.concatenate([v, e_a * (v @ V1[1:] - V1[0]), (A @ Phi).ravel()])
+
+    y0 = np.concatenate([np.zeros(3), traj.p_final, np.eye(6).ravel()])
+    dense = _DenseSolution(rhs, 0.0, y0, traj.t_min, 0.0, "oracle", joins=tuple(traj.ts),
+                           rtol=tol, atol=tol)
+    return lambda ts: dense(ts)[:, 6:].reshape(-1, 6, 6)
+
+
+@pytest.mark.parametrize("axis, shape", BASIS_CASES)
+def test_collocated_basis_matches_dop853_oracle(axis, shape):
+    """X and K kicked at s equal Phi(t) Phi(s)^-1 (0, I) from the DOP853
+    oracle to 1e-10 of each block's scale, at every kick time of
+    `kick_times`, on a grid over [t_min, 0] and at the basis's panel edges."""
+    traj = case_trajectory(axis, shape)
+    phi = fundamental_oracle(traj)
+    for s in kick_times(traj):
+        basis = jacobi_basis(traj, s)
+        ts = np.concatenate([np.linspace(traj.t_min, 0.0, 201), basis.ts, [s]])
+        Y = phi(ts) @ np.linalg.solve(phi(np.array([s]))[0], np.eye(6)[:, 3:])
+        for block, oracle in zip(basis(ts), (Y[:, :3], Y[:, 3:])):
+            assert np.max(np.abs(block - oracle)) < 1e-10 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("axis, shape", BASIS_CASES)
+def test_basis_coasts_exactly_outside_the_forcing(axis, shape):
+    """Before acc_start and after acc_end, K is constant and X is the line
+    X(t_b) + (t - t_b) h_pp K from the nearer end t_b, for every kick time."""
+    traj = case_trajectory(axis, shape)
+    for s in kick_times(traj):
+        basis = jacobi_basis(traj, s)
+        for ts, t_b in ((np.linspace(traj.t_min, traj.acc_start, 9), traj.acc_start),
+                        (np.linspace(traj.acc_end, 0.0, 9), traj.acc_end)):
+            X, K = basis(ts)
+            X_b, K_b = basis(t_b)
+            assert np.array_equal(K, np.broadcast_to(K_b, K.shape))
+            h_pp = np.array([hamiltonian_hessian(traj, t).h_pp for t in ts])
+            line = X_b + (ts - t_b)[:, None, None] * (h_pp @ K_b)
+            assert np.max(np.abs(X - line)) < 1e-13 * max(np.max(np.abs(X)), 1.0)
