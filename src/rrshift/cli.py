@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import _flow_sample
+from .dynamics import kinematics
 from .lorentz_dirac import _coordinate_force
 from .scenario import ScenarioError, _is_number, load_scenario
 from .semiclassical import _8PI3, _minkowski_sq, amplitude_classical, taper_amplitude
@@ -169,7 +169,7 @@ def _cmd_force_profile(args) -> int:
     sc = load_scenario(args.scenario)
     traj = sc.build()
     ts = np.linspace(traj.t_min, 0.0, args.num)
-    kin = _flow_sample(traj, ts)[0]
+    kin = kinematics(traj, ts)
     forces = _coordinate_force(kin, sc.alpha_c)
     header = ["t", "f_x", "f_y", "f_z", "v_x", "v_y", "v_z", "gamma"]
     rows = np.column_stack([ts, forces, kin.v, kin.gamma])

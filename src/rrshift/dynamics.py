@@ -40,7 +40,8 @@ class ReflectedTrajectoryError(ValueError):
 
 @dataclass(frozen=True)
 class Kinematics:
-    """Pointwise state of the unperturbed flow (arrays broadcast over t)."""
+    """Pointwise state of the unperturbed flow (arrays broadcast over t), with
+    dV^mu/ds and d^2V^mu/ds^2 at each point's coordinate s."""
 
     t: np.ndarray
     x: np.ndarray
@@ -51,6 +52,18 @@ class Kinematics:
     a: np.ndarray
     adot: np.ndarray
     gamma: np.ndarray
+    dV: np.ndarray
+    d2V: np.ndarray
+
+
+def _domain_times(t, lo, hi, what, slack=1e-12) -> np.ndarray:
+    """The times t raveled to (N,) and clipped into [lo, hi]; ValueError
+    unless each is finite and within slack of it (a NaN fails every
+    comparison).  The one domain check of the flow's evaluators."""
+    t_arr = np.ravel(np.asarray(t, dtype=float))
+    if not np.all(np.isfinite(t_arr) & (t_arr >= lo - slack) & (t_arr <= hi + slack)):
+        raise ValueError(f"t outside {what} domain [{lo}, {hi}]")
+    return np.clip(t_arr, lo, hi)
 
 
 class _DenseSolution:
@@ -61,9 +74,9 @@ class _DenseSolution:
     Each of the interior times `joins` met on the way (where the RHS is less
     smooth) ends one solve, and the next starts from its last state, so no
     step straddles a join.  A call checks t against the domain to 1e-12,
-    clips it into the domain and then into each segment (a later segment
-    wins at a join) and returns shape (N, len(y0)), or (len(y0),) for a
-    scalar t.  `ts` holds the step points of every segment, joins included.
+    clips it into each segment (a later segment wins at a join) and returns
+    shape (N, len(y0)), or (len(y0),) for a scalar t.  `ts` holds the step
+    points of every segment, joins included.
     """
 
     def __init__(self, rhs, anchor, y0, lo, hi, what, joins=(), **options):
@@ -86,10 +99,7 @@ class _DenseSolution:
         self.ts = np.concatenate([sol.ts for _, _, sol in self.segments])
 
     def __call__(self, t) -> np.ndarray:
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < self.lo - 1e-12) or np.any(t_arr > self.hi + 1e-12):
-            raise ValueError(f"t outside {self.what} domain [{self.lo}, {self.hi}]")
-        t_arr = np.clip(t_arr, self.lo, self.hi)
+        t_arr = _domain_times(t, self.lo, self.hi, self.what)
         out = np.empty((t_arr.size, self._y0.size), dtype=self._y0.dtype)
         for a, b, sol in self.segments:
             mask = (t_arr >= a - 1e-12) & (t_arr <= b + 1e-12)
@@ -207,27 +217,30 @@ def _refine_panels(fit, edges, rtol, what):
 
 
 def _first_integrals(profile, p, m, s):
-    """Mechanical four-momentum u = (sigma, P - V), (N, 4), and canonical
-    momentum P, (N, 3), at the coordinates s (N,) of the flow with P = p at
-    s = 0, where V = 0.  Time axis: P = p.  Spatial axis a: H = sqrt(p^2 +
-    m^2) and P_perp = p_perp hold, so sigma = H - V^0 and u_a follows from
-    the mass shell; ReflectedTrajectoryError where u_a^2 <= 0."""
+    """Mechanical four-momentum u = (sigma, P - V), (..., N, 4), and canonical
+    momentum P, (..., N, 3), at the coordinates s (N,) of the flows with P = p
+    at s = 0, where V = 0, for momenta p (..., 3), bit for bit one call each.
+    Time axis: P = p and sigma = sqrt((p - V)^2 + m^2).  Spatial axis a: H =
+    sqrt(p^2 + m^2) and P_perp = p_perp hold, so sigma = H - V^0 and u_a
+    follows from the mass shell; ReflectedTrajectoryError where u_a^2 <= 0."""
     ai = axis_index(profile)
     V = _derivatives(profile, s, (0,))[0]
-    P = np.tile(p, (len(V), 1))
+    p = np.asarray(p, dtype=float)[..., None, :]
+    P = np.repeat(p, len(V), axis=-2)
     w = P - V[:, 1:]
     if ai is None:
-        sigma = np.sqrt(np.einsum("ij,ij->i", w, w) + m * m)
+        sigma = np.sqrt(np.einsum("...ij,...ij->...i", w, w) + m * m)
     else:
-        sigma = np.sqrt(p @ p + m * m) - V[:, 0]
-        w[:, ai] = 0.0
-        wa2 = sigma * sigma - m * m - np.einsum("ij,ij->i", w, w)
+        sigma = np.sqrt((p @ np.swapaxes(p, -1, -2))[..., 0] + m * m) - V[:, 0]
+        w[..., ai] = 0.0
+        wa2 = sigma * sigma - m * m - np.einsum("...ij,...ij->...i", w, w)
         if np.any(wa2 <= 0.0):
+            at = s[np.nonzero(wa2 <= 0.0)[-1][0]]  # in the first momentum that reflects
             raise ReflectedTrajectoryError(f"traversal fails: dx^{profile.axis}/dt reaches zero "
-                                           f"at {profile.axis}={s[np.argmax(wa2 <= 0.0)]:.6g}")
-        w[:, ai] = np.sqrt(wa2)
-        P[:, ai] = V[:, 1 + ai] + w[:, ai]
-    return np.column_stack([sigma, w]), P
+                                           f"at {profile.axis}={at:.6g}")
+        w[..., ai] = np.sqrt(wa2)
+        P[..., ai] = V[:, 1 + ai] + w[..., ai]
+    return np.concatenate([sigma[..., None], w], axis=-1), P
 
 
 def _fit_panels(profile, p, m, k, edges, y_end):
@@ -280,8 +293,9 @@ class Trajectory:
     def _locate(self, t):
         """s and x at the times t, (N,) and (N, 3): the coasting lines before
         acc_start and after acc_end; between them the series, reached on a
-        spatial axis by _NEWTON_STEPS Newton steps on t(s) in each time's panel."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+        spatial axis by _NEWTON_STEPS Newton steps on t(s) in each time's panel.
+        Any finite t is on the domain; ValueError for a NaN or an infinity."""
+        t = _domain_times(t, -np.inf, np.inf, "trajectory")
         early, late = t <= self.acc_start, t >= self.acc_end
         x = np.where(early[:, None], self._x_in + np.outer(t - self.acc_start, self._v_in),
                      np.outer(t, self._v_out))
@@ -302,22 +316,19 @@ class Trajectory:
 
     def state(self, t):
         """(x, P) on the domain [t_min, 0]."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < self.t_min - 1e-12) or np.any(t_arr > 1e-12):
-            raise ValueError(f"t outside trajectory domain [{self.t_min}, 0.0]")
-        s, x = self._locate(np.clip(t_arr, self.t_min, 0.0))
+        s, x = self._locate(_domain_times(t, self.t_min, 0.0, "trajectory"))
         P = _first_integrals(self.profile, self.p_final, self.mass, s)[1]
         return (x[0], P[0]) if np.ndim(t) == 0 else (x, P)
 
     def position(self, t):
-        """x(t) for any t."""
+        """x(t) for any finite t."""
         x = self._locate(t)[1]
         return x[0] if np.ndim(t) == 0 else x
 
     def velocity(self, t):
-        """dx/dt = (P - V) / sigma for any t; outside the forcing, the stored
-        coasting velocities, with V sampled only at the inner times."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+        """dx/dt = (P - V) / sigma for any finite t; outside the forcing, the
+        stored coasting velocities, with V sampled only at the inner times."""
+        t_arr = _domain_times(t, -np.inf, np.inf, "trajectory")
         early, late = t_arr <= self.acc_start, t_arr >= self.acc_end
         v = np.where(early[:, None], self._v_in, self._v_out)
         inner = ~early & ~late
@@ -348,34 +359,32 @@ def integrate_trajectory(
     tol bounds the relative coefficient tail of every series panel; a panel
     that misses it is halved, and RuntimeError follows four vain halvings.
     An explicit t_min (to put trajectories with different momenta on one
-    common domain) must lie at or before the automatic choice.
+    common domain) must lie at or before the automatic choice.  A mass, tol
+    or p_final that is not finite (and positive) raises ValueError up front.
     """
     report = validate_profile(profile)
     if not report.ok:
         raise ValueError("invalid profile: " + "; ".join(report.failures))
-    if mass <= 0.0:
-        raise ValueError("mass must be positive")
+    if not (np.isfinite(mass) and mass > 0.0):
+        raise ValueError(f"mass must be finite and positive, got {mass}")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    p_final = np.asarray(p_final, dtype=float)
+    if p_final.shape != (3,) or not np.all(np.isfinite(p_final)):
+        raise ValueError(f"p_final must be a finite three-vector, got {p_final}")
     ai = axis_index(profile)
-    if ai is not None and np.asarray(p_final, dtype=float)[ai] <= 0.0:
+    if ai is not None and p_final[ai] <= 0.0:
         raise ReflectedTrajectoryError(
             "p_final component along the profile axis must be positive for traversal"
         )
     return Trajectory(profile, p_final, mass, tol, t_min)
 
 
-def _flow_sample(traj: Trajectory, t) -> tuple[Kinematics, np.ndarray, np.ndarray]:
-    """Kinematics at the times t in array form, shape (N, ...), together
-    with the potential derivatives V' and V'' at the flow points, shape
-    (N, 4): `_flow_at` on the trajectory's states."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    x, P = traj.state(t_arr)
-    return _flow_at(traj.profile, traj.mass, t_arr, x, P)
-
-
-def _flow_at(profile, m, t_arr, x, P) -> tuple[Kinematics, np.ndarray, np.ndarray]:
-    """Kinematics and V', V'' at the flow points (t, x, P), each (N, ...).
-    V, V' and V'' come from one shape evaluation, so callers that also need
-    the Hessian or the self-force sample the flow once per point.
+def _flow_at(profile, m, t_arr, x, P) -> Kinematics:
+    """Kinematics at the flow points (t, x, P), each (N, ...), with V, V'
+    and V'' from one shape evaluation, so callers that also need the Hessian
+    or the self-force sample the flow once per point: a trajectory's states
+    (`kinematics`) or those the perturbation's right-hand side carries.
 
     Closed forms: with w = P - V and sigma = sqrt(w^2 + m^2),
 
@@ -428,17 +437,18 @@ def _flow_at(profile, m, t_arr, x, P) -> tuple[Kinematics, np.ndarray, np.ndarra
 
     gamma = sigma / m  # the mass shell makes m*gamma and sigma one quantity
 
-    kin = Kinematics(t=t_arr, x=x, P=P, w=w, sigma=sigma, v=v, a=acc, adot=adot, gamma=gamma)
-    return kin, V1, V2
+    return Kinematics(t=t_arr, x=x, P=P, w=w, sigma=sigma, v=v, a=acc, adot=adot, gamma=gamma,
+                      dV=V1, d2V=V2)
 
 
-def _flow_tangent(profile, kin, V1, V2, dx, dP) -> tuple[np.ndarray, np.ndarray]:
+def _flow_tangent(profile, kin, dx, dP) -> tuple[np.ndarray, np.ndarray]:
     """Forward mode of `_flow_at`'s closed forms for v and a: dv and da, each
     (N, 3, k), along k tangents (dx, dP), each (N, 3, k), of the flow points
-    of kin, whose V' and V'' are V1 and V2.  With ds the axis row of dx (zero
+    of the sample kin, with its V' and V''.  With ds the axis row of dx (zero
     on the time axis): dw = dP - V' ds, dsigma = v.dw, dv = (dw - v dsigma) /
     sigma and da = (d(dw/dt) - dv dsigma/dt - v d(dsigma/dt) - a dsigma) / sigma."""
     ai = axis_index(profile)
+    V1, V2 = kin.dV, kin.d2V
     v, acc, sigma = kin.v[:, :, None], kin.a[:, :, None], kin.sigma[:, None, None]
     vT, V1s, V2s = kin.v[:, None, :], V1[:, 1:, None], V2[:, 1:, None]  # row dots: vT @ q
     ds = 0.0 if ai is None else dx[:, ai:ai + 1]
@@ -457,10 +467,11 @@ def _flow_tangent(profile, kin, V1, V2, dx, dP) -> tuple[np.ndarray, np.ndarray]
 
 
 def kinematics(traj: Trajectory, t) -> Kinematics:
-    """Velocity, acceleration, jerk, and energy factors along the flow
-    (see `_flow_sample` for the closed forms).  A scalar t gives one point,
-    an array of shape (N,) gives arrays of length N."""
-    kin, _, _ = _flow_sample(traj, t)
+    """The one flow sampler along a trajectory: state, velocity, acceleration,
+    jerk, energy factors and V', V'' (see `_flow_at` for the closed forms).
+    A scalar t gives one point, an array of shape (N,) gives arrays of N rows."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    kin = _flow_at(traj.profile, traj.mass, t_arr, *traj.state(t_arr))
     if np.ndim(t) == 0:
         return Kinematics(**{name: value[0] for name, value in vars(kin).items()})
     return kin

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import Trajectory, _flow_sample
+from .dynamics import Trajectory, kinematics
 
 __all__ = ["ld_coordinate_force"]
 
@@ -75,5 +75,5 @@ def ld_coordinate_force(traj: Trajectory, t, alpha_c: float) -> np.ndarray:
                             + [3 g^6 (a.v)^2 + g^4 (adot.v)] v }.
     At v = 0 this reduces to (2 alpha_c/3) da/dt.
     """
-    f = _coordinate_force(_flow_sample(traj, t)[0], alpha_c)
+    f = _coordinate_force(kinematics(traj, np.atleast_1d(t)), alpha_c)
     return f[0] if np.ndim(t) == 0 else f

@@ -38,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (Trajectory, _cheb_operators, _flow_sample, _flow_tangent, _linear_panels,
-                       _panel_eval, _panel_nodes, _panel_tails, _refine_panels, _transition_cuts,
-                       kinematics)
-from .potentials import PotentialProfile, _smoothstep7, eval_potential
+from .dynamics import (Trajectory, _cheb_operators, _domain_times, _first_integrals,
+                       _flow_tangent, _linear_panels, _panel_eval, _panel_nodes, _panel_tails,
+                       _refine_panels, _transition_cuts, kinematics)
+from .potentials import PotentialProfile, _smoothstep7
 from .shift import _gauss_panels, _support_integral, sphere_quadrature
 from .variational import _zero_kick_basis
 
@@ -178,6 +178,7 @@ _PAIR_BLOCK = 96  # rows and columns of one block of the double-xi pair kernel
 # fit in memory.
 _MAX_PHASE_PANELS = 1024
 _MAX_MODE_PANELS = 256
+_MODE_RTOL = 1e-11  # bound on each mode panel's relative Chebyshev tail
 
 
 def _phase_edges(a: float, b: float, rate: float, base_panels: int = 48) -> np.ndarray:
@@ -305,12 +306,12 @@ def _amplitudes(traj: Trajectory, ks: np.ndarray, dirs, window: CutoffWindow, ch
     formed once for all directions."""
     ts, w = _gauss_panels(_phase_edges(traj.acc_start, traj.acc_end, rate, base_panels=24),
                           _PANEL_ORDER)
-    kin, V1, V2 = _flow_sample(traj, np.concatenate([ts, [traj.acc_start, traj.acc_end]]))
+    kin = kinematics(traj, np.concatenate([ts, [traj.acc_start, traj.acc_end]]))
     if basis is None:
         dv = dacc = dx = np.zeros((kin.t.size, 0, 3))
     else:
         X, K = basis(kin.t)
-        dv, dacc = (d.swapaxes(1, 2) for d in _flow_tangent(traj.profile, kin, V1, V2, X, K))
+        dv, dacc = (d.swapaxes(1, 2) for d in _flow_tangent(traj.profile, kin, X, K))
         dx = X.swapaxes(1, 2)
     m = dv.shape[1]  # tangents; each (N, m, 3) with the spatial index last
     # W = u/xd and dW = (du + W n.du)/xd for u = (1, v) in and out, (D, 2, 1 + m, 4)
@@ -387,14 +388,6 @@ def taper_amplitude(traj: Trajectory, k: float, n, window: CutoffWindow,
 # ---------------------------------------------------------------------------
 
 
-def _local_energy(profile, p, mass, t) -> np.ndarray:
-    """sigma_p(t) = sqrt((p - V(t))^2 + m^2) at the times t, shape (N,), or
-    (M, N) for M momenta p of shape (M, 3); V is sampled once."""
-    V = np.atleast_2d(eval_potential(profile, t))[:, 1:]
-    w = np.asarray(p, dtype=float)[..., None, :] - V
-    return np.sqrt(np.einsum("...ij,...ij->...i", w, w) + mass**2)
-
-
 def _collocate(profile, stack, mass, hbar, edges, y):
     """Each panel's worst relative coefficient tail, the Chebyshev
     coefficients of (phi, dphi/dt) on the panels between edges, (P, n + 1,
@@ -404,7 +397,7 @@ def _collocate(profile, stack, mass, hbar, edges, y):
     from the state y (2, M) at edges[-1]."""
     t = _panel_nodes(edges)
     (n_pan, k), m = t.shape, len(stack)
-    sig2 = _local_energy(profile, stack, mass, t.ravel()).reshape(m, n_pan, k) ** 2
+    sig2 = _first_integrals(profile, stack, mass, t.ravel())[0][..., 0].reshape(m, n_pan, k) ** 2
     c = (0.5 * (edges[1:] - edges[:-1]) / hbar)[:, None, None]
     G = np.zeros((n_pan, m, k, 2, 2))
     G[..., 0, 1] = c
@@ -424,17 +417,17 @@ class ModeFunction:
     matched at -x1 for t <= -x1.  Inside, Chebyshev panels cut at the shape's
     joins and about one period 2 pi hbar / max sigma long hold the collocated
     solution on `edges`, refined by `_refine_panels` until each panel's tail
-    meets rtol.  So the stack is exact at any time of its domain [lo, hi];
-    `tail` and `panels` are its worst relative Chebyshev tail and its number
-    of collocation panels."""
+    meets _MODE_RTOL.  So the stack is exact at any time of its domain [lo,
+    hi]; `tail` and `panels` are its worst relative Chebyshev tail and its
+    number of collocation panels.  `sigma` reads sigma_p(t) from `dynamics`."""
 
-    def __init__(self, profile, p, hbar, mass, lo, hi, rtol):
+    def __init__(self, profile, p, hbar, mass, lo, hi):
         self.profile, self.p, self.hbar, self.mass = profile, p, hbar, mass
         self.lo, self.hi = lo, hi
-        self.p0 = p0 = np.sqrt(np.einsum("ij,ij->i", p, p) + mass**2)
+        self.p0 = p0 = self.sigma(0.0)[:, 0]
         cuts = _transition_cuts(profile)
         # a Python float, so an overflowed stack gives a NaN count, not a warning
-        sigma_max = float(np.max(_local_energy(profile, p, mass, np.linspace(lo, hi, 4097))))
+        sigma_max = float(np.max(self.sigma(np.linspace(lo, hi, 4097))))
         counts = np.ceil(np.diff(cuts) * (sigma_max / (2.0 * np.pi * hbar)))
         if not counts.sum() <= _MAX_MODE_PANELS:
             raise ValueError(f"mode functions at hbar={hbar:.3g} need {counts.sum():.3g} "
@@ -444,10 +437,10 @@ class ModeFunction:
         wave = np.exp(-1j * p0 * cuts[-1] / hbar)
         y_end = np.stack([wave, -1j * p0 * wave])
         edges, (tails, self.coefs, y) = _refine_panels(
-            lambda e: _collocate(profile, p, mass, hbar, e, y_end), edges, rtol,
+            lambda e: _collocate(profile, p, mass, hbar, e, y_end), edges, _MODE_RTOL,
             "mode collocation")
         self.edges, self.panels, self.tail = edges, edges.size - 1, float(tails.max())
-        sigma_in = _local_energy(profile, p, mass, np.array(cuts[:1]))[:, 0]
+        sigma_in = self.sigma(cuts[:1])[:, 0]
         r = 1j * y[1] / sigma_in
         # (t_c, sigma, A, B) after and before the forcing
         self.closed = ((cuts[-1], p0, wave, 0.0),
@@ -455,10 +448,7 @@ class ModeFunction:
 
     def modes(self, t):
         """(phi, dphi/dt) at the times t, each of shape t.shape + (M,)."""
-        t_arr = np.ravel(np.asarray(t, dtype=float))
-        if np.any(t_arr < self.lo - 1e-9) or np.any(t_arr > self.hi + 1e-9):
-            raise ValueError(f"t outside mode domain [{self.lo}, {self.hi}]")
-        t_arr = np.clip(t_arr, self.lo, self.hi)
+        t_arr = _domain_times(t, self.lo, self.hi, "mode", slack=1e-9)
         out = np.empty((t_arr.size, self.coefs.shape[2]), dtype=complex)
         late, early = t_arr >= self.edges[-1], t_arr <= self.edges[0]
         for side, (t_c, sigma, fwd, back) in zip((late, early), self.closed):
@@ -472,8 +462,9 @@ class ModeFunction:
         return out[..., 0, :], out[..., 1, :]
 
     def sigma(self, t) -> np.ndarray:
-        """Local energies sqrt((p - V(t))^2 + m^2), (M, N) for N times t."""
-        return _local_energy(self.profile, self.p, self.mass, np.atleast_1d(t))
+        """Local energies sqrt((p - V(t))^2 + m^2), (M, N) for N times t:
+        the time-axis first integral of each momentum of the stack."""
+        return _first_integrals(self.profile, self.p, self.mass, t)[0][..., 0]
 
     def wronskian(self) -> np.ndarray:
         """i hbar (phi* dphi - dphi* phi) at the collocation nodes, (N, M),
@@ -487,23 +478,24 @@ class ModeFunction:
 
 
 def solve_mode_function(profile: PotentialProfile, p, hbar: float,
-                        t_span: tuple[float, float], mass: float = 1.0,
-                        rtol: float = 1e-11) -> ModeFunction:
+                        t_span: tuple[float, float], mass: float = 1.0) -> ModeFunction:
     """Solve the mode equation over t_span (t_span[0] < 0, where the
     potential may act; plane-wave data is imposed at t = 0) for a momentum
     stack p of shape (M, 3), or (3,) for a stack of one, at a finite
     positive hbar.  Closed forms hold outside the forcing and Chebyshev
     collocation inside it, V(t) sampled once for all panels, nodes and
     momenta, so the returned ModeFunction is exact at any time of t_span.
-    rtol bounds each panel's relative Chebyshev tail, the two highest
+    _MODE_RTOL bounds each panel's relative Chebyshev tail, the two highest
     coefficients of phi and of dphi/dt against the largest, an estimate of
     its relative error; a panel still above it after its halvings raises a
-    RuntimeError.
+    RuntimeError.  ValueError for an hbar or a mass not finite and positive.
     """
     if profile.axis != "time":
         raise ValueError("mode functions are defined for time-dependent potentials")
     if not (np.isfinite(hbar) and hbar > 0.0):
         raise ValueError(f"hbar must be finite and positive, got {hbar}")
+    if not (np.isfinite(mass) and mass > 0.0):
+        raise ValueError(f"mass must be finite and positive, got {mass}")
     p = np.asarray(p, dtype=float)
     stack = np.atleast_2d(p)
     if p.ndim > 2 or stack.shape[1] != 3:
@@ -511,7 +503,7 @@ def solve_mode_function(profile: PotentialProfile, p, hbar: float,
     t_lo, t_hi = float(t_span[0]), max(float(t_span[1]), 0.0)
     if t_lo >= 0.0:
         raise ValueError("t_span must start before t = 0")
-    return ModeFunction(profile, stack, float(hbar), mass, t_lo, t_hi, rtol)
+    return ModeFunction(profile, stack, float(hbar), mass, t_lo, t_hi)
 
 
 def amplitude_quantum(traj: Trajectory, window: CutoffWindow, modes: ModeFunction, ks, ns,
@@ -524,7 +516,8 @@ def amplitude_quantum(traj: Trajectory, window: CutoffWindow, modes: ModeFunctio
                                         e^{ikt} chi(xi(t)),
 
     with the same window as the classical route, mapped to t through the
-    classical trajectory's xi.  The stack is evaluated once per sample."""
+    classical trajectory's xi.  The stack is evaluated once per sample, and
+    p - V(t) is the mechanical momentum of `dynamics._first_integrals`."""
     ks = np.asarray(ks, dtype=float)
     ns = _check_direction(ns, ndim=2)
     if ks.shape != (len(ns),) or modes.p.shape != (len(ns) + 1, 3):
@@ -547,7 +540,7 @@ def amplitude_quantum(traj: Trajectory, window: CutoffWindow, modes: ModeFunctio
         ts, w = _gauss_panels(edges, _PANEL_ORDER)
         phi, dphi = modes.modes(ts)
         gate = window.chi(traj.xi(n, ts)) * w * _cis(k * ts)
-        wvec = p - eval_potential(traj.profile, ts)[:, 1:]
+        wvec = _first_integrals(traj.profile, p, modes.mass, ts)[0][:, 1:]
         out[s - 1, 1:] = -charge / p0 * ((np.conj(phi[:, s]) * phi[:, 0] * gate) @ wvec)
         bracket = np.conj(phi[:, s]) * dphi[:, 0] - np.conj(dphi[:, s]) * phi[:, 0]
         out[s - 1, 0] = -1j * charge * hbar / (2.0 * p0) * np.sum(bracket * gate)

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dynamics import Trajectory, _flow_sample
+from .dynamics import Trajectory, kinematics
 from .lorentz_dirac import _coordinate_force
 from .variational import (_hessian_blocks, _rowdot, _zero_kick_basis, jacobi_basis,
                           retarded_perturbation)
@@ -214,8 +214,8 @@ def _support_integral(f, traj, basis=None, epsrel=1e-11):
 
 def _response_sample(traj, basis, ts):
     """Kinematics, X (columns = kick directions) and dX/dt, (N, 3, 3), at ts."""
-    kin, V1, V2 = _flow_sample(traj, ts)
-    _, h_xp, h_pp = _hessian_blocks(traj, kin, V1, V2)
+    kin = kinematics(traj, ts)
+    _, h_xp, h_pp = _hessian_blocks(traj, kin)
     X, K = basis(ts)
     return kin, X, np.swapaxes(h_xp, 1, 2) @ X + h_pp @ K
 
@@ -240,7 +240,7 @@ def classical_shift_green(
     basis = _zero_kick_basis(traj, basis)
 
     def f(ts):
-        force = _coordinate_force(_flow_sample(traj, ts)[0], alpha_c)
+        force = _coordinate_force(kinematics(traj, ts), alpha_c)
         return -np.einsum("nj,nji->ni", force, basis(ts)[0])  # -f^j X[j, i]
 
     return _support_integral(f, traj, basis, epsrel)

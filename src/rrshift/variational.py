@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (Trajectory, _cheb_operators, _DenseSolution, _flow_at, _flow_sample,
-                       _linear_panels, _panel_eval, _panel_nodes, _panel_tails, _refine_panels)
+from .dynamics import (Trajectory, _cheb_operators, _DenseSolution, _domain_times, _flow_at,
+                       _linear_panels, _panel_eval, _panel_nodes, _panel_tails, _refine_panels,
+                       kinematics)
 from .lorentz_dirac import _coordinate_force, ld_coordinate_force
 from .potentials import axis_index
 
@@ -65,9 +66,9 @@ def _rowdot(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _hessian_blocks(traj: Trajectory, kin, V1, V2):
-    """h_xx, h_xp and h_pp, each (N, 3, 3), from one `_flow_sample`."""
-    v, sigma = kin.v, kin.sigma
+def _hessian_blocks(traj: Trajectory, kin):
+    """h_xx, h_xp and h_pp, each (N, 3, 3), from one flow sample."""
+    v, sigma, V1, V2 = kin.v, kin.sigma, kin.dV, kin.d2V
     h_pp = (np.eye(3) - v[:, :, None] * v[:, None, :]) / sigma[:, None, None]
 
     ai = axis_index(traj.profile)
@@ -84,7 +85,7 @@ def _hessian_blocks(traj: Trajectory, kin, V1, V2):
 
 def hamiltonian_hessian(traj: Trajectory, t: float) -> HessianSample:
     """Closed-form Hessian of H on the unperturbed trajectory."""
-    h_xx, h_xp, h_pp = _hessian_blocks(traj, *_flow_sample(traj, float(t)))
+    h_xx, h_xp, h_pp = _hessian_blocks(traj, kinematics(traj, [float(t)]))
     return HessianSample(t=float(t), h_xx=h_xx[0], h_xp=h_xp[0], h_pp=h_pp[0])
 
 
@@ -98,13 +99,12 @@ def _linear_rhs(traj, alpha_c):
 
     def rhs(t, y):
         Y = y[6:].reshape(6, -1)
-        kin, V1, V2 = _flow_at(traj.profile, traj.mass, np.atleast_1d(t), y[None, :3],
-                               y[None, 3:6])
-        h_xx, h_xp, h_pp = (h[0] for h in _hessian_blocks(traj, kin, V1, V2))
+        kin = _flow_at(traj.profile, traj.mass, np.atleast_1d(t), y[None, :3], y[None, 3:6])
+        h_xx, h_xp, h_pp = (h[0] for h in _hessian_blocks(traj, kin))
         dX = h_xp.T @ Y[:3] + h_pp @ Y[3:]
         dK = -h_xx @ Y[:3] - h_xp @ Y[3:]
         dK += _coordinate_force(kin, alpha_c)[0][:, None]
-        dP = e_a * (kin.v[0] @ V1[0, 1:] - V1[0, 0])
+        dP = e_a * (kin.v[0] @ kin.dV[0, 1:] - kin.dV[0, 0])
         return np.concatenate([kin.v[0], dP, dX.ravel(), dK.ravel()])
 
     return rhs
@@ -120,7 +120,7 @@ def _fit_basis(traj, s, edges):
     forcing, else on the coasting line that reaches its nearer end."""
     t = _panel_nodes(edges)
     n_pan, k = t.shape
-    h_xx, h_xp, h_pp = _hessian_blocks(traj, *_flow_sample(traj, t.ravel()))
+    h_xx, h_xp, h_pp = _hessian_blocks(traj, kinematics(traj, t.ravel()))
     A = np.block([[np.swapaxes(h_xp, 1, 2), h_pp], [-h_xx, -h_xp]]).reshape(n_pan, k, 6, 6)
     h_in, h_out = A[0, -1, :3, 3:], A[-1, 0, :3, 3:]  # h_pp at the first and the last edge
     y = np.vstack([np.zeros((3, 3)), np.eye(3)])
@@ -150,11 +150,7 @@ class JacobiBasis:
         self._coefs, self._coast = coefs, coast
 
     def __call__(self, t):
-        t_arr = np.ravel(np.asarray(t, dtype=float))
-        lo, hi = self.traj.t_min, 0.0
-        if np.any(t_arr < lo - 1e-12) or np.any(t_arr > hi + 1e-12):
-            raise ValueError(f"t outside variational domain [{lo}, {hi}]")
-        t_arr = np.clip(t_arr, lo, hi)
+        t_arr = _domain_times(t, self.traj.t_min, 0.0, "variational")
         out = np.empty((t_arr.size, 6, 3))
         early, late = t_arr <= self.ts[0], t_arr >= self.ts[-1]
         for side, t_b, (y, h_pp) in zip((early, late), self.ts[[0, -1]], self._coast):
@@ -167,21 +163,20 @@ class JacobiBasis:
         return out[..., :3, :], out[..., 3:, :]
 
 
-def jacobi_basis(traj: Trajectory, s: float, tol: float | None = None) -> JacobiBasis:
+def jacobi_basis(traj: Trajectory, s: float) -> JacobiBasis:
     """The three unit-kick fields anchored at kick time s, collocated
     together on the trajectory's panels (cut at s when s lies inside one)
-    and chained both ways from s; tol (default the trajectory's) bounds each
-    panel's relative coefficient tail, and a panel that misses it after its
-    halvings raises RuntimeError."""
+    from one `kinematics` sample of their nodes and chained both ways from
+    s; the trajectory's tol bounds each panel's relative coefficient tail,
+    and a panel that misses it after its halvings raises RuntimeError."""
     s = float(s)
     if not (traj.t_min - 1e-12 <= s <= 1e-12):
         raise ValueError(f"kick time {s} outside [{traj.t_min}, 0]")
-    tol = traj.tol if tol is None else float(tol)
     edges = traj.ts
     if edges[0] < s < edges[-1]:
         edges = np.unique(np.append(edges, s))
-    edges, (_, coefs, coast) = _refine_panels(lambda e: _fit_basis(traj, s, e), edges, tol,
-                                              "Jacobi basis collocation")
+    edges, (_, coefs, coast) = _refine_panels(lambda e: _fit_basis(traj, s, e), edges,
+                                              traj.tol, "Jacobi basis collocation")
     return JacobiBasis(traj, s, edges, coefs, coast)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .dynamics import _flow_sample, integrate_trajectory
+from .dynamics import integrate_trajectory, kinematics
 from .lorentz_dirac import _coordinate_force, _four_force
 from .parallel import parallel_map
 from .scenario import Scenario, ScenarioError, bundled_scenario
@@ -240,7 +240,7 @@ def _criterion_5(full: bool) -> CriterionResult:
     sc = bundled_scenario("oblique")
     traj = sc.build()
     ts = np.linspace(traj.acc_start, traj.acc_end, 200)
-    kin = _flow_sample(traj, ts)[0]
+    kin = kinematics(traj, ts)
     F = _four_force(kin, sc.alpha_c)
     f = _coordinate_force(kin, sc.alpha_c)
     scale = float(np.max(np.abs(F)))
@@ -256,7 +256,7 @@ def _criterion_5(full: bool) -> CriterionResult:
     t_peak = -0.5 * (sc2.profile.x1 + sc2.profile.x2)
     t_star = brentq(lambda t: traj2.velocity(float(t))[2], traj2.acc_start,
                     t_peak, xtol=1e-15)
-    kin2 = _flow_sample(traj2, t_star)[0]
+    kin2 = kinematics(traj2, [t_star])
     speed = float(np.linalg.norm(kin2.v[0]))
     force = _coordinate_force(kin2, sc2.alpha_c)[0]
     limit = (2.0 * sc2.alpha_c / 3.0) * kin2.adot[0]

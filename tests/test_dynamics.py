@@ -1,5 +1,7 @@
 """Trajectory integration: anchoring, conservation laws, kinematic derivatives."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -7,10 +9,10 @@ from test_flow_sample import AXES, P_FINAL, make_profile
 from test_semiclassical import MODE_PROFILES, mode_test_stack
 
 from rrshift import (SHAPE_NAMES, PotentialProfile, ReflectedTrajectoryError, bundled_scenario,
-                     integrate_trajectory, jacobi_basis, kinematics, retarded_perturbation,
-                     solve_mode_function)
+                     integrate_trajectory, jacobi_basis, kinematics, ld_coordinate_force,
+                     retarded_perturbation, solve_mode_function)
 from rrshift import dynamics
-from rrshift.dynamics import _flow_sample, _flow_tangent, _transition_cuts
+from rrshift.dynamics import _flow_tangent, _transition_cuts
 from rrshift.potentials import _derivatives, axis_index, eval_potential
 from rrshift.shift import _response_sample
 
@@ -128,8 +130,7 @@ def test_flow_tangent_matches_central_differences(name):
     traj = sc.build()
     basis = jacobi_basis(traj, 0.0)
     ts = np.linspace(traj.acc_start, traj.acc_end, 41)
-    kin, V1, V2 = _flow_sample(traj, ts)
-    dv, da = _flow_tangent(traj.profile, kin, V1, V2, *basis(ts))
+    dv, da = _flow_tangent(traj.profile, kinematics(traj, ts), *basis(ts))
     h = 1e-5
     fd_v, fd_a = np.empty_like(dv), np.empty_like(da)
     for j in range(3):
@@ -171,10 +172,15 @@ def test_velocity_equals_the_per_node_first_integrals(name, request):
 
 
 def test_reflected_trajectory_raises():
-    """A scalar barrier taller than the kinetic energy turns the particle around."""
+    """A scalar barrier taller than the kinetic energy turns the particle
+    around, alone or as one momentum of a stack of first integrals."""
     barrier = PotentialProfile(axis="z", v_past=[0.5, 0.0, 0.0, 0.0], x1=2.0, x2=1.0)
     with pytest.raises(ReflectedTrajectoryError):
         integrate_trajectory(barrier, [0.0, 0.0, 0.2], 1.0)
+    stack, s = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 0.2]]), np.linspace(-2.5, 0.0, 11)
+    dynamics._first_integrals(barrier, stack[:1], 1.0, s)
+    with pytest.raises(ReflectedTrajectoryError, match="reaches zero at z=-2"):
+        dynamics._first_integrals(barrier, stack, 1.0, s)
 
 
 def test_t_min_leaves_margin(time_traj):
@@ -197,13 +203,65 @@ def test_xi_monotone(time_traj):
 @pytest.mark.parametrize("kind", DENSE_SOLUTIONS)
 def test_dense_solutions_reject_times_outside_domain(kind, time_traj):
     """Each dense solution evaluates at both ends of its domain and raises
-    just outside it."""
+    just outside it and at a NaN."""
     evaluate = DENSE_SOLUTIONS[kind](time_traj)
     lo, hi = time_traj.t_min, 0.0
     evaluate(np.array([lo, hi]))
-    for t in (lo - 1e-8, hi + 1e-8):
+    for t in (lo - 1e-8, hi + 1e-8, np.nan):
         with pytest.raises(ValueError, match="outside"):
             evaluate(t)
+
+
+@pytest.mark.parametrize("evaluate", ["position", "velocity", "ld_coordinate_force"])
+def test_non_finite_times_raise(evaluate, time_traj):
+    """position, velocity and the self-force evaluate across the domain and
+    raise ValueError at a NaN or an infinity, alone or in an array."""
+    fn = (partial(ld_coordinate_force, time_traj, alpha_c=0.01)
+          if evaluate == "ld_coordinate_force" else getattr(time_traj, evaluate))
+    fn(np.array([time_traj.t_min, 0.5 * time_traj.t_min, 0.0]))
+    for t in (np.nan, np.inf, -np.inf, np.array([0.5 * time_traj.t_min, np.nan])):
+        with pytest.raises(ValueError, match="outside"):
+            fn(t)
+
+
+# inputs refused before any panel is fitted, each naming its argument
+P_TIME = P_FINAL["time"]
+BAD_NUMBERS = {
+    "trajectory_mass_nan": ("mass", lambda prof: integrate_trajectory(prof, P_TIME, np.nan)),
+    "trajectory_p_final_nan": ("p_final",
+                               lambda prof: integrate_trajectory(prof, [0.0, np.nan, 0.8], 1.0)),
+    "trajectory_tol_nan": ("tol", lambda prof: integrate_trajectory(prof, P_TIME, 1.0, np.nan)),
+    "trajectory_tol_negative": ("tol", lambda prof: integrate_trajectory(prof, P_TIME, 1.0, -1.0)),
+    **{f"modes_mass_{m}": ("mass", lambda prof, m=m: solve_mode_function(
+        prof, P_TIME, 0.5, (-3.0, 0.0), mass=m)) for m in (np.nan, -1.0, 0.0)},
+}
+
+
+@pytest.mark.parametrize("case", BAD_NUMBERS)
+def test_bad_numbers_raise_up_front(case, time_profile):
+    """A NaN or non-positive mass or tol, or a NaN in p_final, raises a
+    ValueError that names the argument, not a late solver failure."""
+    name, build = BAD_NUMBERS[case]
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        build(time_profile)
+
+
+@pytest.mark.parametrize("axis", ["time", "x", "y", "z"])
+def test_first_integrals_of_a_stack_equal_one_call_per_momentum(axis):
+    """A momentum stack (M, 3) gives u (M, N, 4) and P (M, N, 3) whose rows
+    equal M one-momentum calls bit for bit, on the time axis and on each
+    spatial one."""
+    prof = make_profile("double_bump", axis)
+    stack = np.random.default_rng(27).uniform(-0.4, 0.4, size=(5, 3))
+    if axis != "time":
+        stack[:, axis_index(prof)] += 2.0  # traversing
+    s = np.concatenate([np.linspace(-2.5, 0.5, 61), _transition_cuts(prof)])
+    u, P = dynamics._first_integrals(prof, stack, 1.0, s)
+    assert u.shape == (5, s.size, 4) and P.shape == (5, s.size, 3)
+    for j, p in enumerate(stack):
+        u_one, P_one = dynamics._first_integrals(prof, p, 1.0, s)
+        assert np.array_equal(u[j], u_one)
+        assert np.array_equal(P[j], P_one)
 
 
 # Hamilton's equations, x' = v and P' = e_a (v . dV/ds - dV^0/ds), stepped by

@@ -6,7 +6,6 @@ import pytest
 
 from rrshift import (SHAPE_NAMES, PotentialProfile, hamiltonian_hessian, integrate_trajectory,
                      kinematics, ld_coordinate_force)
-from rrshift.dynamics import _flow_sample
 from rrshift.lorentz_dirac import _coordinate_force
 from rrshift.potentials import _derivatives, axis_index, eval_derivative
 from rrshift.variational import _hessian_blocks
@@ -65,8 +64,8 @@ def test_shared_sample_matches_public_functions(shape, axis):
     prof = make_profile(shape, axis)
     traj = integrate_trajectory(prof, P_FINAL[axis], 1.0)
     ts = np.concatenate([np.linspace(traj.t_min, 0.0, 41), traj.breakpoints])
-    kin, V1, V2 = _flow_sample(traj, ts)
-    h_xx, h_xp, h_pp = _hessian_blocks(traj, kin, V1, V2)
+    kin = kinematics(traj, ts)
+    h_xx, h_xp, h_pp = _hessian_blocks(traj, kin)
     force = _coordinate_force(kin, ALPHA)
 
     assert np.array_equal(force, ld_coordinate_force(traj, ts, ALPHA))
@@ -79,8 +78,8 @@ def test_shared_sample_matches_public_functions(shape, axis):
             assert np.array_equal(point, shared[k])
         assert np.array_equal(ld_coordinate_force(traj, t, ALPHA), force[k])
         one = kinematics(traj, t)
-        for name in ("x", "P", "w", "sigma", "v", "a", "adot", "gamma"):
+        for name in ("x", "P", "w", "sigma", "v", "a", "adot", "gamma", "dV", "d2V"):
             assert np.array_equal(getattr(one, name), getattr(kin, name)[k])
         s = t if ai is None else one.x[ai]
-        assert np.array_equal(eval_derivative(prof, s, 1), V1[k])
-        assert np.array_equal(eval_derivative(prof, s, 2), V2[k])
+        assert np.array_equal(eval_derivative(prof, s, 1), kin.dV[k])
+        assert np.array_equal(eval_derivative(prof, s, 2), kin.d2V[k])

@@ -3,7 +3,6 @@
 import numpy as np
 
 from rrshift import kinematics, ld_coordinate_force
-from rrshift.dynamics import _flow_sample
 from rrshift.lorentz_dirac import _four_force
 
 ALPHA = 0.05
@@ -11,7 +10,7 @@ ALPHA = 0.05
 
 def ld_four_force(traj, t, alpha_c):
     """F^mu at time(s) t from one flow sample; scalar t -> shape (4,), array -> (N, 4)."""
-    F = _four_force(_flow_sample(traj, t)[0], alpha_c)
+    F = _four_force(kinematics(traj, np.atleast_1d(t)), alpha_c)
     return F[0] if np.ndim(t) == 0 else F
 
 

@@ -807,9 +807,9 @@ def tangents_28_columns(traj, basis, ks, dirs, transforms, charge):
     rate = float(np.max(np.abs(ks))) * (1.0 + _max_speed(traj))
     ts, w = _gauss_panels(_phase_edges(traj.acc_start, traj.acc_end, rate, base_panels=24),
                           _PANEL_ORDER)
-    kin, V1, V2 = dynamics._flow_sample(traj, np.concatenate([ts, [traj.acc_start, traj.acc_end]]))
+    kin = kinematics(traj, np.concatenate([ts, [traj.acc_start, traj.acc_end]]))
     X, K = basis(kin.t)
-    dv, da = dynamics._flow_tangent(traj.profile, kin, V1, V2, X, K)
+    dv, da = dynamics._flow_tangent(traj.profile, kin, X, K)
     u_ends = np.column_stack([np.ones(2), kin.v[-2:]])
     du_ends = np.concatenate([np.zeros((2, 1, 3)), dv[-2:]], axis=1)
     v, a, x, X, dv, da = kin.v[:-2], kin.a[:-2], kin.x[:-2], X[:-2], dv[:-2], da[:-2]

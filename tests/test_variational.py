@@ -125,10 +125,12 @@ def test_symplectic_product_matches_per_pair_row_dots(time_traj):
 
 
 def test_symplectic_product_conserved(time_traj):
-    """Products between kick responses are constant along the flow."""
-    ts = np.linspace(time_traj.t_min, 0.0, 30)
-    basis_0 = jacobi_basis(time_traj, 0.0, tol=3e-13)
-    basis_u = jacobi_basis(time_traj, 0.5 * time_traj.t_min, tol=3e-13)
+    """Products between kick responses are constant along the flow of a
+    trajectory built at tol 3e-13, the tail bound of its bases too."""
+    traj = integrate_trajectory(time_traj.profile, time_traj.p_final, time_traj.mass, tol=3e-13)
+    ts = np.linspace(traj.t_min, 0.0, 30)
+    basis_0 = jacobi_basis(traj, 0.0)
+    basis_u = jacobi_basis(traj, 0.5 * traj.t_min)
     vals = symplectic_product(basis_0, basis_u, ts)  # (t, i, j)
     drift = np.max(np.max(vals, axis=0) - np.min(vals, axis=0))
     assert drift < 1e-9 * np.max(np.abs(vals))
