@@ -327,12 +327,13 @@ class Trajectory:
 
     def velocity(self, t):
         """dx/dt = (P - V) / sigma for any finite t; outside the forcing, the
-        stored coasting velocities, with V sampled only at the inner times."""
+        stored coasting velocities, with V sampled only at the inner times.
+        On the time axis the coordinate is t itself, so no series is summed."""
         t_arr = _domain_times(t, -np.inf, np.inf, "trajectory")
         early, late = t_arr <= self.acc_start, t_arr >= self.acc_end
         v = np.where(early[:, None], self._v_in, self._v_out)
         inner = ~early & ~late
-        s = self._locate(t_arr[inner])[0]
+        s = t_arr[inner] if self._ai is None else self._locate(t_arr[inner])[0]
         u = _first_integrals(self.profile, self.p_final, self.mass, s)[0]
         v[inner] = u[:, 1:] / u[:, :1]
         return v[0] if np.ndim(t) == 0 else v

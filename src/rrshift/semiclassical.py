@@ -171,7 +171,7 @@ def _require_plateau_covers(traj: Trajectory, n, window: CutoffWindow):
 # one 12-point Gauss-Legendre panel per oscillation period keeps the
 # quadrature error far below 1e-10
 _PANEL_ORDER = 12
-_PAIR_BLOCK = 96  # rows and columns of one block of the double-xi pair kernel
+_PAIR_BLOCK = 128  # rows and columns of one block of the double-xi pair kernel
 # Panel counts past which an input is refused before anything is allocated:
 # far above use (the full verify suite reaches 128 phase panels and 15 mode
 # panels), low enough that the transforms and collocation solves they admit
@@ -216,18 +216,20 @@ def _octaves(span: float, k_cap: float = np.inf):
 def _windowed_nodes(traj: Trajectory, dirs, window: CutoffWindow, k_max: float):
     """Time nodes over the window support, one panel per period up to k_max,
     for each direction of dirs (D, 3): yields (xi, the gated weights
-    chi(xi) w, (1, v)).  One panel rate (_max_speed) serves every direction,
-    and the trajectory is sampled once on the concatenated nodes; each
-    direction's values equal those of a one-direction call bit for bit."""
+    chi(xi) w, (1, v)).  One panel rate (_max_speed) serves every direction;
+    the trajectory is sampled once on the concatenated nodes, and the gate
+    evaluated once on the concatenated xi.  Each direction's values equal
+    those of a one-direction call bit for bit."""
     rate = k_max * (1.0 + _max_speed(traj))
     nodes = [_gauss_panels(_phase_edges(a, b, rate), _PANEL_ORDER)
              for a, b in window_time_range(traj, dirs, window)]
     ts = np.concatenate([t for t, _ in nodes])
     cuts = np.cumsum([t.size for t, _ in nodes])[:-1]
-    for n, (t, w), x, v in zip(dirs, nodes, np.split(traj.position(ts), cuts),
-                               np.split(traj.velocity(ts), cuts)):
-        xi = t - np.einsum("ij,j->i", x, n)
-        yield xi, window.chi(xi) * w, np.column_stack([np.ones(t.size), v])
+    xis = [t - np.einsum("ij,j->i", x, n)
+           for n, (t, _), x in zip(dirs, nodes, np.split(traj.position(ts), cuts))]
+    gates = np.split(window.chi(np.concatenate(xis)), cuts)
+    for (t, w), xi, chi, v in zip(nodes, xis, gates, np.split(traj.velocity(ts), cuts)):
+        yield xi, chi * w, np.column_stack([np.ones(t.size), v])
 
 
 def _k_panels(k_lo: float, k_hi: float, rate: float):
@@ -554,8 +556,8 @@ def amplitude_quantum(traj: Trajectory, window: CutoffWindow, modes: ModeFunctio
 
 def _minkowski_sq(a: np.ndarray) -> np.ndarray:
     """-(A . A*) = |A_vec|^2 - |A^0|^2 along the last axis of a (..., 4)."""
-    mags = np.abs(a) ** 2
-    return mags[..., 1:].sum(axis=-1) - mags[..., 0]
+    sq = a.real**2 + a.imag**2
+    return sq[..., 1:].sum(axis=-1) - sq[..., 0]
 
 
 @dataclass(frozen=True)
@@ -671,37 +673,50 @@ def _double_xi_probability(traj: Trajectory, window: CutoffWindow, k_max: float,
     """Per direction, -sum_ij g_i g_j (u_i . u_j) K(xi_i - xi_j) for the gated
     four-velocity currents g u, with the Minkowski product (+, -, -, -) and
     the pair kernel K(d) = int_0^K k cos(k d) dk = K^2 (cos x - 1 + x sin x) / x^2
-    at x = K d, on the nodes of one _windowed_nodes call.  x is K xi_i - K xi_j,
-    and cos x and sin x come from per-node values by angle addition; x^2 < 1e-4
-    takes the small-argument series, in the blocks that hold such a pair.  K is
-    even, so it is evaluated in place in blocks of _PAIR_BLOCK nodes over the
-    upper triangle, off-diagonal blocks twice; K^2 multiplies the sum."""
+    at x = K d, on the nodes of one _windowed_nodes call.  With 1 - cos x =
+    2 sin^2(x/2) it is 2 K^2 q (c - q), q = s / x, for s = sin(x/2) and
+    c = cos(x/2): free of the cancellation in cos x - 1 at small x, and
+    stationary in q there, so the rounding of s barely reaches it.  One
+    matrix product per block gives s and c by angle addition of the per-node
+    half angles h = K xi / 2, and x = K xi_i - K xi_j rounded once, as a
+    subtraction gives it; a pair with x = 0 (sought only in blocks whose K xi
+    ranges overlap) takes the limit K(0) = K^2 / 2.  K is even, so it is
+    evaluated in place in blocks of _PAIR_BLOCK nodes over the upper
+    triangle, off-diagonal blocks twice; 2 K^2 multiplies the sum."""
     out = 0.0
     for (xi, gate, u), wdir in zip(_windowed_nodes(traj, dirs, window, k_max), wd):
         kx = k_max * xi
-        cs = np.stack([np.cos(kx), np.sin(kx)], axis=1)
-        sc = cs[:, ::-1] * [1.0, -1.0]
+        sin, cos = np.sin(0.5 * kx), np.cos(0.5 * kx)
+        zero, one = np.zeros_like(kx), np.ones_like(kx)
+        # rows (sin h_i, -cos h_i, 0, 0), (cos h_i, sin h_i, 0, 0) and
+        # (0, 0, K xi_i, 1) against the columns (cos h_j, sin h_j, 1, -K xi_j)
+        # give s, c and x; each product in x is by 0 or 1, so x is the
+        # difference rounded once
+        rows = np.array([[sin, -cos, zero, zero], [cos, sin, zero, zero],
+                         [zero, zero, kx, one]]).transpose(0, 2, 1)
+        cols = np.array([cos, sin, one, -kx])
         current = gate[:, None] * u
         form = np.zeros(4)
-        for i in range(0, xi.size, _PAIR_BLOCK):
+        starts = range(0, xi.size, _PAIR_BLOCK)
+        lo = np.minimum.reduceat(kx, starts).tolist()  # each block's K xi range
+        hi = np.maximum.reduceat(kx, starts).tolist()
+        for bi, i in enumerate(starts):
             r = slice(i, i + _PAIR_BLOCK)
-            for j in range(i, xi.size, _PAIR_BLOCK):
+            n_r = kx[r].size
+            rows_r = rows[:, r].reshape(-1, 4)
+            for bj, j in enumerate(starts[bi:], bi):
                 c = slice(j, j + _PAIR_BLOCK)
-                x = kx[r, None] - kx[None, c]
-                # cos(x) - 1 + x sin(x) in place, with sin(x) = s_i c_j - c_i s_j
-                kern = cs[r] @ cs[c].T
-                kern -= 1.0
-                sin = sc[r] @ cs[c].T
-                kern += np.multiply(sin, x, out=sin)
-                x *= x
-                small = x < 1e-4
-                if small.any():  # the series there, and x^2 = 1 so the division keeps it
-                    x2 = x[small]
-                    kern[small] = 0.5 - x2 / 8.0 + x2 * x2 / 144.0
-                    x[small] = 1.0
-                kern /= x
+                q, kern, x = (rows_r @ cols[:, c]).reshape(3, n_r, -1)
+                if lo[bi] <= hi[bj] and lo[bj] <= hi[bi]:
+                    # x = 0 takes the limits s / x = 1/2 and c = 1, with no 0/0
+                    at_zero = x == 0.0
+                    q[at_zero], x[at_zero], kern[at_zero] = 1.0, 2.0, 1.0
+                # q (c - q) with q = s / x, in place in the cosine block
+                q /= x
+                kern -= q
+                kern *= q
                 form += (1.0 if i == j else 2.0) * np.sum(current[r] * (kern @ current[c]), axis=0)
-        out += wdir * (-(k_max**2 * form @ _METRIC)) / _8PI3
+        out += wdir * (-(2.0 * k_max**2 * form @ _METRIC)) / _8PI3
     return out
 
 
@@ -719,9 +734,12 @@ def emission_probability_reduced(traj: Trajectory, window: CutoffWindow,
     Agreement is a Parseval identity: one quadratic form evaluated through
     two independent discretizations.  The taper-only probability on the
     same nodes is reported as the baseline; assembled minus baseline is the
-    window-artifact-free physical value.
+    window-artifact-free physical value.  A k_max that is not finite and
+    positive raises ValueError up front.
     """
     k_max = float(24.0 * np.pi / window.width if k_max is None else k_max)
+    if not (np.isfinite(k_max) and k_max > 0.0):
+        raise ValueError(f"k_max must be finite and positive, got {k_max}")
     window.require_covers(*acceleration_xi_bounds(traj), "the acceleration interval")
     dirs, wd = _direction_grid(traj, n_polar, n_azimuth)
     assembled, base = _assembled_probability(traj, window, k_max, dirs, wd)

@@ -698,7 +698,7 @@ def test_emission_probability_two_pulse_additivity():
 def test_double_xi_matches_pair_kernel_oracle():
     """The angle-addition kernel with the rank-4 current contraction equals
     the nt x nt pair-kernel form to 1e-13; the diagonal of every direction
-    takes the small-argument series."""
+    takes the coincident-pair limit."""
     sc = bundled_scenario("pulse_single")
     traj = sc.build()
     window = sc.window(traj)
@@ -744,11 +744,12 @@ def test_double_xi_blocks_match_pair_kernel_oracle(k_max, keep, monkeypatch):
     assert abs(got - ref) < 1e-13 * abs(ref)
 
 
-def test_double_xi_series_across_a_block_edge(monkeypatch):
+def test_double_xi_close_pairs_across_a_block_edge(monkeypatch):
     """Nodes clustered within |K d| < 1e-2 across the first block edge, one
-    pair of them equal: the series branch off the diagonal, in the
-    off-diagonal block, equals the nt x nt pair-kernel form to 1e-13, and no
-    0/0 on a diagonal or at the equal pair raises a RuntimeWarning."""
+    pair of them equal: the close pairs and the coincident one off the
+    diagonal, in the off-diagonal block, equal the nt x nt pair-kernel form
+    to 1e-13, and no 0/0 on a diagonal or at the equal pair raises a
+    RuntimeWarning."""
     sc, traj = built("pulse_single")
     window = sc.window(traj)
     k_max = 12.0
@@ -775,6 +776,44 @@ def test_double_xi_series_across_a_block_edge(monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)
         got = _double_xi_probability(traj, window, k_max, dirs, wd)
     assert abs(got - ref) < 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("sep", [1.2e-2, 3e-2, 0.1, 0.5, 0.0])
+def test_double_xi_kernel_is_accurate_at_small_separations(sep, monkeypatch):
+    """Two nodes near K xi = 100, a separation x = sep apart (0: an exact
+    coincidence), carrying the null currents (1, e_x) and (1, e_y), so the
+    diagonal cancels and the pair alone sets the sum: it equals a long-double
+    evaluation of the half-angle kernel 2 s (x c - s) / x^2, s = sin(x/2)
+    and c = cos(x/2), to 1e-14.  Evaluated as cos x - 1 + x sin x, the
+    kernel loses up to about 2e-12 of itself at these x to the cancellation
+    in cos x - 1."""
+    k_max = 12.0
+    xi = (100.0 + np.array([0.0, sep])) / k_max
+    gate = np.array([0.7, 1.3])
+    u = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]])
+    monkeypatch.setattr(semiclassical, "_windowed_nodes", lambda *args: iter([(xi, gate, u)]))
+    got = _double_xi_probability(None, None, k_max, np.zeros((1, 3)), np.ones(1))
+
+    kx = (k_max * xi).astype(np.longdouble)  # the nodes' K xi, then long double throughout
+    x = kx[:, None] - kx[None, :]
+    xs = np.where(x == 0.0, 1.0, x)
+    s, c = np.sin(xs / 2), np.cos(xs / 2)
+    kern = k_max**2 * np.where(x == 0.0, 0.5, 2 * s * (xs * c - s) / xs**2)
+    ul = u.astype(np.longdouble)
+    c_mink = np.outer(ul[:, 0], ul[:, 0]) - ul[:, 1:] @ ul[:, 1:].T
+    ref = -(gate @ (c_mink * kern) @ gate) / _8PI3
+    assert abs(sep - float(x[1, 0])) < 1e-12 and abs(float(c_mink[0, 1])) == 1.0
+    assert abs(got - ref) < 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("k_max", [-1.0, 0.0, np.nan, np.inf])
+def test_emission_probability_rejects_bad_k_max_up_front(k_max):
+    """A k_max that is not finite and positive raises a ValueError that names
+    it, instead of a silent report, a division by zero or a panel-count
+    error."""
+    sc, traj = built("pulse_single")
+    with pytest.raises(ValueError, match="^k_max must be finite and positive"):
+        emission_probability_reduced(traj, sc.window(traj), n_polar=2, n_azimuth=4, k_max=k_max)
 
 
 def test_amplitude_shift_vanishes_without_acceleration():
