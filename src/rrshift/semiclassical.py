@@ -19,9 +19,10 @@ trajectory coasts there whenever the plateau covers the acceleration
 image); the spectral routines below lean on that split both for speed and
 for an exact zero-acceleration baseline.  One kernel, `_amplitudes`, yields
 both parts per direction and, given the Jacobi basis, their exact
-derivative with respect to the final momentum along one trajectory.  The k
-integrals climb the same octaves, and within an octave each trajectory is
-sampled once for all directions of the sphere grid.  On the equal-width k
+derivative with respect to the final momentum along one trajectory.  The
+energy and shift k integrals climb the same octaves to their stop rules; the
+probability, cut at a fixed k_max, takes one k grid.  Each octave or grid
+samples each trajectory once for all directions.  On the equal-width k
 panels e^{i(c_p + h x_j) xi} = E_p(xi) G_j(xi), so each transform is one
 matmul.  From the kernel: the radiated-energy spectrum, the assembled side
 of the reduced emission probability, whose double-xi side is an independent
@@ -203,14 +204,12 @@ def _direction_grid(traj: Trajectory, n_polar: int, n_azimuth: int):
     return sphere_quadrature(n_polar, n_azimuth, axis=traj.velocity(0.0))
 
 
-def _octaves(span: float, k_cap: float = np.inf):
-    """k panels (k_lo, k_hi): [0, 2pi/span], then doublings, clipped at k_cap."""
-    k_lo, k_hi = 0.0, min(2.0 * np.pi / span, k_cap)
-    while True:
+def _octaves(span: float):
+    """k panels (k_lo, k_hi): [0, 2pi/span], then doublings until k_hi overflows."""
+    k_lo, k_hi = 0.0, 2.0 * np.pi / span
+    while np.isfinite(k_lo):
         yield k_lo, k_hi
-        if k_hi >= k_cap:
-            return
-        k_lo, k_hi = k_hi, min(2.0 * k_hi, k_cap)
+        k_lo, k_hi = k_hi, 2.0 * k_hi
 
 
 def _windowed_nodes(traj: Trajectory, dirs, window: CutoffWindow, k_max: float):
@@ -420,8 +419,9 @@ class ModeFunction:
     joins and about one period 2 pi hbar / max sigma long hold the collocated
     solution on `edges`, refined by `_refine_panels` until each panel's tail
     meets _MODE_RTOL.  So the stack is exact at any time of its domain [lo,
-    hi]; `tail` and `panels` are its worst relative Chebyshev tail and its
-    number of collocation panels.  `sigma` reads sigma_p(t) from `dynamics`."""
+    hi]; `tail`, `panels` and `wronskian_residual()` are its worst relative
+    Chebyshev tail, its number of collocation panels and its worst relative
+    Wronskian error, all computed here.  `sigma` reads sigma_p(t) from `dynamics`."""
 
     def __init__(self, profile, p, hbar, mass, lo, hi):
         self.profile, self.p, self.hbar, self.mass = profile, p, hbar, mass
@@ -447,6 +447,7 @@ class ModeFunction:
         # (t_c, sigma, A, B) after and before the forcing
         self.closed = ((cuts[-1], p0, wave, 0.0),
                        (cuts[0], sigma_in, 0.5 * (y[0] + r), 0.5 * (y[0] - r)))
+        self._wronskian_residual = float(np.max(np.abs(self.wronskian() / (2.0 * p0) - 1.0)))
 
     def modes(self, t):
         """(phi, dphi/dt) at the times t, each of shape t.shape + (M,)."""
@@ -476,7 +477,7 @@ class ModeFunction:
 
     def wronskian_residual(self) -> float:
         """The worst relative Wronskian error over the stack's columns."""
-        return float(np.max(np.abs(self.wronskian() / (2.0 * self.p0) - 1.0)))
+        return self._wronskian_residual
 
 
 def solve_mode_function(profile: PotentialProfile, p, hbar: float,
@@ -634,7 +635,9 @@ def larmor_radiated_energy(traj: Trajectory, alpha_c: float) -> float:
 
 @dataclass(frozen=True)
 class ProbabilityReport:
-    """Reduced emission probability, two independent evaluations."""
+    """Reduced emission probability, two independent evaluations.  Where v_in !=
+    v_out, A_taper ~ (W_in - W_out)/k near k = 0: the baseline's integrand goes as
+    1/k (Bloch and Nordsieck), so baseline and physical depend on the first k panel."""
 
     assembled: float     # from |A|^2 on a k quadrature
     double_xi: float     # from the pair kernel with the k integral closed
@@ -652,19 +655,15 @@ class ProbabilityReport:
 
 def _assembled_probability(traj: Trajectory, window: CutoffWindow, k_max: float,
                            dirs: np.ndarray, wd: np.ndarray) -> tuple[float, float]:
-    """(total, taper-only) reduced probability cut at k_max, per unit e^2."""
-    span = window.support[1] - window.support[0]
-    vmax_acc = _max_speed(traj)
-
-    total = 0.0
-    base = 0.0
-    for a, b in _octaves(span, k_max):
-        kp, wk = _k_panels(a, b, span)
-        t_rate = b * (1.0 + vmax_acc)
-        wk_k = wk * kp.ravel()
-        for wdir, (a_rad, a_tap, _) in zip(wd, _amplitudes(traj, kp, dirs, window, 1.0, t_rate)):
-            total += wdir * (wk_k @ _minkowski_sq(a_rad + a_tap)) / _8PI3
-            base += wdir * (wk_k @ _minkowski_sq(a_tap)) / _8PI3
+    """(total, taper-only) reduced probability cut at k_max, per unit e^2.  The cut
+    is fixed with no stop rule, so one k grid and one `_amplitudes` pass suffice."""
+    kp, wk = _k_panels(0.0, k_max, window.support[1] - window.support[0])
+    wk_k = wk * kp.ravel()
+    total = base = 0.0
+    amps = _amplitudes(traj, kp, dirs, window, 1.0, k_max * (1.0 + _max_speed(traj)))
+    for wdir, (a_rad, a_tap, _) in zip(wd, amps):
+        total += wdir * (wk_k @ _minkowski_sq(a_rad + a_tap)) / _8PI3
+        base += wdir * (wk_k @ _minkowski_sq(a_tap)) / _8PI3
     return total, base
 
 
@@ -734,16 +733,17 @@ def emission_probability_reduced(traj: Trajectory, window: CutoffWindow,
     Agreement is a Parseval identity: one quadratic form evaluated through
     two independent discretizations.  The taper-only probability on the
     same nodes is reported as the baseline; assembled minus baseline is the
-    window-artifact-free physical value.  A k_max that is not finite and
-    positive raises ValueError up front.
+    window-artifact-free physical value (infrared-regulated: `ProbabilityReport`).
+    A k_max that is not finite and positive raises ValueError up front.
     """
     k_max = float(24.0 * np.pi / window.width if k_max is None else k_max)
     if not (np.isfinite(k_max) and k_max > 0.0):
         raise ValueError(f"k_max must be finite and positive, got {k_max}")
     window.require_covers(*acceleration_xi_bounds(traj), "the acceleration interval")
     dirs, wd = _direction_grid(traj, n_polar, n_azimuth)
-    assembled, base = _assembled_probability(traj, window, k_max, dirs, wd)
+    # double-xi first: its time grid outgrows _MAX_PHASE_PANELS first, so a refused k_max fails fast
     double_xi = _double_xi_probability(traj, window, k_max, dirs, wd)
+    assembled, base = _assembled_probability(traj, window, k_max, dirs, wd)
     return ProbabilityReport(assembled=assembled, double_xi=double_xi,
                              baseline=base, k_max=k_max)
 

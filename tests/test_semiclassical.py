@@ -13,9 +13,10 @@ from rrshift import (CutoffWindow, PotentialProfile, amplitude_classical,
                      emission_probability_reduced, integrate_trajectory, jacobi_basis,
                      kinematics, radiated_energy, shift_from_amplitudes, solve_mode_function,
                      sphere_quadrature, taper_amplitude, window_time_range)
-from rrshift.semiclassical import (_8PI3, _PAIR_BLOCK, _PANEL_ORDER, _amplitudes, _cis,
-                                   _direction_grid, _double_xi_probability, _k_panels,
-                                   _max_speed, _octaves, _phase_edges, _phase_transform,
+from rrshift.semiclassical import (_8PI3, _PAIR_BLOCK, _PANEL_ORDER, _amplitudes,
+                                   _assembled_probability, _cis, _direction_grid,
+                                   _double_xi_probability, _k_panels, _max_speed,
+                                   _minkowski_sq, _octaves, _phase_edges, _phase_transform,
                                    _taper_transforms, _windowed_nodes, acceleration_xi_bounds)
 from rrshift import dynamics, semiclassical, verify
 from rrshift.dynamics import _DenseSolution
@@ -816,6 +817,57 @@ def test_emission_probability_rejects_bad_k_max_up_front(k_max):
         emission_probability_reduced(traj, sc.window(traj), n_polar=2, n_azimuth=4, k_max=k_max)
 
 
+def test_refused_k_max_fails_before_the_assembled_side(monkeypatch):
+    """A k_max past the phase-panel limit is refused by the double-xi side's
+    window-wide time grid, which needs at least as many panels as the k grid,
+    before any assembled work runs."""
+    sc, traj = built("pulse_single")
+
+    def assembled_must_not_run(*args):
+        raise AssertionError("the assembled side ran before the refusal")
+
+    monkeypatch.setattr(semiclassical, "_assembled_probability", assembled_must_not_run)
+    with pytest.raises(ValueError, match="quadrature panels"):
+        emission_probability_reduced(traj, sc.window(traj), n_polar=2, n_azimuth=4, k_max=300.0)
+
+
+def octave_climb_probability(traj, window, k_max, dirs, wd):
+    """The assembled side as an octave climb: the octaves of `_octaves`
+    clipped at k_max, each with its own k panels and an `_amplitudes` pass on
+    time panels for its top k."""
+    span = window.support[1] - window.support[0]
+    vmax = _max_speed(traj)
+    total = base = 0.0
+    for k_lo, k_hi in _octaves(span):
+        k_hi = min(k_hi, k_max)
+        kp, wk = _k_panels(k_lo, k_hi, span)
+        wk_k = wk * kp.ravel()
+        amps = _amplitudes(traj, kp, dirs, window, 1.0, k_hi * (1.0 + vmax))
+        for wdir, (a_rad, a_tap, _) in zip(wd, amps):
+            total += wdir * (wk_k @ _minkowski_sq(a_rad + a_tap)) / _8PI3
+            base += wdir * (wk_k @ _minkowski_sq(a_tap)) / _8PI3
+        if k_hi >= k_max:
+            return total, base
+
+
+@pytest.mark.parametrize("name, same_v", [("pulse_single", True), ("energy", False),
+                                          ("spatial", False), ("rest_pulse", True)])
+def test_one_k_grid_equals_the_octave_climb(name, same_v):
+    """The assembled side on one k grid over [0, k_max] equals the octave
+    climb to 1e-13 relative.  So does the taper-only baseline where the in
+    and out velocities are equal (same_v); where they differ its integrand
+    goes as 1/k near k = 0, and it depends on the first k panel."""
+    sc, traj = built(name)
+    window = sc.window(traj)
+    dirs, wd = _direction_grid(traj, 4, 8)
+    total, base = _assembled_probability(traj, window, 12.0, dirs, wd)
+    ref_total, ref_base = octave_climb_probability(traj, window, 12.0, dirs, wd)
+    assert abs(total - ref_total) < 1e-13 * abs(ref_total)
+    assert same_v == np.allclose(traj.velocity(traj.t_min), traj.velocity(0.0), atol=1e-14)
+    if same_v:
+        assert abs(base - ref_base) < 1e-13 * abs(ref_base)
+
+
 def test_amplitude_shift_vanishes_without_acceleration():
     """Zero acceleration: the amplitude-derivative route returns ~0."""
     prof = PotentialProfile(axis="time", v_past=[0.0, 0.0, 0.0, 0.0], x1=2.0, x2=1.0)
@@ -954,8 +1006,8 @@ def test_amplitude_shift_stop_rules_fail_loudly():
 
 
 def test_probability_cut_below_first_octave(time_traj):
-    """k_max under 2pi/span is one clipped octave: the cut is kept as given
-    and the Parseval pair still agrees."""
+    """k_max under 2pi/span, the width of one k panel, is kept as given and
+    the Parseval pair still agrees."""
     w = default_window(time_traj)
     lo, hi = w.support
     k_max = 0.5 * 2.0 * np.pi / (hi - lo)
